@@ -1,91 +1,15 @@
 """Head-reduction laboratory for storage operators on Church numerals."""
 
 from .builtins import prelude
-from .checker import (
-    ALL_PASS,
-    FAIL,
-    FINAL,
-    FIRST_FAILURE,
-    FUEL,
-    MacroStep,
-    OperatorSummary,
-    RunReport,
-    SUCCESS,
-    TransformError,
-    check_operator,
-    report_to_dict,
-    run_check,
-    summary_to_dict,
-    to_json,
-    x_transform,
-    X_transform,
-)
-from .reduction import (
-    DEFAULT_LIMITS,
-    FuelExhausted,
-    HnfDecomposition,
-    Limits,
-    SuccessorReport,
-    beta_equiv,
-    check_successor,
-    decompose_hnf,
-    has_beta_redex,
-    head_reduce,
-    head_step,
-    is_solvable,
-    normalize,
-)
-from .syntax import Binding, ParseError, load_defs, parse, parse_defs, pretty
-from .terms import (
-    App,
-    Const,
-    Family,
-    Lam,
-    Term,
-    Var,
-    alpha_eq,
-    app,
-    app_power,
-    church_value,
-    free_names,
-    is_closed_pure,
-    iter_consts,
-    mk_church,
-    spine,
-    substitute,
-    substitute_many,
-)
-from .theorems import (
-    Lemma1Report,
-    PViolation,
-    PViolationError,
-    delta_forward,
-    delta_inverse,
-    p_violation,
-    satisfies_P,
-    sigma_hat_subst,
-    sigma_subst,
-    verify_lemma1_along,
-    verify_theorem1_instance,
-    verify_theorem2_instance,
-    verify_theorem3,
-)
+from .checker import Verdict, check_operator, run_check
+from .syntax import parse, pretty
+from .terms import App, Const, Family, Lam, Var
+from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_PASS", "App", "Binding", "Const", "DEFAULT_LIMITS", "FAIL", "FINAL",
-    "FIRST_FAILURE", "FUEL", "Family", "FuelExhausted", "HnfDecomposition",
-    "Lam", "Lemma1Report", "Limits", "MacroStep", "OperatorSummary",
-    "PViolation", "PViolationError", "ParseError", "RunReport", "SUCCESS",
-    "SuccessorReport", "Term", "TransformError", "Var", "X_transform",
-    "alpha_eq", "app", "app_power", "beta_equiv", "check_operator",
-    "check_successor", "church_value", "decompose_hnf", "delta_forward",
-    "delta_inverse", "free_names", "has_beta_redex", "head_reduce",
-    "head_step", "is_closed_pure", "is_solvable", "iter_consts", "load_defs",
-    "mk_church", "normalize", "p_violation", "parse", "parse_defs", "prelude",
-    "pretty", "report_to_dict", "run_check", "satisfies_P", "sigma_hat_subst",
-    "sigma_subst", "spine", "substitute", "substitute_many", "summary_to_dict",
-    "to_json", "verify_lemma1_along", "verify_theorem1_instance",
-    "verify_theorem2_instance", "verify_theorem3", "x_transform",
+    "App", "Const", "Family", "Lam", "Var", "Verdict", "check_operator",
+    "parse", "prelude", "pretty", "run_check", "verify_theorem1_instance",
+    "verify_theorem2_instance", "verify_theorem3",
 ]

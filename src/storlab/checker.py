@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from enum import Enum
+from typing import Any, Iterable
 
 from .reduction import (
     DEFAULT_LIMITS,
@@ -29,9 +30,52 @@ from .reduction import (
 from .syntax import pretty
 from .terms import App, Const, Family, Term, Var, app, is_closed_pure, mk_church
 
-SUCCESS = "Success"
-FAIL = "Fail"
-FUEL = "FuelExhausted"
+EXIT_PASS = 0
+EXIT_REFUTED = 1
+EXIT_FUEL = 2
+
+
+class Verdict(str, Enum):
+    """Every verdict storlab reports; the value is the string printed and
+    serialized.
+
+    A run ends in SUCCESS, FAIL or FUEL; an operator summary is ALL_PASS,
+    FIRST_FAILURE or FUEL; a theorem level is PASS, FAIL, VACUOUS or
+    UNKNOWN; a claim as a whole is PASS, REFUTED or FUEL.
+    """
+
+    SUCCESS = "Success"
+    FAIL = "Fail"
+    FUEL = "FuelExhausted"
+    ALL_PASS = "AllPass"
+    FIRST_FAILURE = "FirstFailureAt"
+    PASS = "Pass"
+    REFUTED = "Refuted"
+    VACUOUS = "Vacuous"
+    UNKNOWN = "Unknown"
+
+    # a plain (str, Enum) member would print as "Verdict.PASS"
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+    @property
+    def exit_code(self) -> int:
+        """The CLI exit code of a command whose overall verdict this is."""
+        if self in (Verdict.PASS, Verdict.ALL_PASS):
+            return EXIT_PASS
+        return EXIT_FUEL if self is Verdict.FUEL else EXIT_REFUTED
+
+    @staticmethod
+    def fold(levels: Iterable[Verdict]) -> Verdict:
+        """A claim's verdict from its levels: REFUTED if any level is FAIL,
+        else FUEL if any is undecided (UNKNOWN or FUEL), else PASS."""
+        seen = set(levels)
+        if Verdict.FAIL in seen:
+            return Verdict.REFUTED
+        if Verdict.UNKNOWN in seen or Verdict.FUEL in seen:
+            return Verdict.FUEL
+        return Verdict.PASS
+
 
 SEED_ZERO = "SeedZero"
 SEED_SUCC = "SeedSucc"
@@ -46,16 +90,6 @@ MALFORMED_HEAD = "MalformedHead"
 WRONG_LEVEL = "WrongLevel"
 TAU_NOT_CLOSED = "TauNotClosed"
 TAU_NOT_N = "TauNotN"
-
-FAIL_REASONS = frozenset({
-    PREFIX_NOT_EMPTY,
-    FOREIGN_HEAD,
-    F_WRONG_ARITY,
-    MALFORMED_HEAD,
-    WRONG_LEVEL,
-    TAU_NOT_CLOSED,
-    TAU_NOT_N,
-})
 
 
 class TransformError(Exception):
@@ -142,7 +176,7 @@ class MacroStep:
 class RunReport:
     family: Family
     n: int
-    verdict: str
+    verdict: Verdict
     successor: Term | None = None
     reason: str | None = None
     tau: Term | None = None
@@ -150,7 +184,7 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return self.verdict == SUCCESS
+        return self.verdict == Verdict.SUCCESS
 
 
 def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
@@ -168,7 +202,8 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
     elif successor is not None:
         raise ValueError("successor is only meaningful for upper-family runs")
 
-    def report(verdict: str, reason: str | None = None, tau: Term | None = None) -> RunReport:
+    def report(verdict: Verdict, reason: str | None = None,
+               tau: Term | None = None) -> RunReport:
         return RunReport(family, n, verdict, successor, reason, tau, trace)
 
     trace: list[MacroStep] = []
@@ -178,33 +213,33 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
             v, beta_steps = head_reduce(u, limits)
         except FuelExhausted as exc:
             trace.append(MacroStep(u, exc.partial, exc.steps, None))
-            return report(FUEL, STAGE_HEAD)
+            return report(Verdict.FUEL, STAGE_HEAD)
         decomposed = decompose_hnf(v)
         if decomposed.prefix:
             trace.append(MacroStep(u, v, beta_steps, None))
-            return report(FAIL, PREFIX_NOT_EMPTY)
+            return report(Verdict.FAIL, PREFIX_NOT_EMPTY)
         head = decomposed.head
         if isinstance(head, Var):
             if head.name != probe:
                 trace.append(MacroStep(u, v, beta_steps, None))
-                return report(FAIL, FOREIGN_HEAD)
+                return report(Verdict.FAIL, FOREIGN_HEAD)
             if len(decomposed.args) != 1:
                 trace.append(MacroStep(u, v, beta_steps, None))
-                return report(FAIL, F_WRONG_ARITY)
+                return report(Verdict.FAIL, F_WRONG_ARITY)
             trace.append(MacroStep(u, v, beta_steps, FINAL))
             tau = decomposed.args[0]
             if not is_closed_pure(tau):
-                return report(FAIL, TAU_NOT_CLOSED, tau)
+                return report(Verdict.FAIL, TAU_NOT_CLOSED, tau)
             equal = beta_equiv(tau, mk_church(n), limits)
             if equal is None:
-                return report(FUEL, STAGE_NORM, tau)
+                return report(Verdict.FUEL, STAGE_NORM, tau)
             if not equal:
-                return report(FAIL, TAU_NOT_N, tau)
-            return report(SUCCESS, None, tau)
+                return report(Verdict.FAIL, TAU_NOT_N, tau)
+            return report(Verdict.SUCCESS, None, tau)
         assert isinstance(head, Const)
         if head.family is not family:
             trace.append(MacroStep(u, v, beta_steps, None))
-            return report(FAIL, FOREIGN_HEAD)
+            return report(Verdict.FAIL, FOREIGN_HEAD)
         try:
             if family is Family.LOWER:
                 nxt = x_transform(decomposed, n)
@@ -213,14 +248,10 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
                 nxt = X_transform(decomposed, successor, n)
         except TransformError as exc:
             trace.append(MacroStep(u, v, beta_steps, None))
-            return report(FAIL, exc.reason)
+            return report(Verdict.FAIL, exc.reason)
         trace.append(MacroStep(u, v, beta_steps, _step_kind(head)))
         u = nxt
-    return report(FUEL, STAGE_MACRO)
-
-
-ALL_PASS = "AllPass"
-FIRST_FAILURE = "FirstFailureAt"
+    return report(Verdict.FUEL, STAGE_MACRO)
 
 
 @dataclass
@@ -231,24 +262,24 @@ class OperatorSummary:
     successor: Term | None = None
 
     @property
-    def verdict(self) -> str:
+    def verdict(self) -> Verdict:
         for report in self.reports:
-            if report.verdict == FAIL:
-                return FIRST_FAILURE
-            if report.verdict == FUEL:
-                return FUEL
-        return ALL_PASS
+            if report.verdict == Verdict.FAIL:
+                return Verdict.FIRST_FAILURE
+            if report.verdict == Verdict.FUEL:
+                return Verdict.FUEL
+        return Verdict.ALL_PASS
 
     @property
     def at(self) -> int | None:
         for report in self.reports:
-            if report.verdict != SUCCESS:
+            if report.verdict != Verdict.SUCCESS:
                 return report.n
         return None
 
     @property
     def all_pass(self) -> bool:
-        return self.verdict == ALL_PASS
+        return self.verdict == Verdict.ALL_PASS
 
 
 def check_operator(term: Term, family: Family, n_max: int,

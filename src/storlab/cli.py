@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .builtins import prelude
 from .checker import (
-    ALL_PASS,
-    FUEL,
+    EXIT_PASS,
     OperatorSummary,
     RunReport,
+    Verdict,
     check_operator,
     summary_to_dict,
     to_json,
@@ -26,7 +26,6 @@ from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
     Limits,
-    SuccessorReport,
     check_successor,
     head_reduce,
     normalize,
@@ -34,17 +33,17 @@ from .reduction import (
 from .syntax import ParseError, load_defs, pretty, parse
 from .terms import Family, Term, free_names, iter_consts
 from .theorems import (
-    PASS,
-    REFUTED,
+    Theorem1Report,
+    Theorem2Report,
     verify_theorem1_instance,
     verify_theorem2_instance,
     verify_theorem3,
 )
 
-EXIT_PASS = 0
-EXIT_REFUTED = 1
-EXIT_FUEL = 2
 EXIT_USAGE = 3
+
+# check_successor's per-k answer as a level verdict
+_SUCCESSOR_LEVEL = {True: Verdict.PASS, False: Verdict.FAIL, None: Verdict.UNKNOWN}
 
 
 class UsageError(Exception):
@@ -113,18 +112,10 @@ def _print_trace(report: RunReport) -> None:
         print(line)
 
 
-def _summary_exit(verdict: str) -> int:
-    if verdict in (ALL_PASS, PASS):
-        return EXIT_PASS
-    if verdict == FUEL:
-        return EXIT_FUEL
-    return EXIT_REFUTED
-
-
 def _emit_summary(summary: OperatorSummary, args: argparse.Namespace) -> int:
     if args.json:
         print(to_json(summary_to_dict(summary, include_trace=args.trace)))
-        return _summary_exit(summary.verdict)
+        return summary.verdict.exit_code
     for report in summary.reports:
         line = f"n={report.n}: {report.verdict}"
         if report.reason is not None:
@@ -138,7 +129,29 @@ def _emit_summary(summary: OperatorSummary, args: argparse.Namespace) -> int:
     if summary.at is not None:
         tail += f" (n={summary.at})"
     print(tail)
-    return _summary_exit(summary.verdict)
+    return summary.verdict.exit_code
+
+
+def _emit_fuel(exc: FuelExhausted, args: argparse.Namespace) -> int:
+    if args.json:
+        print(to_json({"verdict": Verdict.FUEL, "stage": exc.stage,
+                       "beta_steps": exc.steps, "partial": pretty(exc.partial)}))
+    else:
+        print(f"fuel exhausted after {exc.steps} steps: {pretty(exc.partial)}")
+    return Verdict.FUEL.exit_code
+
+
+def _emit_levels(report: Theorem1Report | Theorem2Report, args: argparse.Namespace,
+                 upper: str, detail: Callable[[Any], str]) -> int:
+    """A theorem 1 or 2 report: one row per level, then the verdict."""
+    if args.json:
+        print(to_json(report.to_dict()))
+    else:
+        for check in report.checks:
+            print(f"n={check.n}: lower={check.lower.verdict} {upper}={check.upper.verdict}"
+                  f"{detail(check)}  -> {check.status}")
+        print(f"verdict: {report.verdict}")
+    return report.verdict.exit_code
 
 
 def cmd_parse(args: argparse.Namespace, limits: Limits) -> int:
@@ -157,12 +170,7 @@ def cmd_reduce(args: argparse.Namespace, limits: Limits) -> int:
     try:
         result, steps = head_reduce(term, limits)
     except FuelExhausted as exc:
-        if args.json:
-            print(to_json({"verdict": FUEL, "stage": exc.stage,
-                           "beta_steps": exc.steps, "partial": pretty(exc.partial)}))
-        else:
-            print(f"fuel exhausted after {exc.steps} steps: {pretty(exc.partial)}")
-        return EXIT_FUEL
+        return _emit_fuel(exc, args)
     if args.json:
         print(to_json({"term": pretty(result), "beta_steps": steps}))
     else:
@@ -176,12 +184,7 @@ def cmd_normalize(args: argparse.Namespace, limits: Limits) -> int:
     try:
         result = normalize(term, limits)
     except FuelExhausted as exc:
-        if args.json:
-            print(to_json({"verdict": FUEL, "stage": exc.stage,
-                           "beta_steps": exc.steps, "partial": pretty(exc.partial)}))
-        else:
-            print(f"fuel exhausted after {exc.steps} steps: {pretty(exc.partial)}")
-        return EXIT_FUEL
+        return _emit_fuel(exc, args)
     if args.json:
         print(to_json({"term": pretty(result)}))
     else:
@@ -189,19 +192,11 @@ def cmd_normalize(args: argparse.Namespace, limits: Limits) -> int:
     return EXIT_PASS
 
 
-def _successor_verdict(report: SuccessorReport) -> str:
-    if any(r is False for r in report.results):
-        return REFUTED
-    if any(r is None for r in report.results):
-        return FUEL
-    return PASS
-
-
 def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> int:
     env, _ = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="successor")
     report = check_successor(term, args.k_max, limits)
-    verdict = _successor_verdict(report)
+    verdict = Verdict.fold(_SUCCESSOR_LEVEL[r] for r in report.results)
     if args.json:
         print(to_json({"check": "successor", "term": pretty(term),
                        "k_max": report.k_max, "verdict": verdict,
@@ -211,21 +206,17 @@ def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> int:
             word = {True: "ok", False: "FAILED", None: "unknown (fuel)"}[result]
             print(f"k={k}: {word}")
         print(f"verdict: {verdict}")
-    return _summary_exit(verdict)
+    return verdict.exit_code
 
 
-def cmd_check_storage(args: argparse.Namespace, limits: Limits) -> int:
-    env, _ = _build_env(args)
-    term = _resolve(args.term, env, closed=True, what="operator")
-    summary = check_operator(term, Family.LOWER, args.n_max, limits=limits)
-    return _emit_summary(summary, args)
-
-
-def cmd_check_s_storage(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> int:
+    """check-storage and check-s-storage; the subcommand sets args.family.
+    check-storage still reads --succ, for the prelude's S only."""
     env, successor = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
-    summary = check_operator(term, Family.UPPER, args.n_max,
-                             successor=successor, limits=limits)
+    if args.family is Family.LOWER:
+        successor = None
+    summary = check_operator(term, args.family, args.n_max, successor, limits)
     return _emit_summary(summary, args)
 
 
@@ -233,34 +224,17 @@ def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> int:
     env, successor = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
     report = verify_theorem1_instance(term, successor, args.n_max, limits)
-    if args.json:
-        print(to_json(report.to_dict()))
-    else:
-        for check in report.checks:
-            line = (f"n={check.n}: lower={check.lower.verdict}"
-                    f" upper={check.upper.verdict}")
-            if check.hat_status is not None:
-                line += f" sigma-hat={check.hat_status}"
-            print(f"{line}  -> {check.status}")
-        print(f"verdict: {report.verdict}")
-    return _summary_exit(report.verdict)
+    return _emit_levels(report, args, "upper", lambda check: (
+        "" if check.hat_status is None else f" sigma-hat={check.hat_status}"))
 
 
 def cmd_theorem2(args: argparse.Namespace, limits: Limits) -> int:
     env, _ = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
     report = verify_theorem2_instance(term, args.n_max, limits)
-    if args.json:
-        print(to_json(report.to_dict()))
-    else:
-        for check in report.checks:
-            line = (f"n={check.n}: lower={check.lower.verdict}"
-                    f" upper[S1]={check.upper.verdict}")
-            if check.tau_match is not None:
-                line += f" tau-match={check.tau_match} delta-match={check.delta_match}"
-            print(f"{line}  -> {check.status}")
-        print(f"verdict: {report.verdict}")
-    return _summary_exit(report.verdict)
+    return _emit_levels(report, args, "upper[S1]", lambda check: (
+        "" if check.tau_match is None
+        else f" tau-match={check.tau_match} delta-match={check.delta_match}"))
 
 
 def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> int:
@@ -276,7 +250,7 @@ def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> int:
                      f" failures as expected: {report.lower_failures_ok})")
         print(line)
         print(f"verdict: {report.verdict}")
-    return _summary_exit(report.verdict)
+    return report.verdict.exit_code
 
 
 def cmd_corpus(args: argparse.Namespace, limits: Limits) -> int:
@@ -284,29 +258,30 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> int:
     env1 = prelude("S1")
     env2 = prelude("S2")
     n_max = args.n_max
-    rows: list[tuple[str, str, str]] = []
+    rows: list[tuple[str, Verdict, Verdict]] = []
 
     for name in ("S1", "S2"):
-        verdict = _successor_verdict(check_successor(env1[name], 10, limits))
-        rows.append((f"successor {name}", PASS, verdict))
+        report = check_successor(env1[name], 10, limits)
+        verdict = Verdict.fold(_SUCCESSOR_LEVEL[r] for r in report.results)
+        rows.append((f"successor {name}", Verdict.PASS, verdict))
     for name in ("T1", "T2"):
         summary = check_operator(env1[name], Family.LOWER, n_max, limits=limits)
-        rows.append((f"storage {name}", ALL_PASS, summary.verdict))
+        rows.append((f"storage {name}", Verdict.ALL_PASS, summary.verdict))
     for name in ("T1", "T2"):
         for sname, env in (("S1", env1), ("S2", env2)):
             summary = check_operator(env[name], Family.UPPER, n_max,
                                      successor=env[sname], limits=limits)
-            rows.append((f"s-storage {name} {sname}", ALL_PASS, summary.verdict))
+            rows.append((f"s-storage {name} {sname}", Verdict.ALL_PASS, summary.verdict))
     for name, env in (("T1", env1), ("T2", env1), ("T3", env2)):
         report = verify_theorem2_instance(env[name], n_max, limits)
-        rows.append((f"theorem2 {name}", PASS, report.verdict))
-    rows.append(("theorem3", PASS, verify_theorem3(n_max, limits).verdict))
+        rows.append((f"theorem2 {name}", Verdict.PASS, report.verdict))
+    rows.append(("theorem3", Verdict.PASS, verify_theorem3(n_max, limits).verdict))
 
-    deviation = any(actual != expected and actual != FUEL
-                    for _, expected, actual in rows)
-    starved = any(actual == FUEL and actual != expected
-                  for _, expected, actual in rows)
-    verdict = REFUTED if deviation else FUEL if starved else PASS
+    # a row that starves is undecided; any other mismatch refutes
+    verdict = Verdict.fold(
+        Verdict.PASS if actual == expected else
+        Verdict.FUEL if actual == Verdict.FUEL else Verdict.FAIL
+        for _, expected, actual in rows)
 
     if args.json:
         payload = {"check": "corpus", "n_max": n_max, "verdict": verdict,
@@ -318,17 +293,28 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> int:
         width = max(len(claim) for claim, _, _ in rows)
         for claim, expected, actual in rows:
             mark = "ok" if actual == expected else (
-                "FUEL" if actual == FUEL else "DEVIATION")
+                "FUEL" if actual == Verdict.FUEL else "DEVIATION")
             print(f"{claim:<{width}}  expected={expected:<10} actual={actual:<14} {mark}")
         print(f"corpus: {verdict}")
-    return _summary_exit(verdict)
+    return verdict.exit_code
+
+
+def _bound(text: str) -> int:
+    """argparse type of --n-max and --k-max: a level bound is never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--succ", default="S1", metavar="NAME",
                         help="successor bound to S in the prelude (default S1)")
-    common.add_argument("--n-max", type=int, default=8, metavar="N",
+    common.add_argument("--n-max", type=_bound, default=8, metavar="N",
                         help="check levels 0..N (default 8)")
     common.add_argument("--head-fuel", type=int, default=None, metavar="N")
     common.add_argument("--macro-fuel", type=int, default=None, metavar="N")
@@ -343,11 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Head-reduction laboratory for storage operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Any, help_text: str, term: str | None = None) -> Any:
+    def add(name: str, func: Any, help_text: str, term: str | None = None,
+            **defaults: Any) -> Any:
         p = sub.add_parser(name, parents=[common], help=help_text)
         if term is not None:
             p.add_argument("term", metavar="TERM", help=term)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **defaults)
         return p
 
     add("parse", cmd_parse, "parse a term and print its canonical form",
@@ -359,13 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-successor", cmd_check_successor,
             "check (S)#k is beta-equivalent to #k+1 for k up to k-max",
             term="candidate successor")
-    p.add_argument("--k-max", type=int, default=10, metavar="K")
-    add("check-storage", cmd_check_storage,
+    p.add_argument("--k-max", type=_bound, default=10, metavar="K")
+    add("check-storage", cmd_check_operator,
         "run the plain-constant characterization at each level",
-        term="candidate storage operator")
-    add("check-s-storage", cmd_check_s_storage,
+        term="candidate storage operator", family=Family.LOWER)
+    add("check-s-storage", cmd_check_operator,
         "run the successor-driven characterization at each level",
-        term="candidate operator")
+        term="candidate operator", family=Family.UPPER)
     add("theorem1", cmd_theorem1,
         "storage success must imply S-storage success, with the delayed-numeral check",
         term="operator")

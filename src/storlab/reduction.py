@@ -99,12 +99,6 @@ class HnfDecomposition:
     head: Term
     args: tuple[Term, ...]
 
-    def reassemble(self) -> Term:
-        term = app(self.head, *self.args)
-        for binder in reversed(self.prefix):
-            term = Lam(binder, term)
-        return term
-
 
 def decompose_hnf(term: Term) -> HnfDecomposition:
     prefix: list[str] = []
@@ -116,18 +110,6 @@ def decompose_hnf(term: Term) -> HnfDecomposition:
     if isinstance(head, Lam):
         raise ValueError("term still has a head redex")
     return HnfDecomposition(tuple(prefix), head, tuple(args))
-
-
-def is_solvable(term: Term, limits: Limits = DEFAULT_LIMITS) -> int | None:
-    """Head-reduction step count if it terminates within fuel, else None.
-
-    None means unknown; unsolvability is never asserted.
-    """
-    try:
-        _, steps = head_reduce(term, limits)
-        return steps
-    except FuelExhausted:
-        return None
 
 
 def _normal_step(term: Term) -> Term | None:
@@ -169,21 +151,6 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
     raise FuelExhausted(STAGE_NORM, term, steps)
 
 
-def has_beta_redex(term: Term) -> bool:
-    match term:
-        case Var(_):
-            return False
-        case Lam(_, body):
-            return has_beta_redex(body)
-        case App(Lam(_, _), _):
-            return True
-        case App(fn, arg):
-            return has_beta_redex(fn) or has_beta_redex(arg)
-        case Const(_, _, payload):
-            return any(has_beta_redex(p) for p in payload)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
     """True/False by comparing normal forms, None when fuel runs out first."""
     try:
@@ -207,13 +174,6 @@ class SuccessorReport:
     def first_failure(self) -> int | None:
         for k, r in enumerate(self.results):
             if r is False:
-                return k
-        return None
-
-    @property
-    def first_unknown(self) -> int | None:
-        for k, r in enumerate(self.results):
-            if r is None:
                 return k
         return None
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 
 class Family(Enum):
@@ -207,17 +207,6 @@ def iter_consts(term: Term) -> Iterator[Const]:
                 yield from iter_consts(p)
 
 
-def has_const(term: Term, family: Family | None = None,
-              pred: Callable[[Const], bool] | None = None) -> bool:
-    for c in iter_consts(term):
-        if family is not None and c.family is not family:
-            continue
-        if pred is not None and not pred(c):
-            continue
-        return True
-    return False
-
-
 def is_closed_pure(term: Term) -> bool:
     """No free names and no symbolic constants anywhere."""
-    return not free_names(term) and not has_const(term)
+    return not free_names(term) and next(iter_consts(term), None) is None

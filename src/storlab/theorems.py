@@ -25,14 +25,10 @@ from typing import Any, Iterator
 
 from .builtins import prelude
 from .checker import (
-    ALL_PASS,
-    FAIL,
-    FIRST_FAILURE,
-    FUEL,
+    TAU_NOT_CLOSED,
     MacroStep,
     RunReport,
-    SUCCESS,
-    TAU_NOT_CLOSED,
+    Verdict,
     check_operator,
     run_check,
 )
@@ -322,20 +318,6 @@ def verify_lemma1_along(report: RunReport) -> Lemma1Report:
     return Lemma1Report(pairs)
 
 
-PASS = "Pass"
-REFUTED = "Refuted"
-VACUOUS = "Vacuous"
-UNKNOWN = "Unknown"
-
-
-def _overall(statuses: list[str]) -> str:
-    if any(s == FAIL for s in statuses):
-        return REFUTED
-    if any(s == UNKNOWN for s in statuses):
-        return FUEL
-    return PASS
-
-
 @dataclass(frozen=True)
 class ImplicationCheck:
     """One level of the storage-implies-S-storage claim."""
@@ -343,8 +325,8 @@ class ImplicationCheck:
     n: int
     lower: RunReport
     upper: RunReport
-    status: str
-    hat_status: str | None = None
+    status: Verdict
+    hat_status: Verdict | None = None
     hat_matches_tau: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -364,12 +346,12 @@ class Theorem1Report:
     checks: tuple[ImplicationCheck, ...]
 
     @property
-    def verdict(self) -> str:
-        return _overall([c.status for c in self.checks])
+    def verdict(self) -> Verdict:
+        return Verdict.fold(c.status for c in self.checks)
 
     @property
     def ok(self) -> bool:
-        return self.verdict == PASS
+        return self.verdict == Verdict.PASS
 
     def to_dict(self) -> dict[str, Any]:
         return {"check": "theorem1", "n_max": self.n_max,
@@ -390,41 +372,40 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     for n in range(n_max + 1):
         lower = run_check(operator, Family.LOWER, n, limits=limits)
         upper = run_check(operator, Family.UPPER, n, successor=successor, limits=limits)
-        hat_status: str | None = None
+        hat_status: Verdict | None = None
         hat_matches: bool | None = None
-        if lower.verdict == FUEL:
-            status = UNKNOWN
-        elif lower.verdict == FAIL:
-            status = VACUOUS
-        elif upper.verdict == FUEL:
-            status = UNKNOWN
-        elif upper.verdict == FAIL:
-            status = FAIL
+        if lower.verdict == Verdict.FUEL:
+            status = Verdict.UNKNOWN
+        elif lower.verdict == Verdict.FAIL:
+            status = Verdict.VACUOUS
+        elif upper.verdict == Verdict.FUEL:
+            status = Verdict.UNKNOWN
+        elif upper.verdict == Verdict.FAIL:
+            status = Verdict.FAIL
         else:
             hat_status, hat_matches = _hat_check(operator, successor, upper, n, limits)
-            status = {PASS: PASS, UNKNOWN: UNKNOWN}.get(hat_status, FAIL)
+            status = hat_status
         checks.append(ImplicationCheck(n, lower, upper, status, hat_status, hat_matches))
     return Theorem1Report(successor, n_max, tuple(checks))
 
 
 def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
-               limits: Limits) -> tuple[str, bool | None]:
-    s_hat = App(Lam("x", successor), Var("y"))
-    zero_hat = App(Lam("x", mk_church(0)), Var("y"))
-    start = app(operator, app_power(s_hat, n, zero_hat), Var("f"))
+               limits: Limits) -> tuple[Verdict, bool | None]:
+    numeral = sigma_hat_subst(Const(Family.UPPER, n), successor)
+    start = app(operator, numeral, Var("f"))
     try:
         hnf, _ = head_reduce(start, limits)
     except FuelExhausted:
-        return UNKNOWN, None
+        return Verdict.UNKNOWN, None
     v = decompose_hnf(hnf)
     if v.prefix or v.head != Var("f") or len(v.args) != 1:
-        return FAIL, None
+        return Verdict.FAIL, None
     t = v.args[0]
     equal = beta_equiv(t, mk_church(n), limits)
     if equal is None:
-        return UNKNOWN, None
+        return Verdict.UNKNOWN, None
     matches = alpha_eq(t, upper.tau) if upper.tau is not None else None
-    return (PASS if equal else FAIL), matches
+    return (Verdict.PASS if equal else Verdict.FAIL), matches
 
 
 @dataclass(frozen=True)
@@ -436,7 +417,7 @@ class EquivalenceCheck:
     n: int
     lower: RunReport
     upper: RunReport
-    status: str
+    status: Verdict
     tau_match: bool | None = None
     delta_match: bool | None = None
 
@@ -456,12 +437,12 @@ class Theorem2Report:
     checks: tuple[EquivalenceCheck, ...]
 
     @property
-    def verdict(self) -> str:
-        return _overall([c.status for c in self.checks])
+    def verdict(self) -> Verdict:
+        return Verdict.fold(c.status for c in self.checks)
 
     @property
     def ok(self) -> bool:
-        return self.verdict == PASS
+        return self.verdict == Verdict.PASS
 
     def to_dict(self) -> dict[str, Any]:
         return {"check": "theorem2", "n_max": self.n_max,
@@ -486,20 +467,20 @@ def verify_theorem2_instance(operator: Term, n_max: int,
         upper = run_check(operator, Family.UPPER, n, successor=s1, limits=limits)
         tau_match: bool | None = None
         delta_match: bool | None = None
-        if FUEL in (lower.verdict, upper.verdict):
-            status = UNKNOWN
+        if Verdict.FUEL in (lower.verdict, upper.verdict):
+            status = Verdict.UNKNOWN
         elif lower.verdict != upper.verdict:
-            status = FAIL
-        elif lower.verdict == SUCCESS:
+            status = Verdict.FAIL
+        elif lower.verdict == Verdict.SUCCESS:
             assert lower.tau is not None and upper.tau is not None
             tau_match = alpha_eq(lower.tau, upper.tau)
             delta_match = _delta_correspondence(lower, upper, limits)
             if delta_match is None:
-                status = UNKNOWN
+                status = Verdict.UNKNOWN
             else:
-                status = PASS if tau_match and delta_match else FAIL
+                status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
         else:
-            status = PASS
+            status = Verdict.PASS
         checks.append(EquivalenceCheck(n, lower, upper, status, tau_match, delta_match))
     return Theorem2Report(n_max, tuple(checks))
 
@@ -525,24 +506,24 @@ class Theorem3Report:
     still carrying a level-0 stored constant."""
 
     n_max: int
-    upper_verdict: str
-    lower_verdict: str
+    upper_verdict: Verdict
+    lower_verdict: Verdict
     lower_at: int | None
     upper_tau_ok: bool
     lower_failures_ok: bool
 
     @property
-    def verdict(self) -> str:
-        if FUEL in (self.upper_verdict, self.lower_verdict):
-            return FUEL
-        return PASS if self.ok else REFUTED
+    def verdict(self) -> Verdict:
+        if Verdict.FUEL in (self.upper_verdict, self.lower_verdict):
+            return Verdict.FUEL
+        return Verdict.PASS if self.ok else Verdict.REFUTED
 
     @property
     def ok(self) -> bool:
-        upper_good = self.upper_verdict == ALL_PASS and self.upper_tau_ok
+        upper_good = self.upper_verdict == Verdict.ALL_PASS and self.upper_tau_ok
         if self.n_max == 0:
-            return upper_good and self.lower_verdict == ALL_PASS
-        return (upper_good and self.lower_verdict == FIRST_FAILURE
+            return upper_good and self.lower_verdict == Verdict.ALL_PASS
+        return (upper_good and self.lower_verdict == Verdict.FIRST_FAILURE
                 and self.lower_at == 1 and self.lower_failures_ok)
 
     def to_dict(self) -> dict[str, Any]:
@@ -570,7 +551,7 @@ def verify_theorem3(n_max: int, limits: Limits = DEFAULT_LIMITS) -> Theorem3Repo
         return not c.is_seed and c.level == 0
 
     failures_ok = all(
-        r.verdict == FAIL and r.reason == TAU_NOT_CLOSED
+        r.verdict == Verdict.FAIL and r.reason == TAU_NOT_CLOSED
         and r.tau is not None
         and any(stored_zero(c) for c in iter_consts(r.tau)
                 if c.family is Family.LOWER)

@@ -14,16 +14,14 @@ from genterms import any_term, lower_term, p_term, pure_term, rng, \
     substitution_for, with_head_redex
 from storlab import prelude
 from storlab.checker import (
-    FAIL,
+    EXIT_FUEL,
     FINAL,
-    FIRST_FAILURE,
-    FUEL,
-    SUCCESS,
     TAU_NOT_CLOSED,
+    Verdict,
     check_operator,
     run_check,
 )
-from storlab.cli import EXIT_FUEL, main
+from storlab.cli import main
 from storlab.reduction import (
     FuelExhausted,
     Limits,
@@ -125,11 +123,11 @@ def test_t3_reproduction():
         assert beta_equiv(report.tau, mk_church(report.n)) is True
 
     lower = check_operator(env["T3"], Family.LOWER, 5)
-    assert lower.verdict == FIRST_FAILURE
+    assert lower.verdict == Verdict.FIRST_FAILURE
     assert lower.at == 1
-    assert lower.reports[0].verdict == SUCCESS
+    assert lower.reports[0].verdict == Verdict.SUCCESS
     for report in lower.reports[1:]:
-        assert report.verdict == FAIL
+        assert report.verdict == Verdict.FAIL
         assert report.reason == TAU_NOT_CLOSED
         assert any(c.family is Family.LOWER and c.level == 0 and not c.is_seed
                    for c in iter_consts(report.tau))
@@ -144,7 +142,7 @@ def test_equivalence_suite():
             lo = run_check(term, Family.LOWER, n)
             up = run_check(term, Family.UPPER, n, env["S1"])
             assert lo.verdict == up.verdict, (name, n)
-            if lo.verdict == SUCCESS:
+            if lo.verdict == Verdict.SUCCESS:
                 assert alpha_eq(lo.tau, up.tau), (name, n)
 
     r = rng(211)
@@ -191,7 +189,7 @@ def test_property_suites():
     for name in ("T1", "T2"):
         for n in range(9):
             report = run_check(env[name], Family.UPPER, n, env["S1"])
-            assert report.verdict == SUCCESS
+            assert report.verdict == Verdict.SUCCESS
             for step in report.trace:
                 assert satisfies_P(step.v)
 
@@ -211,8 +209,8 @@ def test_fuel_honesty():
         check_operator(env2["T2"], Family.UPPER, 8, env2["S2"], limits=starved),
     ]
     verdicts = [r.verdict for s in batteries for r in s.reports]
-    assert FAIL not in verdicts
-    assert FUEL in verdicts
+    assert Verdict.FAIL not in verdicts
+    assert Verdict.FUEL in verdicts
 
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):

@@ -4,16 +4,12 @@ import pytest
 
 from storlab import prelude
 from storlab.checker import (
-    ALL_PASS,
-    FAIL,
     FINAL,
-    FIRST_FAILURE,
-    FUEL,
     MALFORMED_HEAD,
-    SUCCESS,
     TAU_NOT_CLOSED,
     WRONG_LEVEL,
     MalformedHeadError,
+    Verdict,
     WrongLevelError,
     X_transform,
     check_operator,
@@ -116,7 +112,7 @@ def test_transform_errors():
 def test_run_check_storage_success():
     env = prelude()
     report = run_check(env["T1"], Family.LOWER, 3)
-    assert report.verdict == SUCCESS
+    assert report.verdict == Verdict.SUCCESS
     assert report.ok
     assert beta_equiv(report.tau, mk_church(3)) is True
 
@@ -125,7 +121,7 @@ def test_run_check_upper_worked_chain():
     env = prelude("S2")
     s2, f_op = env["S2"], env["F"]
     report = run_check(env["T2"], Family.UPPER, 3, s2)
-    assert report.verdict == SUCCESS
+    assert report.verdict == Verdict.SUCCESS
     assert [s.transform for s in report.trace] == [
         "SeedSucc", "StoredSucc", "StoredSucc", "StoredZero", "Final",
     ]
@@ -141,7 +137,7 @@ def test_run_check_upper_worked_chain():
 def test_run_check_open_tau_failure():
     env = prelude("S2")
     report = run_check(env["T3"], Family.LOWER, 2)
-    assert report.verdict == FAIL
+    assert report.verdict == Verdict.FAIL
     assert report.reason == TAU_NOT_CLOSED
     offenders = [c for c in iter_consts(report.tau)
                  if c.family is Family.LOWER and c.level == 0 and not c.is_seed]
@@ -151,7 +147,7 @@ def test_run_check_open_tau_failure():
 def test_run_check_t3_upper_succeeds():
     env = prelude("S2")
     report = run_check(env["T3"], Family.UPPER, 2, env["S2"])
-    assert report.verdict == SUCCESS
+    assert report.verdict == Verdict.SUCCESS
     assert beta_equiv(report.tau, mk_church(2)) is True
 
 
@@ -204,14 +200,14 @@ def test_tau_independent_of_probe_name():
     env = prelude()
     with_f = run_check(env["T2"], Family.LOWER, 4, probe="f")
     with_g = run_check(env["T2"], Family.LOWER, 4, probe="g")
-    assert with_f.verdict == with_g.verdict == SUCCESS
+    assert with_f.verdict == with_g.verdict == Verdict.SUCCESS
     assert alpha_eq(with_f.tau, with_g.tau)
 
 
 def test_check_operator_storage():
     env = prelude()
     summary = check_operator(env["T2"], Family.LOWER, 8)
-    assert summary.verdict == ALL_PASS
+    assert summary.verdict == Verdict.ALL_PASS
     assert summary.all_pass
     assert summary.at is None
 
@@ -219,9 +215,9 @@ def test_check_operator_storage():
 def test_check_operator_first_failure():
     env = prelude("S2")
     summary = check_operator(env["T3"], Family.LOWER, 4)
-    assert summary.verdict == FIRST_FAILURE
+    assert summary.verdict == Verdict.FIRST_FAILURE
     assert summary.at == 1
-    assert summary.reports[0].verdict == SUCCESS
+    assert summary.reports[0].verdict == Verdict.SUCCESS
 
 
 def test_check_operator_cross_successor():
@@ -233,19 +229,19 @@ def test_check_operator_cross_successor():
 def test_fuel_exhaustion_is_not_refutation():
     env = prelude()
     report = run_check(env["T2"], Family.LOWER, 3, limits=Limits(head_fuel=1))
-    assert report.verdict == FUEL
+    assert report.verdict == Verdict.FUEL
     assert report.reason == "Head"
     env2 = prelude("S2")
     summary = check_operator(env2["T2"], Family.UPPER, 3, env2["S2"],
                              limits=Limits(head_fuel=5))
-    assert summary.verdict == FUEL
-    assert all(r.verdict != FAIL for r in summary.reports)
+    assert summary.verdict == Verdict.FUEL
+    assert all(r.verdict != Verdict.FAIL for r in summary.reports)
 
 
 def test_macro_fuel_exhaustion():
     env = prelude()
     report = run_check(env["T2"], Family.LOWER, 5, limits=Limits(macro_fuel=2))
-    assert report.verdict == FUEL
+    assert report.verdict == Verdict.FUEL
     assert report.reason == "Macro"
 
 
@@ -296,3 +292,14 @@ def test_summary_dict_envelope():
     assert list(d)[:4] == ["family", "successor", "n_max", "verdict"]
     assert d["family"] == "X"
     assert len(d["runs"]) == 2
+
+
+def test_verdict_fold_and_exit_codes():
+    V = Verdict
+    assert V.fold([]) == V.PASS
+    assert V.fold([V.PASS, V.VACUOUS]) == V.PASS
+    assert V.fold([V.UNKNOWN, V.FAIL]) == V.REFUTED
+    assert V.fold([V.PASS, V.FUEL]) == V.FUEL
+    assert [v.exit_code for v in V] == [1, 1, 2, 0, 1, 0, 1, 1, 1]
+    assert f"{V.ALL_PASS:<9}|{V.FUEL}" == "AllPass  |FuelExhausted"
+    assert to_json({"verdict": V.REFUTED}) == '{\n  "verdict": "Refuted"\n}'

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from storlab.cli import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED, EXIT_USAGE, main
+from storlab.checker import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED
+from storlab.cli import EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -160,3 +161,19 @@ def test_literal_successor_accepted(capsys):
     code, _, _ = run(capsys, "check-s-storage", "T1", "--succ",
                      "\\n f x. f (n f x)", "--n-max", "2")
     assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-storage", "T1", "--n-max", "-1"],
+    ["theorem2", "T1", "--n-max", "-1"],
+    ["check-successor", "S1", "--k-max", "-1"],
+    ["theorem3", "--n-max", "-1"],
+    ["corpus", "--n-max", "-1"],
+])
+def test_negative_bound_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a non-negative integer" in captured.err

@@ -5,7 +5,7 @@ import pytest
 
 from genterms import lower_term, p_term, rng, with_head_redex
 from storlab import prelude
-from storlab.checker import FUEL, SUCCESS, MacroStep, RunReport, run_check
+from storlab.checker import MacroStep, RunReport, Verdict, run_check
 from storlab.reduction import Limits, beta_equiv, head_reduce, head_step
 from storlab.terms import (
     App,
@@ -21,11 +21,7 @@ from storlab.terms import (
 from storlab.theorems import (
     BOUND_NAME_IN_AB,
     NOT_APPLIED_TO_AB,
-    PASS,
     PAYLOAD_VIOLATION,
-    REFUTED,
-    UNKNOWN,
-    VACUOUS,
     PViolationError,
     delta_forward,
     delta_inverse,
@@ -221,14 +217,14 @@ def test_lemma1_hand_built_step():
     assert satisfies_P(reduct)
 
     hnf, steps = head_reduce(t)
-    report = RunReport(Family.UPPER, 1, SUCCESS, prelude()["S1"],
+    report = RunReport(Family.UPPER, 1, Verdict.SUCCESS, prelude()["S1"],
                        trace=[MacroStep(t, hnf, steps, None)])
     scan = verify_lemma1_along(report)
     assert scan.ok and scan.pairs_checked == 1
 
 
 def test_lemma1_rejects_non_replaying_traces():
-    fake = RunReport(Family.UPPER, 0, SUCCESS, prelude()["S1"],
+    fake = RunReport(Family.UPPER, 0, Verdict.SUCCESS, prelude()["S1"],
                      trace=[MacroStep(mk_church(2), mk_church(2), 5, None)])
     with pytest.raises(ValueError):
         verify_lemma1_along(fake)
@@ -251,9 +247,9 @@ def test_p_preservation_under_head_steps():
 def test_theorem1_instances():
     env1, env2 = prelude("S1"), prelude("S2")
     report = verify_theorem1_instance(env1["T1"], env2["S2"], 4)
-    assert report.verdict == PASS and report.ok
-    assert all(c.status == PASS for c in report.checks)
-    assert all(c.hat_status == PASS for c in report.checks)
+    assert report.verdict == Verdict.PASS and report.ok
+    assert all(c.status == Verdict.PASS for c in report.checks)
+    assert all(c.hat_status == Verdict.PASS for c in report.checks)
     assert all(c.hat_matches_tau for c in report.checks)
 
     report = verify_theorem1_instance(env1["T2"], env1["S1"], 4)
@@ -263,18 +259,18 @@ def test_theorem1_instances():
 def test_theorem1_vacuous_when_lower_fails():
     env2 = prelude("S2")
     report = verify_theorem1_instance(env2["T3"], env2["S2"], 3)
-    assert report.verdict == PASS
-    assert report.checks[0].status == PASS
-    assert all(c.status == VACUOUS for c in report.checks[1:])
+    assert report.verdict == Verdict.PASS
+    assert report.checks[0].status == Verdict.PASS
+    assert all(c.status == Verdict.VACUOUS for c in report.checks[1:])
 
 
 def test_theorem1_fuel_reports_unknown():
     env = prelude()
     report = verify_theorem1_instance(env["T2"], env["S1"], 2,
                                       limits=Limits(head_fuel=2))
-    assert report.verdict == FUEL
-    assert report.verdict != REFUTED
-    assert UNKNOWN in {c.status for c in report.checks}
+    assert report.verdict == Verdict.FUEL
+    assert report.verdict != Verdict.REFUTED
+    assert Verdict.UNKNOWN in {c.status for c in report.checks}
 
 
 def test_theorem1_dict_shape():
@@ -289,8 +285,8 @@ def test_theorem2_instances():
     env = prelude()
     for name in ("T1", "T2"):
         report = verify_theorem2_instance(env[name], 4)
-        assert report.verdict == PASS
-        assert all(c.status == PASS for c in report.checks)
+        assert report.verdict == Verdict.PASS
+        assert all(c.status == Verdict.PASS for c in report.checks)
         assert all(c.tau_match for c in report.checks)
         assert all(c.delta_match for c in report.checks)
 
@@ -298,7 +294,7 @@ def test_theorem2_instances():
 def test_theorem2_equivalence_through_shared_failure():
     env2 = prelude("S2")
     report = verify_theorem2_instance(env2["T3"], 3)
-    assert report.verdict == PASS
+    assert report.verdict == Verdict.PASS
     assert report.checks[0].tau_match is True
     assert all(c.tau_match is None for c in report.checks[1:])
 
@@ -309,7 +305,7 @@ def test_theorem3_reproduction():
     assert report.upper_verdict == "AllPass"
     assert report.lower_at == 1
     d = report.to_dict()
-    assert d["check"] == "theorem3" and d["verdict"] == PASS
+    assert d["check"] == "theorem3" and d["verdict"] == Verdict.PASS
 
 
 def test_theorem3_degenerate_bound():
@@ -322,5 +318,5 @@ def test_theorem3_tau_values():
     env2 = prelude("S2")
     for n in (0, 2, 3):
         report = run_check(env2["T3"], Family.UPPER, n, env2["S2"])
-        assert report.verdict == SUCCESS
+        assert report.verdict == Verdict.SUCCESS
         assert beta_equiv(report.tau, mk_church(n)) is True
