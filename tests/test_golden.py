@@ -60,10 +60,17 @@ CASES = {
                                   "--head-fuel", "5", "--json"],
     "theorem1": ["theorem1", "T1", "--succ", "S2", "--n-max", "2"],
     "theorem1_json": ["theorem1", "T1", "--succ", "S2", "--n-max", "2", "--json"],
+    "theorem1_vacuous": ["theorem1", "T3", "--succ", "S2", "--n-max", "2"],
+    "theorem1_vacuous_json": ["theorem1", "T3", "--succ", "S2", "--n-max", "2", "--json"],
+    "theorem1_fuel": ["theorem1", "T2", "--succ", "S2", "--n-max", "2", "--head-fuel", "5"],
+    "theorem1_fuel_json": ["theorem1", "T2", "--succ", "S2", "--n-max", "2",
+                           "--head-fuel", "5", "--json"],
     "theorem2_t1": ["theorem2", "T1", "--n-max", "2"],
     "theorem2_t1_json": ["theorem2", "T1", "--n-max", "2", "--json"],
     "theorem2_t3": ["theorem2", "T3", "--n-max", "2"],
     "theorem2_t3_json": ["theorem2", "T3", "--n-max", "2", "--json"],
+    "theorem2_fuel": ["theorem2", "T2", "--n-max", "2", "--head-fuel", "3"],
+    "theorem2_fuel_json": ["theorem2", "T2", "--n-max", "2", "--head-fuel", "3", "--json"],
     "theorem3": ["theorem3", "--n-max", "3"],
     "theorem3_json": ["theorem3", "--n-max", "3", "--json"],
     "corpus": ["corpus", "--n-max", "2"],
