@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Sequence
+from dataclasses import replace
+from typing import Any, Sequence
 
 from .builtins import prelude
 from .checker import (
@@ -33,8 +34,7 @@ from .reduction import (
 from .syntax import ParseError, load_defs, pretty, parse
 from .terms import Family, Term, free_names, iter_consts
 from .theorems import (
-    Theorem1Report,
-    Theorem2Report,
+    LevelReport,
     verify_theorem1_instance,
     verify_theorem2_instance,
     verify_theorem3,
@@ -92,15 +92,6 @@ def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
     return term
 
 
-def _limits(args: argparse.Namespace) -> Limits:
-    defaults = DEFAULT_LIMITS
-    return Limits(
-        head_fuel=defaults.head_fuel if args.head_fuel is None else args.head_fuel,
-        macro_fuel=defaults.macro_fuel if args.macro_fuel is None else args.macro_fuel,
-        norm_fuel=defaults.norm_fuel if args.norm_fuel is None else args.norm_fuel,
-    )
-
-
 def _print_trace(report: RunReport) -> None:
     steps = report.trace
     for i, step in enumerate(steps):
@@ -141,15 +132,19 @@ def _emit_fuel(exc: FuelExhausted, args: argparse.Namespace) -> int:
     return Verdict.FUEL.exit_code
 
 
-def _emit_levels(report: Theorem1Report | Theorem2Report, args: argparse.Namespace,
-                 upper: str, detail: Callable[[Any], str]) -> int:
+def _emit_levels(report: LevelReport, args: argparse.Namespace, upper_label: str) -> int:
     """A theorem 1 or 2 report: one row per level, then the verdict."""
     if args.json:
         print(to_json(report.to_dict()))
     else:
         for check in report.checks:
-            print(f"n={check.n}: lower={check.lower.verdict} {upper}={check.upper.verdict}"
-                  f"{detail(check)}  -> {check.status}")
+            detail = ""
+            if check.hat_status is not None:
+                detail += f" sigma-hat={check.hat_status}"
+            if check.tau_match is not None:
+                detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
+            print(f"n={check.n}: lower={check.lower.verdict}"
+                  f" {upper_label}={check.upper.verdict}{detail}  -> {check.status}")
         print(f"verdict: {report.verdict}")
     return report.verdict.exit_code
 
@@ -224,17 +219,14 @@ def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> int:
     env, successor = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
     report = verify_theorem1_instance(term, successor, args.n_max, limits)
-    return _emit_levels(report, args, "upper", lambda check: (
-        "" if check.hat_status is None else f" sigma-hat={check.hat_status}"))
+    return _emit_levels(report, args, "upper")
 
 
 def cmd_theorem2(args: argparse.Namespace, limits: Limits) -> int:
     env, _ = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
     report = verify_theorem2_instance(term, args.n_max, limits)
-    return _emit_levels(report, args, "upper[S1]", lambda check: (
-        "" if check.tau_match is None
-        else f" tau-match={check.tau_match} delta-match={check.delta_match}"))
+    return _emit_levels(report, args, "upper[S1]")
 
 
 def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> int:
@@ -310,66 +302,80 @@ def _bound(text: str) -> int:
     return value
 
 
+# Every flag once; each subcommand takes the subset it reads, in this order.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--succ": dict(default="S1", metavar="NAME",
+                   help="successor bound to S in the prelude (default S1)"),
+    "--n-max": dict(type=_bound, default=8, metavar="N",
+                    help="check levels 0..N (default 8)"),
+    "--head-fuel": dict(type=int, default=DEFAULT_LIMITS.head_fuel, metavar="N"),
+    "--macro-fuel": dict(type=int, default=DEFAULT_LIMITS.macro_fuel, metavar="N"),
+    "--norm-fuel": dict(type=int, default=DEFAULT_LIMITS.norm_fuel, metavar="N"),
+    "--defs": dict(action="append", metavar="FILE",
+                   help="definition file, repeatable, later files see earlier names"),
+    "--json": dict(action="store_true", help="emit the JSON report"),
+    "--trace": dict(action="store_true", help="include recorded macro steps"),
+    "--k-max": dict(type=_bound, default=10, metavar="K"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--succ", default="S1", metavar="NAME",
-                        help="successor bound to S in the prelude (default S1)")
-    common.add_argument("--n-max", type=_bound, default=8, metavar="N",
-                        help="check levels 0..N (default 8)")
-    common.add_argument("--head-fuel", type=int, default=None, metavar="N")
-    common.add_argument("--macro-fuel", type=int, default=None, metavar="N")
-    common.add_argument("--norm-fuel", type=int, default=None, metavar="N")
-    common.add_argument("--defs", action="append", metavar="FILE",
-                        help="definition file, repeatable, later files see earlier names")
-    common.add_argument("--json", action="store_true", help="emit the JSON report")
-    common.add_argument("--trace", action="store_true",
-                        help="include recorded macro steps")
+    # one parent parser per flag, so that the subcommands taking it share its action
+    flag_parsers = {}
+    for flag, spec in _FLAGS.items():
+        flag_parsers[flag] = argparse.ArgumentParser(add_help=False)
+        flag_parsers[flag].add_argument(flag, **spec)
 
     parser = _Parser(prog="storlab",
                      description="Head-reduction laboratory for storage operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Any, help_text: str, term: str | None = None,
-            **defaults: Any) -> Any:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    def add(name: str, func: Any, help_text: str, flags: str, term: str | None = None,
+            **defaults: Any) -> None:
+        p = sub.add_parser(name, help=help_text, parents=[
+            flag_parsers[flag] for flag in _FLAGS if flag in flags.split()])
         if term is not None:
             p.add_argument("term", metavar="TERM", help=term)
         p.set_defaults(func=func, **defaults)
-        return p
 
-    add("parse", cmd_parse, "parse a term and print its canonical form",
+    env = "--succ --defs --json"
+    fuel = "--head-fuel --macro-fuel --norm-fuel"
+    levels = f"{env} --n-max {fuel}"
+    add("parse", cmd_parse, "parse a term and print its canonical form", env,
         term="term literal or prelude/defs name")
-    add("reduce", cmd_reduce, "head-reduce to head normal form",
+    add("reduce", cmd_reduce, "head-reduce to head normal form", f"{env} --head-fuel",
         term="term literal or name")
-    add("normalize", cmd_normalize, "reduce to beta-normal form",
+    add("normalize", cmd_normalize, "reduce to beta-normal form", f"{env} --norm-fuel",
         term="term literal or name")
-    p = add("check-successor", cmd_check_successor,
-            "check (S)#k is beta-equivalent to #k+1 for k up to k-max",
-            term="candidate successor")
-    p.add_argument("--k-max", type=_bound, default=10, metavar="K")
+    add("check-successor", cmd_check_successor,
+        "check (S)#k is beta-equivalent to #k+1 for k up to k-max",
+        f"{env} --norm-fuel --k-max", term="candidate successor")
     add("check-storage", cmd_check_operator,
-        "run the plain-constant characterization at each level",
+        "run the plain-constant characterization at each level", f"{levels} --trace",
         term="candidate storage operator", family=Family.LOWER)
     add("check-s-storage", cmd_check_operator,
-        "run the successor-driven characterization at each level",
+        "run the successor-driven characterization at each level", f"{levels} --trace",
         term="candidate operator", family=Family.UPPER)
     add("theorem1", cmd_theorem1,
         "storage success must imply S-storage success, with the delayed-numeral check",
-        term="operator")
+        levels, term="operator")
     add("theorem2", cmd_theorem2,
         "storage and S1-storage verdicts must coincide, witnesses and traces aligned",
-        term="operator")
+        levels, term="operator")
     add("theorem3", cmd_theorem3,
-        "builtin T3 with S2: S-storage passes while storage fails from level 1")
-    add("corpus", cmd_corpus, "run every builtin claim against its expected outcome")
+        "builtin T3 with S2: S-storage passes while storage fails from level 1",
+        f"--n-max {fuel} --json")
+    add("corpus", cmd_corpus, "run every builtin claim against its expected outcome",
+        f"--n-max {fuel} --json")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        limits = _limits(args)
+        # a subcommand without a fuel flag runs on its default
+        limits = replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
+                                            if name.endswith("_fuel")})
         return args.func(args, limits)
     except UsageError as exc:
         print(f"storlab: {exc}", file=sys.stderr)

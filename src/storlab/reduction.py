@@ -58,15 +58,21 @@ class FuelExhausted(Exception):
         self.steps = steps
 
 
+def _split(term: Term) -> tuple[list[str], Term, list[Term]]:
+    """term as its lambda-prefix binders, the head under them, and the
+    head's arguments; the head is a Lam exactly when term has a head redex."""
+    prefix: list[str] = []
+    while isinstance(term, Lam):
+        prefix.append(term.binder)
+        term = term.body
+    head, args = spine(term)
+    return prefix, head, args
+
+
 def head_step(term: Term) -> Term | None:
     """Contract the head redex, or None if the term is in head normal form."""
-    prefix: list[str] = []
-    body = term
-    while isinstance(body, Lam):
-        prefix.append(body.binder)
-        body = body.body
-    head, args = spine(body)
-    if not (isinstance(head, Lam) and args):
+    prefix, head, args = _split(term)
+    if not isinstance(head, Lam):
         return None
     result = app(substitute(head.body, head.binder, args[0]), *args[1:])
     for binder in reversed(prefix):
@@ -101,12 +107,7 @@ class HnfDecomposition:
 
 
 def decompose_hnf(term: Term) -> HnfDecomposition:
-    prefix: list[str] = []
-    body = term
-    while isinstance(body, Lam):
-        prefix.append(body.binder)
-        body = body.body
-    head, args = spine(body)
+    prefix, head, args = _split(term)
     if isinstance(head, Lam):
         raise ValueError("term still has a head redex")
     return HnfDecomposition(tuple(prefix), head, tuple(args))

@@ -192,45 +192,16 @@ def parse_defs(text: str, env: Mapping[str, Term] | Iterable | None = None) -> l
     Later definitions see earlier ones (and the supplied env); a repeated
     name shadows the previous binding from that point on.
     """
-    tokens = tokenize(text)
-    scope = _as_env(env)
+    parser = _Parser(text, tokenize(text), _as_env(env))
     bindings: list[Binding] = []
-    i = 0
-    while tokens[i].kind != "eof":
-        if not (tokens[i].kind == "ident" and tokens[i].value == "def"):
-            raise ParseError("expected 'def'", text, tokens[i].pos)
-        i += 1
-        if tokens[i].kind != "ident":
-            raise ParseError("expected a name after 'def'", text, tokens[i].pos)
-        name = tokens[i].value
-        i += 1
-        if not (tokens[i].kind == "punct" and tokens[i].value == "="):
-            raise ParseError("expected '='", text, tokens[i].pos)
-        i += 1
-        depth = 0
-        j = i
-        while True:
-            tok = tokens[j]
-            if tok.kind == "eof":
-                raise ParseError(f"missing ';' after definition of {name!r}", text, tok.pos)
-            if tok.kind == "punct" and tok.value == "[":
-                depth += 1
-            elif tok.kind == "punct" and tok.value == "]":
-                depth -= 1
-            elif tok.kind == "punct" and tok.value == ";" and depth == 0:
-                break
-            j += 1
-        body_tokens = tokens[i:j] + [Token("eof", "", tokens[j].pos)]
-        if body_tokens[0].kind == "eof":
-            raise ParseError(f"empty definition of {name!r}", text, tokens[j].pos)
-        parser = _Parser(text, body_tokens, dict(scope))
+    while parser.peek().kind != "eof":
+        parser.expect("ident", "def")
+        name = parser.expect("ident").value
+        parser.expect("punct", "=")
         value = parser.parse_term(frozenset())
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.value!r}", text, tok.pos)
-        scope[name] = value
+        parser.expect("punct", ";")
+        parser.env[name] = value
         bindings.append(Binding(name, value))
-        i = j + 1
     return bindings
 
 

@@ -21,7 +21,7 @@ the bridges between them and the real calculus:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .builtins import prelude
 from .checker import (
@@ -79,7 +79,8 @@ def sigma_subst(t: Term, successor: Term) -> Term:
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
     _reject_family(t, Family.LOWER, "sigma_subst")
-    return _erase(t, successor, mk_church(0))
+    zero = mk_church(0)
+    return _map_consts(t, lambda c: app_power(successor, c.level, zero))
 
 
 def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
@@ -97,20 +98,21 @@ def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
     _reject_family(t, Family.LOWER, "sigma_hat_subst")
     s_hat = App(Lam("x", successor), Var(y))
     zero_hat = App(Lam("x", mk_church(0)), Var(y))
-    return _erase(t, s_hat, zero_hat)
+    return _map_consts(t, lambda c: app_power(s_hat, c.level, zero_hat))
 
 
-def _erase(t: Term, succ_image: Term, zero_image: Term) -> Term:
+def _map_consts(t: Term, image: Callable[[Const], Term]) -> Term:
+    """t rebuilt with every constant replaced by image(constant); payloads
+    are left to image."""
     match t:
         case Var():
             return t
-        case Const(level=level):
-            return app_power(succ_image, level, zero_image)
+        case Const():
+            return image(t)
         case Lam(binder, body):
-            return Lam(binder, _erase(body, succ_image, zero_image))
+            return Lam(binder, _map_consts(body, image))
         case App(fn, arg):
-            return App(_erase(fn, succ_image, zero_image),
-                       _erase(arg, succ_image, zero_image))
+            return App(_map_consts(fn, image), _map_consts(arg, image))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -208,24 +210,15 @@ def delta_forward(t: Term) -> Term:
     satisfies (P).
     """
     _reject_family(t, Family.UPPER, "delta_forward")
-    return _delta(t)
+    return _map_consts(t, _delta_const)
 
 
-def _delta(t: Term) -> Term:
-    match t:
-        case Var():
-            return t
-        case Const(level=level, payload=payload):
-            if not payload:
-                return Const(Family.UPPER, level)
-            image = tuple(_delta(p) for p in payload)
-            stored = Const(Family.UPPER, level, image)
-            return App(App(stored, image[0]), image[1])
-        case Lam(binder, body):
-            return Lam(binder, _delta(body))
-        case App(fn, arg):
-            return App(_delta(fn), _delta(arg))
-    raise TypeError(f"not a term: {t!r}")
+def _delta_const(const: Const) -> Term:
+    if not const.payload:
+        return Const(Family.UPPER, const.level)
+    image = tuple(_map_consts(p, _delta_const) for p in const.payload)
+    stored = Const(Family.UPPER, const.level, image)
+    return App(App(stored, image[0]), image[1])
 
 
 def delta_inverse(t: Term) -> Term:
@@ -319,8 +312,11 @@ def verify_lemma1_along(report: RunReport) -> Lemma1Report:
 
 
 @dataclass(frozen=True)
-class ImplicationCheck:
-    """One level of the storage-implies-S-storage claim."""
+class LevelCheck:
+    """One level of theorem 1 or 2: the lower and upper runs at n and the
+    status their comparison earns.  Theorem 1 fills hat_status and
+    hat_matches_tau (the delayed-numeral check), theorem 2 fills tau_match
+    and delta_match."""
 
     n: int
     lower: RunReport
@@ -328,22 +324,26 @@ class ImplicationCheck:
     status: Verdict
     hat_status: Verdict | None = None
     hat_matches_tau: bool | None = None
+    tau_match: bool | None = None
+    delta_match: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"n": self.n, "lower": self.lower.verdict,
                                "upper": self.upper.verdict, "status": self.status}
-        if self.hat_status is not None:
-            out["sigma_hat"] = self.hat_status
-        if self.hat_matches_tau is not None:
-            out["sigma_hat_matches_tau"] = self.hat_matches_tau
+        optional = {"sigma_hat": self.hat_status,
+                    "sigma_hat_matches_tau": self.hat_matches_tau,
+                    "tau_match": self.tau_match, "delta_match": self.delta_match}
+        out.update((key, value) for key, value in optional.items() if value is not None)
         return out
 
 
 @dataclass(frozen=True)
-class Theorem1Report:
-    successor: Term
+class LevelReport:
+    """Theorem 1 or 2 (named by check) over the levels 0..n_max."""
+
+    check: str
     n_max: int
-    checks: tuple[ImplicationCheck, ...]
+    checks: tuple[LevelCheck, ...]
 
     @property
     def verdict(self) -> Verdict:
@@ -354,13 +354,22 @@ class Theorem1Report:
         return self.verdict == Verdict.PASS
 
     def to_dict(self) -> dict[str, Any]:
-        return {"check": "theorem1", "n_max": self.n_max,
+        return {"check": self.check, "n_max": self.n_max,
                 "verdict": self.verdict,
                 "checks": [c.to_dict() for c in self.checks]}
 
 
+def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Limits,
+            judge: Callable[[int, RunReport, RunReport], LevelCheck]) -> LevelReport:
+    """Per level n: the lower run, the upper run with successor, then judge."""
+    return LevelReport(check, n_max, tuple(
+        judge(n, run_check(operator, Family.LOWER, n, limits=limits),
+              run_check(operator, Family.UPPER, n, successor=successor, limits=limits))
+        for n in range(n_max + 1)))
+
+
 def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
-                             limits: Limits = DEFAULT_LIMITS) -> Theorem1Report:
+                             limits: Limits = DEFAULT_LIMITS) -> LevelReport:
     """Check that lower-run success forces upper-run success with the given
     successor, and that the delayed numeral (S^)^n 0^ really drives the
     operator to (f)t with t beta-equivalent to #n.
@@ -368,25 +377,17 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     Levels where the lower run fails are vacuous.  Fuel exhaustion on either
     side leaves the level undecided rather than refuted.
     """
-    checks = []
-    for n in range(n_max + 1):
-        lower = run_check(operator, Family.LOWER, n, limits=limits)
-        upper = run_check(operator, Family.UPPER, n, successor=successor, limits=limits)
-        hat_status: Verdict | None = None
-        hat_matches: bool | None = None
-        if lower.verdict == Verdict.FUEL:
-            status = Verdict.UNKNOWN
-        elif lower.verdict == Verdict.FAIL:
-            status = Verdict.VACUOUS
-        elif upper.verdict == Verdict.FUEL:
-            status = Verdict.UNKNOWN
-        elif upper.verdict == Verdict.FAIL:
-            status = Verdict.FAIL
-        else:
-            hat_status, hat_matches = _hat_check(operator, successor, upper, n, limits)
-            status = hat_status
-        checks.append(ImplicationCheck(n, lower, upper, status, hat_status, hat_matches))
-    return Theorem1Report(successor, n_max, tuple(checks))
+    def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
+        if lower.verdict == Verdict.FAIL:
+            return LevelCheck(n, lower, upper, Verdict.VACUOUS)
+        if Verdict.FUEL in (lower.verdict, upper.verdict):
+            return LevelCheck(n, lower, upper, Verdict.UNKNOWN)
+        if upper.verdict == Verdict.FAIL:
+            return LevelCheck(n, lower, upper, Verdict.FAIL)
+        hat_status, hat_matches = _hat_check(operator, successor, upper, n, limits)
+        return LevelCheck(n, lower, upper, hat_status, hat_status, hat_matches)
+
+    return _levels("theorem1", operator, successor, n_max, limits, judge)
 
 
 def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
@@ -408,50 +409,8 @@ def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
     return (Verdict.PASS if equal else Verdict.FAIL), matches
 
 
-@dataclass(frozen=True)
-class EquivalenceCheck:
-    """One level of the S1-equivalence claim: same verdict both ways, same
-    witness on success, and the lower trace lands inside the upper one under
-    delta."""
-
-    n: int
-    lower: RunReport
-    upper: RunReport
-    status: Verdict
-    tau_match: bool | None = None
-    delta_match: bool | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"n": self.n, "lower": self.lower.verdict,
-                               "upper": self.upper.verdict, "status": self.status}
-        if self.tau_match is not None:
-            out["tau_match"] = self.tau_match
-        if self.delta_match is not None:
-            out["delta_match"] = self.delta_match
-        return out
-
-
-@dataclass(frozen=True)
-class Theorem2Report:
-    n_max: int
-    checks: tuple[EquivalenceCheck, ...]
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.fold(c.status for c in self.checks)
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == Verdict.PASS
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"check": "theorem2", "n_max": self.n_max,
-                "verdict": self.verdict,
-                "checks": [c.to_dict() for c in self.checks]}
-
-
 def verify_theorem2_instance(operator: Term, n_max: int,
-                             limits: Limits = DEFAULT_LIMITS) -> Theorem2Report:
+                             limits: Limits = DEFAULT_LIMITS) -> LevelReport:
     """Check per level that the lower run and the upper run with S1 agree.
 
     On agreement in Success the two witnesses must be alpha-equivalent and
@@ -460,29 +419,24 @@ def verify_theorem2_instance(operator: Term, n_max: int,
     head normal form.  The projection absorbs the one extra (S1) contraction
     the upper machine performs per constant step.
     """
-    s1 = prelude()["S1"]
-    checks = []
-    for n in range(n_max + 1):
-        lower = run_check(operator, Family.LOWER, n, limits=limits)
-        upper = run_check(operator, Family.UPPER, n, successor=s1, limits=limits)
-        tau_match: bool | None = None
-        delta_match: bool | None = None
+    def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
         if Verdict.FUEL in (lower.verdict, upper.verdict):
+            return LevelCheck(n, lower, upper, Verdict.UNKNOWN)
+        if lower.verdict != upper.verdict:
+            return LevelCheck(n, lower, upper, Verdict.FAIL)
+        if lower.verdict != Verdict.SUCCESS:
+            return LevelCheck(n, lower, upper, Verdict.PASS)
+        assert lower.tau is not None and upper.tau is not None
+        tau_match = alpha_eq(lower.tau, upper.tau)
+        delta_match = _delta_correspondence(lower, upper, limits)
+        if delta_match is None:
             status = Verdict.UNKNOWN
-        elif lower.verdict != upper.verdict:
-            status = Verdict.FAIL
-        elif lower.verdict == Verdict.SUCCESS:
-            assert lower.tau is not None and upper.tau is not None
-            tau_match = alpha_eq(lower.tau, upper.tau)
-            delta_match = _delta_correspondence(lower, upper, limits)
-            if delta_match is None:
-                status = Verdict.UNKNOWN
-            else:
-                status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
         else:
-            status = Verdict.PASS
-        checks.append(EquivalenceCheck(n, lower, upper, status, tau_match, delta_match))
-    return Theorem2Report(n_max, tuple(checks))
+            status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
+        return LevelCheck(n, lower, upper, status,
+                          tau_match=tau_match, delta_match=delta_match)
+
+    return _levels("theorem2", operator, prelude()["S1"], n_max, limits, judge)
 
 
 def _delta_correspondence(lower: RunReport, upper: RunReport,

@@ -177,3 +177,30 @@ def test_negative_bound_exits_3(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a non-negative integer" in captured.err
+
+
+# Flags every subcommand used to accept and ignore; each is now rejected.
+_IGNORED_BEFORE = {
+    ("parse", "T1"): ["--n-max", "--head-fuel", "--macro-fuel", "--norm-fuel", "--trace"],
+    ("reduce", "T1"): ["--n-max", "--macro-fuel", "--norm-fuel", "--trace"],
+    ("normalize", "T1"): ["--n-max", "--head-fuel", "--macro-fuel", "--trace"],
+    ("check-successor", "S1"): ["--n-max", "--head-fuel", "--macro-fuel", "--trace"],
+    ("theorem1", "T1"): ["--trace"],
+    ("theorem2", "T1"): ["--trace"],
+    ("theorem3",): ["--succ", "--defs", "--trace"],
+    ("corpus",): ["--succ", "--defs", "--trace"],
+}
+_FLAG_VALUE = {"--n-max": ["1"], "--head-fuel": ["5"], "--macro-fuel": ["5"],
+               "--norm-fuel": ["5"], "--succ": ["S1"], "--defs": ["/nonexistent"],
+               "--trace": []}
+
+
+@pytest.mark.parametrize("argv", [
+    [*command, flag, *_FLAG_VALUE[flag]]
+    for command, flags in _IGNORED_BEFORE.items() for flag in flags
+], ids=" ".join)
+def test_unread_flag_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""

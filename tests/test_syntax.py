@@ -77,10 +77,13 @@ def test_parse_error_cases():
 
 
 def test_parse_defs_sees_earlier_bindings():
-    bindings = parse_defs("def twice = \\f x. f (f x);\ndef four = twice twice;")
-    assert [b.name for b in bindings] == ["twice", "four"]
+    bindings = parse_defs("def twice = \\f x. f (f x);\ndef four = twice twice;\n"
+                          "def k = x[1; p, q]; def u = k;")
+    assert [b.name for b in bindings] == ["twice", "four", "k", "u"]
     assert bindings[0].value == mk_church(2)
     assert bindings[1].value == App(mk_church(2), mk_church(2))
+    stored = Const(Family.LOWER, 1, (Var("p"), Var("q")))
+    assert bindings[2].value == stored and bindings[3].value == stored
 
 
 def test_parse_defs_shadowing():
