@@ -220,9 +220,6 @@ def pretty(term: Term) -> str:
 
 
 def _pp(term: Term, pos: str) -> str:
-    n = church_value(term)
-    if n is not None:
-        return f"#{n}"
     match term:
         case Var(name):
             return name
@@ -232,12 +229,17 @@ def _pp(term: Term, pos: str) -> str:
             inner = ", ".join(_pp(p, "top") for p in payload)
             return f"{family.value}[{level}; {inner}]"
         case Lam(_, _):
+            # Only a Lam can be a numeral: n ends up set for the Lam that
+            # stopped the loop, or None when a non-Lam body stopped it.
             binders = []
             body = term
-            while isinstance(body, Lam) and church_value(body) is None:
+            while isinstance(body, Lam) and (n := church_value(body)) is None:
                 binders.append(body.binder)
                 body = body.body
-            out = "\\" + " ".join(binders) + ". " + _pp(body, "top")
+            inner = f"#{n}" if isinstance(body, Lam) else _pp(body, "top")
+            if not binders:
+                return inner
+            out = "\\" + " ".join(binders) + ". " + inner
             return out if pos == "top" else "(" + out + ")"
         case App(fn, arg):
             out = _pp(fn, "fn") + " " + _pp(arg, "arg")

@@ -12,7 +12,7 @@ when family, level, and payloads match up to alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -22,28 +22,37 @@ class Family(Enum):
     UPPER = "X"
 
 
-@dataclass(frozen=True)
+# Every node has a private slot for its free-name set, filled by
+# free_names on first use.  It takes no part in the constructor, ==, hash
+# or repr, so a node with a filled slot is the same value as a fresh one.
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
+    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam:
     binder: str
     body: "Term"
+    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: "Term"
     arg: "Term"
+    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     family: Family
     level: int
     payload: tuple["Term", ...] = ()
+    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -98,49 +107,101 @@ def church_value(term: Term) -> int | None:
     body = term.body.body
     n = 0
     while isinstance(body, App):
-        if f == x or body.fn != Var(f):
+        fn = body.fn
+        if f == x or not (isinstance(fn, Var) and fn.name == f):
             return None
         body = body.arg
         n += 1
-    return n if body == Var(x) else None
+    return n if isinstance(body, Var) and body.name == x else None
 
 
 def free_names(term: Term) -> frozenset[str]:
-    match term:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(binder, body):
-            return free_names(body) - {binder}
-        case App(fn, arg):
-            return free_names(fn) | free_names(arg)
-        case Const(_, _, payload):
-            out: frozenset[str] = frozenset()
-            for p in payload:
-                out |= free_names(p)
-            return out
-    raise TypeError(f"not a term: {term!r}")
+    """The free names of term, computed at most once per node.
+
+    Sets are shared, not copied: every Var of a name gets the same
+    singleton, a Lam whose binder is not free in its body keeps the body's
+    set, and an App or Const keeps a child's set when that set already
+    holds the others'.
+    """
+    try:
+        fv = term._fv
+        return fv if fv is not None else _fill_free_names(term)
+    except AttributeError:
+        raise TypeError(f"not a term: {term!r}") from None
+
+
+_EMPTY: frozenset[str] = frozenset()
+_SINGLETONS: dict[str, frozenset[str]] = {}
+
+
+def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, but a or b itself when one holds the other."""
+    return a if b <= a else b if a <= b else a | b
+
+
+def _fill_free_names(term: Term) -> frozenset[str]:
+    """Fill the free-name slot of term and of every empty one below it,
+    children before parents, with an explicit stack."""
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if node._fv is not None:  # a shared node, filled since it was pushed
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is App:
+            a, b = node.fn._fv, node.arg._fv
+            if a is None or b is None:
+                stack += [k for k in (node.fn, node.arg) if k._fv is None]
+                continue
+            fv = _join(a, b)
+        elif kind is Lam:
+            fv = node.body._fv
+            if fv is None:
+                stack.append(node.body)
+                continue
+            if node.binder in fv:
+                fv = fv - {node.binder} or _EMPTY
+        elif kind is Var:
+            fv = _SINGLETONS.get(node.name)
+            if fv is None:
+                fv = _SINGLETONS[node.name] = frozenset((node.name,))
+        elif kind is Const:
+            pending = [k for k in node.payload if k._fv is None]
+            if pending:
+                stack += pending
+                continue
+            fv = _EMPTY
+            for k in node.payload:
+                fv = _join(fv, k._fv)
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        object.__setattr__(node, "_fv", fv)
+        stack.pop()
+    return term._fv
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    def go(t: Term, u: Term, tb: dict, ub: dict, depth: int) -> bool:
-        match (t, u):
-            case (Var(a), Var(b)):
-                return tb.get(a, a) == ub.get(b, b)
-            case (Lam(a, abody), Lam(b, bbody)):
-                return go(abody, bbody, {**tb, a: depth}, {**ub, b: depth}, depth + 1)
-            case (App(af, aa), App(bf, ba)):
-                return go(af, bf, tb, ub, depth) and go(aa, ba, tb, ub, depth)
-            case (Const(afam, alvl, apay), Const(bfam, blvl, bpay)):
-                return (
-                    afam is bfam
-                    and alvl == blvl
-                    and len(apay) == len(bpay)
-                    and all(go(p, q, tb, ub, depth) for p, q in zip(apay, bpay))
-                )
-            case _:
-                return False
+    return _alpha(t, u, {}, {}, 0)
 
-    return go(t, u, {}, {}, 0)
+
+def _alpha(t: Term, u: Term, tb: dict, ub: dict, depth: int) -> bool:
+    match (t, u):
+        case (Var(a), Var(b)):
+            return tb.get(a, a) == ub.get(b, b)
+        case (Lam(a, abody), Lam(b, bbody)):
+            return _alpha(abody, bbody, {**tb, a: depth}, {**ub, b: depth}, depth + 1)
+        case (App(af, aa), App(bf, ba)):
+            return _alpha(af, bf, tb, ub, depth) and _alpha(aa, ba, tb, ub, depth)
+        case (Const(afam, alvl, apay), Const(bfam, blvl, bpay)):
+            return (
+                afam is bfam
+                and alvl == blvl
+                and len(apay) == len(bpay)
+                and all(_alpha(p, q, tb, ub, depth) for p, q in zip(apay, bpay))
+            )
+        case _:
+            return False
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -156,35 +217,38 @@ def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
 
     Binders are renamed (deterministically, by priming) only when they would
     capture a free name of an incoming term.  Constant payloads are rewritten
-    like any other subterm.
+    like any other subterm.  A subterm with none of the mapped names free is
+    returned as it is, not rebuilt.
     """
+    return _subst(term, dict(mapping))
 
-    def go(t: Term, m: dict[str, Term]) -> Term:
-        match t:
-            case Var(name):
-                return m.get(name, t)
-            case App(fn, arg):
-                return App(go(fn, m), go(arg, m))
-            case Const(family, level, payload):
-                if not payload:
-                    return t
-                return Const(family, level, tuple(go(p, m) for p in payload))
-            case Lam(binder, body):
-                body_free = free_names(body)
-                live = {k: v for k, v in m.items() if k != binder and k in body_free}
-                if not live:
-                    return t
-                incoming: set[str] = set()
-                for v in live.values():
-                    incoming |= free_names(v)
-                if binder in incoming:
-                    renamed = fresh_name(binder, incoming | body_free | set(live))
-                    body = go(body, {binder: Var(renamed)})
-                    binder = renamed
-                return Lam(binder, go(body, live))
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(term, dict(mapping))
+def _subst(t: Term, m: dict[str, Term]) -> Term:
+    match t:
+        case Var(name):
+            return m.get(name, t)
+        case App(fn, arg):
+            if free_names(t).isdisjoint(m):
+                return t
+            return App(_subst(fn, m), _subst(arg, m))
+        case Const(family, level, payload):
+            if free_names(t).isdisjoint(m):
+                return t
+            return Const(family, level, tuple(_subst(p, m) for p in payload))
+        case Lam(binder, body):
+            body_free = free_names(body)
+            live = {k: v for k, v in m.items() if k != binder and k in body_free}
+            if not live:
+                return t
+            incoming: set[str] = set()
+            for v in live.values():
+                incoming |= free_names(v)
+            if binder in incoming:
+                renamed = fresh_name(binder, incoming | body_free | set(live))
+                body = _subst(body, {binder: Var(renamed)})
+                binder = renamed
+            return Lam(binder, _subst(body, live))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:

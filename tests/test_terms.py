@@ -4,7 +4,8 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from genterms import FREEPOOL, any_term, pure_term, rng
+from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
+from storlab import terms as terms_module
 from storlab.terms import (
     App,
     Const,
@@ -217,3 +218,165 @@ def test_substitution_never_captures_generated():
             assert "s" in free_names(result)
         else:
             assert result == shield
+
+
+# -- the cached free-name slot, checked against the uncached originals --
+
+
+def oracle_free_names(term):
+    """free_names as it was before nodes cached their sets: a full walk."""
+    match term:
+        case Var(name):
+            return frozenset((name,))
+        case Lam(binder, body):
+            return oracle_free_names(body) - {binder}
+        case App(fn, arg):
+            return oracle_free_names(fn) | oracle_free_names(arg)
+        case Const(_, _, payload):
+            out = frozenset()
+            for p in payload:
+                out |= oracle_free_names(p)
+            return out
+    raise TypeError(f"not a term: {term!r}")
+
+
+def oracle_substitute_many(term, mapping):
+    """substitute_many as it was before: rebuilds every App and Const."""
+
+    def go(t, m):
+        match t:
+            case Var(name):
+                return m.get(name, t)
+            case App(fn, arg):
+                return App(go(fn, m), go(arg, m))
+            case Const(family, level, payload):
+                if not payload:
+                    return t
+                return Const(family, level, tuple(go(p, m) for p in payload))
+            case Lam(binder, body):
+                body_free = oracle_free_names(body)
+                live = {k: v for k, v in m.items() if k != binder and k in body_free}
+                if not live:
+                    return t
+                incoming = set()
+                for v in live.values():
+                    incoming |= oracle_free_names(v)
+                if binder in incoming:
+                    renamed = fresh_name(binder, incoming | body_free | set(live))
+                    body = go(body, {binder: Var(renamed)})
+                    binder = renamed
+                return Lam(binder, go(body, live))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(term, dict(mapping))
+
+
+GENERATORS = (any_term, lower_term, p_term)
+
+
+def generated_case(seed):
+    """A generated term with some binder names free, and a substitution
+    whose incoming terms have binder names free, so binders get renamed."""
+    r = rng(seed)
+    gen = GENERATORS[seed % len(GENERATORS)]
+    free = tuple(r.sample(BINDERS, 2))
+    term = gen(r, 5, free)
+    keys = [name for name in free + FREEPOOL if r.random() < 0.6]
+
+    def incoming():
+        if r.random() < 0.5:
+            return gen(r, 2, ())
+        return App(Var(r.choice(BINDERS)), gen(r, 2, (r.choice(BINDERS),)))
+
+    return term, {k: incoming() for k in keys}
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_free_names_match_oracle_on_generated_terms(seed):
+    term, mapping = generated_case(seed)
+    assert free_names(term) == oracle_free_names(term)
+    for value in mapping.values():
+        assert free_names(value) == oracle_free_names(value)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_substitute_many_matches_oracle_on_generated_terms(seed):
+    term, mapping = generated_case(seed)
+    expected = oracle_substitute_many(term, mapping)
+    got = substitute_many(term, mapping)
+    assert got == expected  # binder names included, not just alpha
+    assert free_names(got) == oracle_free_names(expected)
+
+
+@hyp.given(terms, names, terms)
+def test_substitute_matches_oracle(t, x, u):
+    expected = oracle_substitute_many(t, {x: u})
+    # fill some slots first, so the cached and uncached paths both run
+    free_names(u)
+    assert substitute(t, x, u) == expected
+    assert free_names(t) == oracle_free_names(t)
+
+
+def test_free_names_deep_terms_without_recursion():
+    assert free_names(mk_church(5000)) == frozenset()
+    chain = Var("z")
+    for i in range(5000):
+        chain = Lam(f"v{i}", App(Var(f"v{i}"), chain))
+    assert free_names(chain) == frozenset({"z"})
+    lams = Var("z")
+    for i in range(5000):
+        lams = Lam(BINDERS[i % len(BINDERS)], lams)
+    assert free_names(lams) == frozenset({"z"})
+
+
+def test_node_fields_and_match_args_unchanged():
+    assert Var.__match_args__ == ("name",)
+    assert Lam.__match_args__ == ("binder", "body")
+    assert App.__match_args__ == ("fn", "arg")
+    assert Const.__match_args__ == ("family", "level", "payload")
+
+
+def test_filled_slot_keeps_value_semantics():
+    def build():
+        return Lam("x", App(Var("x"), Const(Family.LOWER, 1, (Var("p"), Var("q")))))
+
+    cached, fresh = build(), build()
+    free_names(cached)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert cached.body == fresh.body and hash(cached.body) == hash(fresh.body)
+    assert repr(cached) == repr(fresh) == (
+        "Lam(binder='x', body=App(fn=Var(name='x'), arg=Const(family=<Family.LOWER: 'x'>, "
+        "level=1, payload=(Var(name='p'), Var(name='q')))))"
+    )
+
+
+def test_free_names_walks_a_node_once(monkeypatch):
+    walks = []
+    fill = terms_module._fill_free_names
+
+    def counting(term):
+        walks.append(term)
+        return fill(term)
+
+    monkeypatch.setattr(terms_module, "_fill_free_names", counting)
+    t = Lam("x", App(Var("x"), App(Var("p"), mk_church(2))))
+    first = free_names(t)
+    assert free_names(t) is first
+    assert free_names(t.body.arg) == frozenset({"p"})
+    assert walks == [t]
+
+
+def test_free_name_sets_are_shared():
+    body = App(Var("p"), Lam("y", Var("q")))
+    assert free_names(Var("p")) is free_names(Var("p"))
+    assert free_names(Lam("x", body)) is free_names(body)
+    assert free_names(App(body, Var("q"))) is free_names(body)
+    assert free_names(App(Var("q"), body)) is free_names(body)
+    assert free_names(Const(Family.UPPER, 0, (Var("p"), body))) is free_names(body)
+
+
+def test_substitute_returns_untouched_subterms_themselves():
+    untouched = App(App(Var("p"), Lam("s", Var("q"))), Const(Family.LOWER, 1, (Var("r"), Var("p"))))
+    assert substitute(untouched, "x", Var("y")) is untouched
+    result = substitute(App(untouched, Var("x")), "x", Var("y"))
+    assert result.fn is untouched and result.arg == Var("y")
