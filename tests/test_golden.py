@@ -21,6 +21,8 @@ from storlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OMEGA = "(\\x. x x) (\\x. x x)"
+# fuel runs out with the hole inside a payload, ahead of two unreduced arguments
+PARTIAL = "x[1; (\\y. y) p, (\\w. w) q] ((\\z. z) r) ((\\v. v) s)"
 
 CASES = {
     "parse": ["parse", "T1"],
@@ -33,6 +35,8 @@ CASES = {
     "normalize_json": ["normalize", "S2 #2", "--json"],
     "normalize_fuel": ["normalize", "S1 #3", "--norm-fuel", "2"],
     "normalize_fuel_json": ["normalize", "S1 #3", "--norm-fuel", "2", "--json"],
+    "normalize_partial": ["normalize", PARTIAL, "--norm-fuel", "2"],
+    "normalize_partial_json": ["normalize", PARTIAL, "--norm-fuel", "2", "--json"],
     "check_successor": ["check-successor", "S1", "--k-max", "3"],
     "check_successor_json": ["check-successor", "S1", "--k-max", "3", "--json"],
     "check_successor_refuted": ["check-successor", "I", "--k-max", "2"],
