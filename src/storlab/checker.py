@@ -206,26 +206,28 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
                tau: Term | None = None) -> RunReport:
         return RunReport(family, n, verdict, successor, reason, tau, trace)
 
+    def stop(verdict: Verdict, reason: str) -> RunReport:
+        # the last step, reduced from u to v, ends the run with no transform
+        trace.append(MacroStep(u, v, beta_steps, None))
+        return report(verdict, reason)
+
     trace: list[MacroStep] = []
     u = app(term, Const(family, n), Var(probe))
     for _ in range(limits.macro_fuel):
         try:
             v, beta_steps = head_reduce(u, limits)
         except FuelExhausted as exc:
-            trace.append(MacroStep(u, exc.partial, exc.steps, None))
-            return report(Verdict.FUEL, STAGE_HEAD)
+            v, beta_steps = exc.partial, exc.steps
+            return stop(Verdict.FUEL, STAGE_HEAD)
         decomposed = decompose_hnf(v)
         if decomposed.prefix:
-            trace.append(MacroStep(u, v, beta_steps, None))
-            return report(Verdict.FAIL, PREFIX_NOT_EMPTY)
+            return stop(Verdict.FAIL, PREFIX_NOT_EMPTY)
         head = decomposed.head
         if isinstance(head, Var):
             if head.name != probe:
-                trace.append(MacroStep(u, v, beta_steps, None))
-                return report(Verdict.FAIL, FOREIGN_HEAD)
+                return stop(Verdict.FAIL, FOREIGN_HEAD)
             if len(decomposed.args) != 1:
-                trace.append(MacroStep(u, v, beta_steps, None))
-                return report(Verdict.FAIL, F_WRONG_ARITY)
+                return stop(Verdict.FAIL, F_WRONG_ARITY)
             trace.append(MacroStep(u, v, beta_steps, FINAL))
             tau = decomposed.args[0]
             if not is_closed_pure(tau):
@@ -238,8 +240,7 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
             return report(Verdict.SUCCESS, None, tau)
         assert isinstance(head, Const)
         if head.family is not family:
-            trace.append(MacroStep(u, v, beta_steps, None))
-            return report(Verdict.FAIL, FOREIGN_HEAD)
+            return stop(Verdict.FAIL, FOREIGN_HEAD)
         try:
             if family is Family.LOWER:
                 nxt = x_transform(decomposed, n)
@@ -247,8 +248,7 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
                 assert successor is not None
                 nxt = X_transform(decomposed, successor, n)
         except TransformError as exc:
-            trace.append(MacroStep(u, v, beta_steps, None))
-            return report(Verdict.FAIL, exc.reason)
+            return stop(Verdict.FAIL, exc.reason)
         trace.append(MacroStep(u, v, beta_steps, _step_kind(head)))
         u = nxt
     return report(Verdict.FUEL, STAGE_MACRO)

@@ -2,8 +2,10 @@
 
 Exit codes are part of the interface: 0 means the checked property holds,
 1 means it was refuted, 2 means fuel ran out before a verdict, 3 means the
-invocation or its terms were bad.  `--json` swaps the human output for the
-serialized report; `--trace` adds the recorded macro steps to either form.
+invocation or its terms were bad, 4 means an internal error (any other
+exception, a RecursionError included) stopped the run before a verdict.
+`--json` swaps the human output for the serialized report; `--trace` adds
+the recorded macro steps to either form.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .theorems import (
 )
 
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 # check_successor's per-k answer as a level verdict
 _SUCCESSOR_LEVEL = {True: Verdict.PASS, False: Verdict.FAIL, None: Verdict.UNKNOWN}
@@ -386,6 +389,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # RecursionError included: a crash is no verdict
+        print(f"storlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

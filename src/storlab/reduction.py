@@ -16,7 +16,6 @@ from .terms import (
     Const,
     Lam,
     Term,
-    Var,
     alpha_eq,
     app,
     is_closed_pure,
@@ -69,15 +68,24 @@ def _split(term: Term) -> tuple[list[str], Term, list[Term]]:
     return prefix, head, args
 
 
+def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:
+    """The inverse of _split: the prefix binders over head applied to args."""
+    term = app(head, *args)
+    for binder in reversed(prefix):
+        term = Lam(binder, term)
+    return term
+
+
+def _contract(prefix: list[str], head: Lam, args: list[Term]) -> Term:
+    """The _split parts of a term with its head redex (head args[0])
+    contracted."""
+    return _wrap(prefix, substitute(head.body, head.binder, args[0]), args[1:])
+
+
 def head_step(term: Term) -> Term | None:
     """Contract the head redex, or None if the term is in head normal form."""
     prefix, head, args = _split(term)
-    if not isinstance(head, Lam):
-        return None
-    result = app(substitute(head.body, head.binder, args[0]), *args[1:])
-    for binder in reversed(prefix):
-        result = Lam(binder, result)
-    return result
+    return _contract(prefix, head, args) if isinstance(head, Lam) else None
 
 
 def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS) -> tuple[Term, int]:
@@ -113,43 +121,49 @@ def decompose_hnf(term: Term) -> HnfDecomposition:
     return HnfDecomposition(tuple(prefix), head, tuple(args))
 
 
-def _normal_step(term: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, descending into payloads."""
-    match term:
-        case Var(_):
-            return None
-        case Lam(binder, body):
-            nxt = _normal_step(body)
-            return Lam(binder, nxt) if nxt is not None else None
-        case App(Lam(binder, body), arg):
-            return substitute(body, binder, arg)
-        case App(fn, arg):
-            nxt = _normal_step(fn)
-            if nxt is not None:
-                return App(nxt, arg)
-            nxt = _normal_step(arg)
-            return App(fn, nxt) if nxt is not None else None
-        case Const(family, level, payload):
-            for i, p in enumerate(payload):
-                nxt = _normal_step(p)
-                if nxt is not None:
-                    return Const(family, level, payload[:i] + (nxt,) + payload[i + 1:])
-            return None
-    raise TypeError(f"not a term: {term!r}")
+def _rebuild(prefix: list[str], head: Term, items: list[Term]) -> Term:
+    """The head normal form with these items: a head constant's payload,
+    then the arguments."""
+    if isinstance(head, Const) and head.payload:
+        cut = len(head.payload)
+        head, items = Const(head.family, head.level, tuple(items[:cut])), items[cut:]
+    return _wrap(prefix, head, items)
 
 
 def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
-    """Normal-order reduction to beta-normal form, fuel-bounded."""
+    """Normal-order reduction to beta-normal form, fuel-bounded.
+
+    Normal order is head reduction to a head normal form, then the
+    normalization of its items left to right: a head constant's payload,
+    then the arguments.  Each frame on the stack is a head normal form, its
+    items and the normal forms of those done so far; `term` is the next item.
+    """
     steps = 0
-    while steps < limits.norm_fuel:
-        nxt = _normal_step(term)
-        if nxt is None:
-            return term
-        term = nxt
-        steps += 1
-    if _normal_step(term) is None:
-        return term
-    raise FuelExhausted(STAGE_NORM, term, steps)
+    frames: list[tuple[Term, list[str], Term, list[Term], list[Term]]] = []
+    while True:
+        prefix, head, args = _split(term)
+        while isinstance(head, Lam):
+            if steps == limits.norm_fuel:
+                # put the item back into its context, innermost frame first
+                for _, fprefix, fhead, items, done in reversed(frames):
+                    term = _rebuild(fprefix, fhead, done + [term] + items[len(done) + 1:])
+                raise FuelExhausted(STAGE_NORM, term, steps)
+            term = _contract(prefix, head, args)
+            steps += 1
+            prefix, head, args = _split(term)
+        items = [*head.payload, *args] if isinstance(head, Const) else args
+        frames.append((term, prefix, head, items, []))
+        while True:
+            hnf, prefix, head, items, done = frames[-1]
+            if len(done) < len(items):
+                term = items[len(done)]
+                break
+            frames.pop()
+            if any(d is not i for d, i in zip(done, items)):  # else keep it, shared
+                hnf = _rebuild(prefix, head, done)
+            if not frames:
+                return hnf
+            frames[-1][4].append(hnf)  # into the parent frame's done list
 
 
 def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:

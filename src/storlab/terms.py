@@ -22,29 +22,55 @@ class Family(Enum):
     UPPER = "X"
 
 
-# Every node has a private slot for its free-name set, filled by
-# free_names on first use.  It takes no part in the constructor, ==, hash
-# or repr, so a node with a filled slot is the same value as a fresh one.
+# Every node computes its free-name set when it is built, from its
+# children's sets, into a private slot.  The slot takes no part in the
+# constructor, ==, hash or repr.  Sets are shared, not copied: every Var of a
+# name gets the same singleton, a Lam whose binder is not free in its body
+# keeps the body's set, and an App or Const keeps a child's set when that set
+# already holds the others'.
+
+_EMPTY: frozenset[str] = frozenset()
+_SINGLETONS: dict[str, frozenset[str]] = {}
+
+
+def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, but a or b itself when one holds the other."""
+    return a if b <= a else b if a <= b else a | b
 
 
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
-    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
+    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fv = _SINGLETONS.get(self.name)
+        if fv is None:
+            fv = _SINGLETONS[self.name] = frozenset((self.name,))
+        object.__setattr__(self, "_fv", fv)
 
 
 @dataclass(frozen=True, slots=True)
 class Lam:
     binder: str
     body: "Term"
-    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
+    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fv = self.body._fv
+        if self.binder in fv:
+            fv = fv - {self.binder} or _EMPTY
+        object.__setattr__(self, "_fv", fv)
 
 
 @dataclass(frozen=True, slots=True)
 class App:
     fn: "Term"
     arg: "Term"
-    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
+    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_fv", _join(self.fn._fv, self.arg._fv))
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,13 +78,17 @@ class Const:
     family: Family
     level: int
     payload: tuple["Term", ...] = ()
-    _fv: frozenset[str] | None = field(init=False, default=None, repr=False, compare=False)
+    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.level < 0:
             raise ValueError("constant level must be non-negative")
         if len(self.payload) == 1:
             raise ValueError("a stored constant carries at least two payload terms")
+        fv = _EMPTY
+        for p in self.payload:
+            fv = _join(fv, p._fv)
+        object.__setattr__(self, "_fv", fv)
 
     @property
     def is_seed(self) -> bool:
@@ -116,69 +146,11 @@ def church_value(term: Term) -> int | None:
 
 
 def free_names(term: Term) -> frozenset[str]:
-    """The free names of term, computed at most once per node.
-
-    Sets are shared, not copied: every Var of a name gets the same
-    singleton, a Lam whose binder is not free in its body keeps the body's
-    set, and an App or Const keeps a child's set when that set already
-    holds the others'.
-    """
+    """The free names of term, computed when the node was built."""
     try:
-        fv = term._fv
-        return fv if fv is not None else _fill_free_names(term)
+        return term._fv
     except AttributeError:
         raise TypeError(f"not a term: {term!r}") from None
-
-
-_EMPTY: frozenset[str] = frozenset()
-_SINGLETONS: dict[str, frozenset[str]] = {}
-
-
-def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    """a | b, but a or b itself when one holds the other."""
-    return a if b <= a else b if a <= b else a | b
-
-
-def _fill_free_names(term: Term) -> frozenset[str]:
-    """Fill the free-name slot of term and of every empty one below it,
-    children before parents, with an explicit stack."""
-    stack = [term]
-    while stack:
-        node = stack[-1]
-        if node._fv is not None:  # a shared node, filled since it was pushed
-            stack.pop()
-            continue
-        kind = type(node)
-        if kind is App:
-            a, b = node.fn._fv, node.arg._fv
-            if a is None or b is None:
-                stack += [k for k in (node.fn, node.arg) if k._fv is None]
-                continue
-            fv = _join(a, b)
-        elif kind is Lam:
-            fv = node.body._fv
-            if fv is None:
-                stack.append(node.body)
-                continue
-            if node.binder in fv:
-                fv = fv - {node.binder} or _EMPTY
-        elif kind is Var:
-            fv = _SINGLETONS.get(node.name)
-            if fv is None:
-                fv = _SINGLETONS[node.name] = frozenset((node.name,))
-        elif kind is Const:
-            pending = [k for k in node.payload if k._fv is None]
-            if pending:
-                stack += pending
-                continue
-            fv = _EMPTY
-            for k in node.payload:
-                fv = _join(fv, k._fv)
-        else:
-            raise TypeError(f"not a term: {node!r}")
-        object.__setattr__(node, "_fv", fv)
-        stack.pop()
-    return term._fv
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from storlab.checker import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED
-from storlab.cli import EXIT_USAGE, main
+from storlab import cli
+from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -204,3 +205,21 @@ def test_unread_flag_exits_3(capsys, argv):
         main(argv)
     assert info.value.code == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_recursion_limit_is_an_internal_error(capsys):
+    # substituting into a numeral this deep still recurses; the crash must
+    # not come out as a verdict
+    code, out, err = run(capsys, "normalize", "S1 #1500")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("storlab: internal error: RecursionError: ")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args, limits):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = run(capsys, "parse", "T1")
+    assert (code, out, err) == (EXIT_INTERNAL, "", "storlab: internal error: RuntimeError: boom\n")

@@ -1,8 +1,18 @@
 """Head reduction, normalization, solvability, successor checking."""
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
-from genterms import pure_term, rng, substitution_for, with_head_redex
+from genterms import (
+    any_term,
+    lower_term,
+    p_term,
+    pure_term,
+    rng,
+    substitution_for,
+    with_head_redex,
+)
 from storlab import prelude
 from storlab.reduction import (
     DEFAULT_LIMITS,
@@ -23,7 +33,9 @@ from storlab.terms import (
     Var,
     alpha_eq,
     app,
+    church_value,
     mk_church,
+    substitute,
     substitute_many,
 )
 
@@ -243,3 +255,91 @@ def test_limits_validation():
     with pytest.raises(ValueError):
         Limits(macro_fuel=-1)
     assert DEFAULT_LIMITS.head_fuel >= 1
+
+
+def test_normalize_deep_numerals_without_recursion():
+    # compared with church_value: == on terms this deep recurses itself
+    assert church_value(normalize(mk_church(5000))) == 5000
+    assert church_value(normalize(App(IDENTITY, mk_church(5000)))) == 5000
+
+
+# -- the normalizer checked against the one it replaced --
+
+
+def oracle_step(term):
+    """Contract the leftmost-outermost redex, descending into payloads,
+    starting again from the root: the normalizer's former step."""
+    match term:
+        case Var(_):
+            return None
+        case Lam(binder, body):
+            nxt = oracle_step(body)
+            return Lam(binder, nxt) if nxt is not None else None
+        case App(Lam(binder, body), arg):
+            return substitute(body, binder, arg)
+        case App(fn, arg):
+            nxt = oracle_step(fn)
+            if nxt is not None:
+                return App(nxt, arg)
+            nxt = oracle_step(arg)
+            return App(fn, nxt) if nxt is not None else None
+        case Const(family, level, payload):
+            for i, p in enumerate(payload):
+                nxt = oracle_step(p)
+                if nxt is not None:
+                    return Const(family, level, payload[:i] + (nxt,) + payload[i + 1:])
+            return None
+    raise TypeError(f"not a term: {term!r}")
+
+
+def oracle_normalize(term, limits=DEFAULT_LIMITS):
+    steps = 0
+    while steps < limits.norm_fuel:
+        nxt = oracle_step(term)
+        if nxt is None:
+            return term
+        term = nxt
+        steps += 1
+    if oracle_step(term) is None:
+        return term
+    raise FuelExhausted("Norm", term, steps)
+
+
+GENERATORS = (any_term, lower_term, p_term, pure_term)
+
+
+def normalization_case(seed):
+    """A generated term, constants included, often with redexes in head
+    position, inside stored payloads and in the arguments after them."""
+    r = rng(seed)
+    gen = GENERATORS[seed % len(GENERATORS)]
+    roll = r.random()
+    if roll < 0.3:
+        return gen(r, 5)
+    if roll < 0.6:
+        return with_head_redex(r, gen)
+    payload = tuple(with_head_redex(r, gen, 2) for _ in range(r.randint(2, 3)))
+    head = Const(r.choice(tuple(Family)), r.randint(0, 2), payload)
+    return app(head, *(with_head_redex(r, gen, 2) for _ in range(r.randint(0, 2))))
+
+
+def outcome(normalizer, term, limits):
+    try:
+        return normalizer(term, limits)
+    except FuelExhausted as exc:
+        return (exc.stage, exc.steps, exc.partial)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_normalize_matches_oracle(seed):
+    term = normalization_case(seed)
+    limits = Limits(norm_fuel=500)
+    assert outcome(normalize, term, limits) == outcome(oracle_normalize, term, limits)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_normalize_fuel_matches_oracle(seed):
+    term = normalization_case(seed)
+    for fuel in range(1, 41):
+        limits = Limits(norm_fuel=fuel)
+        assert outcome(normalize, term, limits) == outcome(oracle_normalize, term, limits)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
-from storlab import terms as terms_module
 from storlab.terms import (
     App,
     Const,
@@ -220,7 +219,7 @@ def test_substitution_never_captures_generated():
             assert result == shield
 
 
-# -- the cached free-name slot, checked against the uncached originals --
+# -- free-name sets built with the node, checked against the uncached originals --
 
 
 def oracle_free_names(term):
@@ -311,8 +310,6 @@ def test_substitute_many_matches_oracle_on_generated_terms(seed):
 @hyp.given(terms, names, terms)
 def test_substitute_matches_oracle(t, x, u):
     expected = oracle_substitute_many(t, {x: u})
-    # fill some slots first, so the cached and uncached paths both run
-    free_names(u)
     assert substitute(t, x, u) == expected
     assert free_names(t) == oracle_free_names(t)
 
@@ -341,29 +338,13 @@ def test_filled_slot_keeps_value_semantics():
         return Lam("x", App(Var("x"), Const(Family.LOWER, 1, (Var("p"), Var("q")))))
 
     cached, fresh = build(), build()
-    free_names(cached)
+    assert free_names(cached) == {"p", "q"}
     assert cached == fresh and hash(cached) == hash(fresh)
     assert cached.body == fresh.body and hash(cached.body) == hash(fresh.body)
     assert repr(cached) == repr(fresh) == (
         "Lam(binder='x', body=App(fn=Var(name='x'), arg=Const(family=<Family.LOWER: 'x'>, "
         "level=1, payload=(Var(name='p'), Var(name='q')))))"
     )
-
-
-def test_free_names_walks_a_node_once(monkeypatch):
-    walks = []
-    fill = terms_module._fill_free_names
-
-    def counting(term):
-        walks.append(term)
-        return fill(term)
-
-    monkeypatch.setattr(terms_module, "_fill_free_names", counting)
-    t = Lam("x", App(Var("x"), App(Var("p"), mk_church(2))))
-    first = free_names(t)
-    assert free_names(t) is first
-    assert free_names(t.body.arg) == frozenset({"p"})
-    assert walks == [t]
 
 
 def test_free_name_sets_are_shared():
