@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .reduction import (
     DEFAULT_LIMITS,
@@ -27,7 +27,7 @@ from .reduction import (
     decompose_hnf,
     head_reduce,
 )
-from .syntax import pretty
+from .syntax import pretty, printer
 from .terms import App, Const, Family, Term, Var, app, is_closed_pure, mk_church
 
 EXIT_PASS = 0
@@ -290,27 +290,30 @@ def check_operator(term: Term, family: Family, n_max: int,
     return OperatorSummary(family, n_max, reports, successor)
 
 
-def step_to_dict(step: MacroStep) -> dict[str, Any]:
+def step_to_dict(step: MacroStep, show: Callable[[Term], str]) -> dict[str, Any]:
+    """One macro step, printed by show, the printer of its report."""
     return {
-        "u": pretty(step.u),
-        "v": pretty(step.v),
+        "u": show(step.u),
+        "v": show(step.v),
         "beta_steps": step.beta_steps,
         "transform": step.transform,
     }
 
 
 def report_to_dict(report: RunReport, include_trace: bool = True) -> dict[str, Any]:
+    # one printer per report: its steps share most of their subterms
+    show = printer()
     out: dict[str, Any] = {"family": report.family.value}
     if report.successor is not None:
-        out["successor"] = pretty(report.successor)
+        out["successor"] = show(report.successor)
     out["n"] = report.n
     out["verdict"] = report.verdict
     if report.reason is not None:
         out["reason"] = report.reason
     if report.tau is not None:
-        out["tau"] = pretty(report.tau)
+        out["tau"] = show(report.tau)
     if include_trace:
-        out["steps"] = [step_to_dict(s) for s in report.trace]
+        out["steps"] = [step_to_dict(s, show) for s in report.trace]
     return out
 
 

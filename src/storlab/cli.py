@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .builtins import prelude
 from .checker import (
@@ -33,7 +33,7 @@ from .reduction import (
     head_reduce,
     normalize,
 )
-from .syntax import ParseError, load_defs, pretty, parse
+from .syntax import ParseError, load_defs, parse, pretty, printer
 from .terms import Family, Term, free_names, iter_consts
 from .theorems import (
     LevelReport,
@@ -95,14 +95,14 @@ def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
     return term
 
 
-def _print_trace(report: RunReport) -> None:
+def _print_trace(report: RunReport, show: Callable[[Term], str]) -> None:
     steps = report.trace
     for i, step in enumerate(steps):
-        line = f"{pretty(step.u)}  ≻({step.beta_steps})  {pretty(step.v)}"
+        line = f"{show(step.u)}  ≻({step.beta_steps})  {show(step.v)}"
         if step.transform is not None:
             line += f"  —{step.transform}→"
             if i + 1 < len(steps):
-                line += f"  {pretty(steps[i + 1].u)}"
+                line += f"  {show(steps[i + 1].u)}"
         print(line)
 
 
@@ -111,14 +111,15 @@ def _emit_summary(summary: OperatorSummary, args: argparse.Namespace) -> int:
         print(to_json(summary_to_dict(summary, include_trace=args.trace)))
         return summary.verdict.exit_code
     for report in summary.reports:
+        show = printer()  # one per report, as in checker.report_to_dict
         line = f"n={report.n}: {report.verdict}"
         if report.reason is not None:
             line += f" ({report.reason})"
         if report.tau is not None:
-            line += f"  tau = {pretty(report.tau)}"
+            line += f"  tau = {show(report.tau)}"
         print(line)
         if args.trace:
-            _print_trace(report)
+            _print_trace(report, show)
     tail = f"verdict: {summary.verdict}"
     if summary.at is not None:
         tail += f" (n={summary.at})"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .terms import App, Const, Family, Lam, Term, Var, church_value, mk_church
 
@@ -216,32 +216,80 @@ def pretty(term: Term) -> str:
     Church numerals print as #n and lambda prefixes collapse to one
     backslash with multiple binders.
     """
-    return _pp(term, "top")
+    return printer()(term)
 
 
-def _pp(term: Term, pos: str) -> str:
-    match term:
-        case Var(name):
-            return name
-        case Const(family, level, payload):
-            if not payload:
-                return f"{family.value}[{level}]"
-            inner = ", ".join(_pp(p, "top") for p in payload)
-            return f"{family.value}[{level}; {inner}]"
-        case Lam(_, _):
-            # Only a Lam can be a numeral: n ends up set for the Lam that
-            # stopped the loop, or None when a non-Lam body stopped it.
-            binders = []
-            body = term
-            while isinstance(body, Lam) and (n := church_value(body)) is None:
-                binders.append(body.binder)
-                body = body.body
-            inner = f"#{n}" if isinstance(body, Lam) else _pp(body, "top")
-            if not binders:
-                return inner
-            out = "\\" + " ".join(binders) + ". " + inner
-            return out if pos == "top" else "(" + out + ")"
-        case App(fn, arg):
-            out = _pp(fn, "fn") + " " + _pp(arg, "arg")
-            return out if pos != "arg" else "(" + out + ")"
-    raise TypeError(f"not a term: {term!r}")
+# How a rendered node is parenthesized below its parent: an atom (variable,
+# constant, numeral) never, an application only as an argument, a lambda
+# both as a function and as an argument.  At the top, in a payload and after
+# a binder prefix nothing is parenthesized.
+_ATOM, _APP, _LAM = 0, 1, 2
+
+
+def printer() -> Callable[[Term], str]:
+    """A pretty that renders each distinct node once over all its calls.
+
+    The memo is keyed on node identity and holds the node itself, so an
+    id cannot be reused while the printer lives.  It keeps the text of
+    every node it has rendered, which along a chain of d nested nodes is
+    about d * d / 2 characters, so make one per group of terms that share
+    subterms (a run report) and drop it afterwards.
+    """
+    memo: dict[int, tuple[Term, str, int]] = {}
+
+    def show(term: Term) -> str:
+        _render(term, memo)
+        return memo[id(term)][1]
+
+    return show
+
+
+def _render(root: Term, memo: dict[int, tuple[Term, str, int]]) -> None:
+    """Put root and every node below it that memo lacks into memo, children
+    first, with an explicit stack of (node, ready) entries.  A node is
+    pushed ready above its children and rendered from their entries when it
+    comes back, so church_value runs once per Lam.  Dispatch is on the exact
+    class: class patterns in a match took twice as long here."""
+    stack: list[tuple[Term, bool]] = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if key in memo:
+            continue
+        cls = type(node)
+        if cls is App:
+            if ready:
+                _, fn_text, fn_kind = memo[id(node.fn)]
+                _, arg_text, arg_kind = memo[id(node.arg)]
+                if fn_kind == _LAM:
+                    fn_text = f"({fn_text})"
+                if arg_kind != _ATOM:
+                    arg_text = f"({arg_text})"
+                memo[key] = (node, f"{fn_text} {arg_text}", _APP)
+            else:
+                stack += ((node, True), (node.arg, False), (node.fn, False))
+        elif cls is Var:
+            memo[key] = (node, node.name, _ATOM)
+        elif cls is Lam:
+            if ready:
+                _, text, kind = memo[id(node.body)]
+                if kind == _LAM:  # the body's binders join this prefix
+                    text = f"\\{node.binder} {text[1:]}"
+                else:
+                    text = f"\\{node.binder}. {text}"
+                memo[key] = (node, text, _LAM)
+            elif (n := church_value(node)) is not None:
+                memo[key] = (node, f"#{n}", _ATOM)
+            else:
+                stack += ((node, True), (node.body, False))
+        elif cls is Const:
+            if ready:
+                inner = ", ".join(memo[id(p)][1] for p in node.payload)
+                memo[key] = (node, f"{node.family.value}[{node.level}; {inner}]", _ATOM)
+            elif node.payload:
+                stack.append((node, True))
+                stack += ((p, False) for p in node.payload)
+            else:
+                memo[key] = (node, f"{node.family.value}[{node.level}]", _ATOM)
+        else:
+            raise TypeError(f"not a term: {node!r}")

@@ -229,18 +229,17 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
 
 def iter_consts(term: Term) -> Iterator[Const]:
     """Every constant occurrence, payloads included, left to right."""
-    match term:
-        case Var(_):
-            return
-        case Lam(_, body):
-            yield from iter_consts(body)
-        case App(fn, arg):
-            yield from iter_consts(fn)
-            yield from iter_consts(arg)
-        case Const(_, _, payload) as c:
-            yield c
-            for p in payload:
-                yield from iter_consts(p)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif isinstance(t, Lam):
+            stack.append(t.body)
+        elif isinstance(t, Const):
+            yield t
+            stack.extend(reversed(t.payload))
 
 
 def is_closed_pure(term: Term) -> bool:

@@ -1,11 +1,22 @@
 """Parser and pretty-printer round trips, definition files, error positions."""
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
-from genterms import any_term, rng
-from storlab import prelude
+from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
+from storlab import checker, cli, prelude, syntax
+from storlab.checker import run_check
 from storlab.reduction import normalize
-from storlab.syntax import Binding, ParseError, load_defs, parse, parse_defs, pretty
+from storlab.syntax import (
+    Binding,
+    ParseError,
+    load_defs,
+    parse,
+    parse_defs,
+    pretty,
+    printer,
+)
 from storlab.terms import (
     App,
     Const,
@@ -14,7 +25,11 @@ from storlab.terms import (
     Var,
     alpha_eq,
     app,
+    app_power,
+    church_value,
+    free_names,
     mk_church,
+    substitute,
 )
 
 
@@ -122,3 +137,132 @@ def test_round_trip_deep_payload_nesting():
     inner = Const(Family.UPPER, 0, (Var("p"), Const(Family.LOWER, 1, (Var("q"), Var("r")))))
     t = Lam("s", app(inner, Var("s"), mk_church(2)))
     assert alpha_eq(parse(pretty(t)), t)
+
+
+# -- the memoized printer, checked against the recursive original --
+
+
+def oracle_pp(term, pos="top"):
+    """pretty as it was before: one recursive call per node of the tree."""
+    match term:
+        case Var(name):
+            return name
+        case Const(family, level, payload):
+            if not payload:
+                return f"{family.value}[{level}]"
+            inner = ", ".join(oracle_pp(p, "top") for p in payload)
+            return f"{family.value}[{level}; {inner}]"
+        case Lam(_, _):
+            binders = []
+            body = term
+            while isinstance(body, Lam) and (n := church_value(body)) is None:
+                binders.append(body.binder)
+                body = body.body
+            inner = f"#{n}" if isinstance(body, Lam) else oracle_pp(body, "top")
+            if not binders:
+                return inner
+            out = "\\" + " ".join(binders) + ". " + inner
+            return out if pos == "top" else "(" + out + ")"
+        case App(fn, arg):
+            out = oracle_pp(fn, "fn") + " " + oracle_pp(arg, "arg")
+            return out if pos != "arg" else "(" + out + ")"
+    raise TypeError(f"not a term: {term!r}")
+
+
+def subterms(term):
+    """term and every node below it, payloads included."""
+    out = [term]
+    for t in out:
+        match t:
+            case Lam(_, body):
+                out.append(body)
+            case App(fn, arg):
+                out.extend((fn, arg))
+            case Const(_, _, payload):
+                out.extend(payload)
+    return out
+
+
+def _trace_terms():
+    """The states, taus and successors of real runs: a run stores its
+    context in the constant's payload, so these share subterm objects."""
+    env1, env2 = prelude("S1"), prelude("S2")
+    reports = [run_check(env1["T1"], Family.LOWER, 3),
+               run_check(env1["T2"], Family.UPPER, 3, env1["S1"]),
+               run_check(env2["T3"], Family.LOWER, 2),
+               run_check(env2["T3"], Family.UPPER, 3, env2["S2"])]
+    out = []
+    for report in reports:
+        out.extend(t for step in report.trace for t in (step.u, step.v))
+        out.extend(t for t in (report.tau, report.successor) if t is not None)
+    return out
+
+
+TRACE_TERMS = _trace_terms()
+
+
+def sharing_terms(seed):
+    """Generated terms plus terms built around one shared subterm object."""
+    r = rng(seed)
+    gen = (any_term, lower_term, p_term, pure_term)[seed % 4]
+    shared = gen(r, 3)
+    terms = []
+    for _ in range(r.randint(1, 4)):
+        t = gen(r, 4, (r.choice(BINDERS),))
+        terms.append(t)
+        loose = sorted(free_names(t) & set(FREEPOOL))
+        if loose:
+            terms.append(substitute(t, r.choice(loose), shared))
+        terms.append(app(t, shared, Lam(r.choice(BINDERS), t)))
+        terms.append(app(shared, t))
+        terms.append(Const(Family.UPPER, r.randint(0, 2), (shared, t)))
+    terms.append(shared)
+    sub = subterms(terms[r.randrange(len(terms))])
+    terms.extend(r.sample(sub, min(len(sub), 5)))
+    return terms
+
+
+@hyp.given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(TRACE_TERMS), max_size=12))
+def test_printer_matches_oracle_on_shared_terms(seed, from_traces):
+    terms = sharing_terms(seed) + from_traces
+    rng(seed).shuffle(terms)
+    show = printer()
+    # the second round is answered from the memo
+    for t in terms + terms[::-1]:
+        assert show(t) == oracle_pp(t)
+
+
+def test_printer_matches_oracle_on_every_trace_subterm():
+    show = printer()
+    for term in TRACE_TERMS:
+        for t in subterms(term):
+            assert show(t) == oracle_pp(t)
+
+
+def test_pretty_deep_terms_without_recursion():
+    deep = pretty(Lam("x", app_power(Var("g"), 5000, Var("x"))))
+    assert deep == "\\x. " + "g (" * 4999 + "g x" + ")" * 4999
+    lams = Var("z")
+    for i in range(5000):
+        lams = Lam(BINDERS[i % len(BINDERS)], lams)
+    assert pretty(lams) == "\\" + " ".join(BINDERS * 1250)[::-1] + ". z"
+    assert pretty(app(Var("f"), *[Var("a")] * 5000)) == "f" + " a" * 5000
+    nested = Const(Family.UPPER, 0)
+    for level in range(1, 2001):
+        nested = Const(Family.UPPER, level, (Var("p"), nested))
+    assert pretty(nested) == "".join(f"X[{k}; p, " for k in range(2000, 0, -1)) + \
+        "X[0]" + "]" * 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-s-storage", "T3", "--succ", "S2", "--n-max", "20", "--json", "--trace"],
+    ["check-storage", "T1", "--n-max", "20", "--trace"],
+])
+def test_cli_output_is_the_oracle_printers(argv, monkeypatch, capsys):
+    code = cli.main(argv)
+    fast = capsys.readouterr().out
+    for module in (syntax, checker, cli):
+        monkeypatch.setattr(module, "printer", lambda: oracle_pp)
+    assert cli.main(argv) == code == 0
+    assert capsys.readouterr().out == fast

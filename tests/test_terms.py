@@ -18,6 +18,7 @@ from storlab.terms import (
     free_names,
     fresh_name,
     is_closed_pure,
+    iter_consts,
     mk_church,
     spine,
     substitute,
@@ -361,3 +362,55 @@ def test_substitute_returns_untouched_subterms_themselves():
     assert substitute(untouched, "x", Var("y")) is untouched
     result = substitute(App(untouched, Var("x")), "x", Var("y"))
     assert result.fn is untouched and result.arg == Var("y")
+
+
+# -- constants by an explicit stack, checked against the recursive original --
+
+
+def oracle_iter_consts(term):
+    """iter_consts as it was before: nested generators, one per level."""
+    match term:
+        case Var(_):
+            return
+        case Lam(_, body):
+            yield from oracle_iter_consts(body)
+        case App(fn, arg):
+            yield from oracle_iter_consts(fn)
+            yield from oracle_iter_consts(arg)
+        case Const(_, _, payload) as c:
+            yield c
+            for p in payload:
+                yield from oracle_iter_consts(p)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_iter_consts_matches_oracle_on_generated_terms(seed):
+    term, mapping = generated_case(seed)
+    for t in (term, substitute_many(term, mapping), *mapping.values()):
+        got, expected = list(iter_consts(t)), list(oracle_iter_consts(t))
+        # the same occurrences in the same order, by identity
+        assert [id(c) for c in got] == [id(c) for c in expected]
+        assert is_closed_pure(t) == (not free_names(t) and not expected)
+
+
+def test_iter_consts_order_and_laziness():
+    inner = Const(Family.UPPER, 0, (Var("p"), Var("q")))
+    outer = Const(Family.LOWER, 1, (inner, Const(Family.LOWER, 0)))
+    seed = Const(Family.UPPER, 2)
+    term = Lam("s", app(outer, seed, Var("s")))
+    assert [c.level for c in iter_consts(term)] == [1, 0, 0, 2]
+    assert next(iter_consts(term)) is outer
+    assert list(iter_consts(Var("p"))) == []
+
+
+def test_iter_consts_deep_terms_without_recursion():
+    assert list(iter_consts(mk_church(5000))) == []
+    assert is_closed_pure(mk_church(5000))
+    seed = Const(Family.LOWER, 0)
+    deep = app_power(Var("g"), 5000, seed)
+    assert list(iter_consts(deep)) == [seed]
+    assert not is_closed_pure(Lam("g", deep))
+    nested = Const(Family.UPPER, 0)
+    for level in range(1, 5001):
+        nested = Const(Family.UPPER, level, (nested, Var("p")))
+    assert [c.level for c in iter_consts(nested)] == list(range(5000, -1, -1))
