@@ -20,7 +20,6 @@ from .terms import (
     app,
     is_closed_pure,
     mk_church,
-    spine,
     substitute,
 )
 
@@ -57,49 +56,58 @@ class FuelExhausted(Exception):
         self.steps = steps
 
 
-def _split(term: Term) -> tuple[list[str], Term, list[Term]]:
-    """term as its lambda-prefix binders, the head under them, and the
-    head's arguments; the head is a Lam exactly when term has a head redex."""
+def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[Term], int]:
+    """Head-reduce term until it is a head normal form or `steps` reaches
+    `fuel`, returning (prefix binders, head, argument stack, steps).
+
+    The argument stack holds the head's arguments with the first one last.
+    Each step pops it into the head abstraction's body, and an application
+    that comes out as the new head is unwound onto it; an abstraction with
+    no argument left joins the prefix.  The head is a Lam exactly when fuel
+    ran out before the head normal form.
+    """
     prefix: list[str] = []
-    while isinstance(term, Lam):
-        prefix.append(term.binder)
-        term = term.body
-    head, args = spine(term)
-    return prefix, head, args
+    args: list[Term] = []
+    head = term
+    while True:
+        kind = type(head)
+        if kind is App:
+            args.append(head.arg)
+            head = head.fn
+        elif kind is not Lam:
+            return prefix, head, args, steps
+        elif not args:
+            prefix.append(head.binder)
+            head = head.body
+        elif steps == fuel:
+            return prefix, head, args, steps
+        else:
+            head = substitute(head.body, head.binder, args.pop())
+            steps += 1
 
 
 def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:
-    """The inverse of _split: the prefix binders over head applied to args."""
+    """The prefix binders over head applied to args, the first argument first."""
     term = app(head, *args)
     for binder in reversed(prefix):
         term = Lam(binder, term)
     return term
 
 
-def _contract(prefix: list[str], head: Lam, args: list[Term]) -> Term:
-    """The _split parts of a term with its head redex (head args[0])
-    contracted."""
-    return _wrap(prefix, substitute(head.body, head.binder, args[0]), args[1:])
-
-
 def head_step(term: Term) -> Term | None:
     """Contract the head redex, or None if the term is in head normal form."""
-    prefix, head, args = _split(term)
-    return _contract(prefix, head, args) if isinstance(head, Lam) else None
+    prefix, head, args, steps = _run_head(term, 0, 1)
+    return _wrap(prefix, head, args[::-1]) if steps else None
 
 
 def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS) -> tuple[Term, int]:
     """Head-reduce to head normal form, returning (result, beta steps)."""
-    steps = 0
-    while steps < limits.head_fuel:
-        nxt = head_step(term)
-        if nxt is None:
-            return term, steps
-        term = nxt
-        steps += 1
-    if head_step(term) is None:
-        return term, steps
-    raise FuelExhausted(STAGE_HEAD, term, steps)
+    prefix, head, args, steps = _run_head(term, 0, limits.head_fuel)
+    if steps:
+        term = _wrap(prefix, head, args[::-1])
+    if isinstance(head, Lam):
+        raise FuelExhausted(STAGE_HEAD, term, steps)
+    return term, steps
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,10 @@ class HnfDecomposition:
 
 
 def decompose_hnf(term: Term) -> HnfDecomposition:
-    prefix, head, args = _split(term)
+    prefix, head, args, _ = _run_head(term, 0, 0)
     if isinstance(head, Lam):
         raise ValueError("term still has a head redex")
-    return HnfDecomposition(tuple(prefix), head, tuple(args))
+    return HnfDecomposition(tuple(prefix), head, tuple(reversed(args)))
 
 
 def _rebuild(prefix: list[str], head: Term, items: list[Term]) -> Term:
@@ -135,31 +143,34 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
 
     Normal order is head reduction to a head normal form, then the
     normalization of its items left to right: a head constant's payload,
-    then the arguments.  Each frame on the stack is a head normal form, its
-    items and the normal forms of those done so far; `term` is the next item.
+    then the arguments.  Each frame on the stack is a head normal form (the
+    item itself when it took no step, else None), its parts and the normal
+    forms of its items done so far; `term` is the next item.
     """
     steps = 0
-    frames: list[tuple[Term, list[str], Term, list[Term], list[Term]]] = []
+    frames: list[tuple[Term | None, list[str], Term, list[Term], list[Term]]] = []
     while True:
-        prefix, head, args = _split(term)
-        while isinstance(head, Lam):
-            if steps == limits.norm_fuel:
-                # put the item back into its context, innermost frame first
-                for _, fprefix, fhead, items, done in reversed(frames):
-                    term = _rebuild(fprefix, fhead, done + [term] + items[len(done) + 1:])
-                raise FuelExhausted(STAGE_NORM, term, steps)
-            term = _contract(prefix, head, args)
-            steps += 1
-            prefix, head, args = _split(term)
+        prefix, head, args, taken = _run_head(term, steps, limits.norm_fuel)
+        args.reverse()
+        if isinstance(head, Lam):
+            if taken > steps:
+                term = _wrap(prefix, head, args)
+            # put the item back into its context, innermost frame first
+            for _, fprefix, fhead, items, done in reversed(frames):
+                term = _rebuild(fprefix, fhead, done + [term] + items[len(done) + 1:])
+            raise FuelExhausted(STAGE_NORM, term, taken)
         items = [*head.payload, *args] if isinstance(head, Const) else args
-        frames.append((term, prefix, head, items, []))
+        frames.append((term if taken == steps else None, prefix, head, items, []))
+        steps = taken
         while True:
             hnf, prefix, head, items, done = frames[-1]
             if len(done) < len(items):
                 term = items[len(done)]
                 break
             frames.pop()
-            if any(d is not i for d, i in zip(done, items)):  # else keep it, shared
+            # an item that took no step and whose items all came back as
+            # they were is kept, shared
+            if hnf is None or any(d is not i for d, i in zip(done, items)):
                 hnf = _rebuild(prefix, head, done)
             if not frames:
                 return hnf

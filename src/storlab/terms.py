@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 
 class Family(Enum):
@@ -154,26 +154,51 @@ def free_names(term: Term) -> frozenset[str]:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return _alpha(t, u, {}, {}, 0)
+    """Equal up to the names of bound variables, payloads included.
 
-
-def _alpha(t: Term, u: Term, tb: dict, ub: dict, depth: int) -> bool:
-    match (t, u):
-        case (Var(a), Var(b)):
-            return tb.get(a, a) == ub.get(b, b)
-        case (Lam(a, abody), Lam(b, bbody)):
-            return _alpha(abody, bbody, {**tb, a: depth}, {**ub, b: depth}, depth + 1)
-        case (App(af, aa), App(bf, ba)):
-            return _alpha(af, bf, tb, ub, depth) and _alpha(aa, ba, tb, ub, depth)
-        case (Const(afam, alvl, apay), Const(bfam, blvl, bpay)):
-            return (
-                afam is bfam
-                and alvl == blvl
-                and len(apay) == len(bpay)
-                and all(_alpha(p, q, tb, ub, depth) for p, q in zip(apay, bpay))
-            )
-        case _:
+    Walks both terms with an explicit stack, so there is no depth limit.
+    Each binder pair gets a number; a name stands for the number of its
+    innermost binder pair in scope, or for itself when free, and each side
+    maps names to what they stand for.  A pair of one and the same closed
+    node is equal without a look inside; an open one is not skipped, since
+    its free names may be bound differently above it.
+    """
+    tb: dict[str, int | str] = {}
+    ub: dict[str, int | str] = {}
+    pairs = 0
+    stack: list = [(t, u)]
+    while stack:
+        t, u = stack.pop()
+        if t is None:  # leaving a binder pair: u holds what its names stood for
+            a, old_a, b, old_b = u
+            tb[a], ub[b] = old_a, old_b
+            continue
+        if t is u and not t._fv:
+            continue
+        kind = type(t)
+        if kind is not type(u):
             return False
+        if kind is Var:
+            a, b = t.name, u.name
+            if tb.get(a, a) != ub.get(b, b):
+                return False
+        elif kind is App:
+            stack.append((t.arg, u.arg))
+            stack.append((t.fn, u.fn))
+        elif kind is Lam:
+            a, b = t.binder, u.binder
+            stack.append((None, (a, tb.get(a, a), b, ub.get(b, b))))
+            tb[a] = ub[b] = pairs
+            pairs += 1
+            stack.append((t.body, u.body))
+        elif kind is Const:
+            if (t.family is not u.family or t.level != u.level
+                    or len(t.payload) != len(u.payload)):
+                return False
+            stack.extend(zip(reversed(t.payload), reversed(u.payload)))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return True
 
 
 def fresh_name(base: str, avoid: Iterable[str]) -> str:
@@ -184,47 +209,69 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
     return candidate
 
 
-def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution of free variables.
-
-    Binders are renamed (deterministically, by priming) only when they would
-    capture a free name of an incoming term.  Constant payloads are rewritten
-    like any other subterm.  A subterm with none of the mapped names free is
-    returned as it is, not rebuilt.
-    """
-    return _subst(term, dict(mapping))
-
-
-def _subst(t: Term, m: dict[str, Term]) -> Term:
-    match t:
-        case Var(name):
-            return m.get(name, t)
-        case App(fn, arg):
-            if free_names(t).isdisjoint(m):
-                return t
-            return App(_subst(fn, m), _subst(arg, m))
-        case Const(family, level, payload):
-            if free_names(t).isdisjoint(m):
-                return t
-            return Const(family, level, tuple(_subst(p, m) for p in payload))
-        case Lam(binder, body):
-            body_free = free_names(body)
-            live = {k: v for k, v in m.items() if k != binder and k in body_free}
-            if not live:
-                return t
-            incoming: set[str] = set()
-            for v in live.values():
-                incoming |= free_names(v)
-            if binder in incoming:
-                renamed = fresh_name(binder, incoming | body_free | set(live))
-                body = _subst(body, {binder: Var(renamed)})
-                binder = renamed
-            return Lam(binder, _subst(body, live))
-    raise TypeError(f"not a term: {t!r}")
-
-
 def substitute(term: Term, name: str, replacement: Term) -> Term:
-    return substitute_many(term, {name: replacement})
+    """Capture-avoiding substitution of replacement for the free name.
+
+    A binder is renamed, deterministically by priming, only when it would
+    capture a free name of the replacement.  Constant payloads are rewritten
+    like any other subterm.  A subterm in which the name is not free is
+    returned as it is, not rebuilt and not visited.
+
+    The walk is post-order with an explicit stack, so there is no depth
+    limit.  Only nodes with the name free are pushed, and an App takes the
+    replacement for a Var child without pushing it.  The rebuild of a node
+    is pushed below its children as a marker: the binder (a str) for a Lam;
+    for an App, its (fn, arg) pair with None for each child taken from the
+    results; for a Const, the node in a list.
+    """
+    if name not in term._fv:
+        return term
+    avoid = replacement._fv
+    done: list[Term] = []
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Var:
+            done.append(replacement)
+        elif kind is App:
+            fn, arg = t.fn, t.arg
+            f = fn if name not in fn._fv else replacement if type(fn) is Var else None
+            a = arg if name not in arg._fv else replacement if type(arg) is Var else None
+            if f is None or a is None:
+                todo.append((f, a))
+                if a is None:
+                    todo.append(arg)
+                if f is None:
+                    todo.append(fn)
+            else:
+                done.append(App(f, a))
+        elif kind is tuple:
+            fn, arg = t
+            if arg is None:
+                arg = done.pop()
+            done.append(App(done.pop() if fn is None else fn, arg))
+        elif kind is Lam:
+            binder, body = t.binder, t.body
+            if binder in avoid:  # name is free in body, so it is avoided too
+                renamed = fresh_name(binder, avoid | body._fv)
+                body = substitute(body, binder, Var(renamed))
+                binder = renamed
+            todo.append(binder)
+            todo.append(body)
+        elif kind is str:
+            done.append(Lam(t, done.pop()))
+        elif kind is Const:
+            todo.append([t])
+            todo.extend(reversed([p for p in t.payload if name in p._fv]))
+        elif kind is list:
+            c = t[0]
+            payload = list(c.payload)
+            for i in range(len(payload) - 1, -1, -1):
+                if name in payload[i]._fv:
+                    payload[i] = done.pop()
+            done.append(Const(c.family, c.level, tuple(payload)))
+    return done[0]
 
 
 def iter_consts(term: Term) -> Iterator[Const]:

@@ -12,6 +12,7 @@ import io
 
 from genterms import any_term, lower_term, p_term, pure_term, rng, \
     substitution_for, with_head_redex
+from oracles import substitute_many
 from storlab import prelude
 from storlab.checker import (
     EXIT_FUEL,
@@ -41,7 +42,6 @@ from storlab.terms import (
     app_power,
     iter_consts,
     mk_church,
-    substitute_many,
 )
 from storlab.theorems import delta_forward, delta_inverse, satisfies_P
 

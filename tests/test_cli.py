@@ -1,12 +1,18 @@
 """End-to-end command line behavior, driven through main() in process."""
 
+import contextlib
+import io
 import json
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
+from genterms import any_term, rng
 from storlab.checker import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED
 from storlab import cli
 from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, main
+from storlab.syntax import pretty
 
 
 def run(capsys, *argv):
@@ -207,13 +213,21 @@ def test_unread_flag_exits_3(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_recursion_limit_is_an_internal_error(capsys):
-    # substituting into a numeral this deep still recurses; the crash must
-    # not come out as a verdict
+def test_recursion_limit_is_an_internal_error(capsys, monkeypatch):
+    def too_deep(args, limits):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_normalize", too_deep)
     code, out, err = run(capsys, "normalize", "S1 #1500")
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("storlab: internal error: RecursionError: ")
+
+
+def test_deep_numeral_normalizes(capsys):
+    # substitution walks with an explicit stack, so depth is no limit
+    code, out, err = run(capsys, "normalize", "S1 #1500")
+    assert (code, out, err) == (EXIT_PASS, "#1501\n", "")
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -223,3 +237,71 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_parse", broken)
     code, out, err = run(capsys, "parse", "T1")
     assert (code, out, err) == (EXIT_INTERNAL, "", "storlab: internal error: RuntimeError: boom\n")
+
+
+# -- every command line ends in one of the five documented exit codes --
+
+_COMMANDS = ("parse", "reduce", "normalize", "check-successor", "check-storage",
+             "check-s-storage", "theorem1", "theorem2", "theorem3", "corpus")
+_NAMES = ("I", "S1", "S2", "G", "d0", "T1", "F", "T2", "a3", "b3", "T3", "p")
+_NOISE = "\\.()#xX[];, pqst0123"
+
+
+def cli_case(seed):
+    """A command line: a generated, builtin or garbled term, small fuels,
+    bounds from -1 to 3, and optional --succ, --json and --trace."""
+    r = rng(seed)
+    roll = r.random()
+    if roll < 0.5:
+        source = pretty(any_term(r, 4))
+    elif roll < 0.8:
+        source = r.choice(_NAMES)
+    else:
+        source = "".join(r.choice(_NOISE) for _ in range(r.randint(0, 12)))
+
+    def fuel():
+        return str(r.randint(0, 30))
+
+    command = r.choice(_COMMANDS)
+    argv = [command]
+    if command not in ("theorem3", "corpus"):
+        argv.append(source)
+    if command == "reduce":
+        argv += ["--head-fuel", fuel()]
+    elif command in ("normalize", "check-successor"):
+        argv += ["--norm-fuel", fuel()]
+    elif command != "parse":
+        argv += ["--head-fuel", fuel(), "--macro-fuel", fuel(), "--norm-fuel", fuel()]
+    if command == "check-successor":
+        argv += ["--k-max", str(r.randint(-1, 3))]
+    elif command not in ("parse", "reduce", "normalize"):
+        argv += ["--n-max", str(r.randint(-1, 3))]
+    if command in ("check-s-storage", "theorem1", "theorem2") and r.random() < 0.5:
+        argv += ["--succ", r.choice(("S1", "S2", source))]
+    if command in ("check-storage", "check-s-storage") and r.random() < 0.3:
+        argv.append("--trace")
+    if r.random() < 0.3:
+        argv.append("--json")
+    return argv
+
+
+def exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_exit_code_is_always_documented(seed):
+    argv = cli_case(seed)
+    assert exit_code(argv) in (0, 1, 2, 3, 4), argv
+
+
+def test_generated_command_lines_reach_every_outcome():
+    # the property above is not vacuous: its generator reaches pass,
+    # refutation, fuel exhaustion and usage errors
+    codes = {exit_code(cli_case(seed)) for seed in range(120)}
+    assert {0, 1, 2, 3} <= codes

@@ -13,7 +13,9 @@ from genterms import (
     substitution_for,
     with_head_redex,
 )
+from oracles import oracle_head_reduce, oracle_head_step, substitute_many
 from storlab import prelude
+from storlab.checker import run_check
 from storlab.reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -36,7 +38,6 @@ from storlab.terms import (
     church_value,
     mk_church,
     substitute,
-    substitute_many,
 )
 
 OMEGA = App(Lam("x", App(Var("x"), Var("x"))), Lam("x", App(Var("x"), Var("x"))))
@@ -343,3 +344,60 @@ def test_normalize_fuel_matches_oracle(seed):
     for fuel in range(1, 41):
         limits = Limits(norm_fuel=fuel)
         assert outcome(normalize, term, limits) == outcome(oracle_normalize, term, limits)
+
+
+# -- head reduction on an argument stack, checked against the head_step loop
+#    it replaced (oracles.py) --
+
+
+def test_beta_equiv_deep_numeral_without_recursion():
+    env = prelude()
+    assert beta_equiv(App(env["S1"], mk_church(1200)), mk_church(1201)) is True
+    assert beta_equiv(App(env["S2"], mk_church(1200)), mk_church(1200)) is False
+
+
+def test_head_reduce_returns_a_head_normal_form_itself():
+    hnf = Lam("f", app(Var("f"), App(IDENTITY, Var("p"))))
+    assert head_reduce(hnf)[0] is hnf
+    assert head_reduce(hnf, Limits(head_fuel=1))[0] is hnf
+
+
+def run_states():
+    """Every state a storage run head-reduces: T1, T2 and T3, lower and
+    upper with S1 and S2, levels 0 to 3."""
+    states = []
+    for succ in ("S1", "S2"):
+        env = prelude(succ)
+        for op in ("T1", "T2", "T3"):
+            for family in Family:
+                for n in range(4):
+                    successor = env[succ] if family is Family.UPPER else None
+                    report = run_check(env[op], family, n, successor)
+                    states += [step.u for step in report.trace]
+    return states
+
+
+RUN_STATES = run_states()
+
+
+def head_case(seed):
+    """A state of a storage run, a generated term, or one whose head
+    reduction takes up to 50 steps: a numeral iterating a function that
+    takes two steps per application, under a binder, before an argument."""
+    r = rng(seed)
+    if seed % 3 == 0:
+        return RUN_STATES[r.randrange(len(RUN_STATES))]
+    if seed % 3 == 1:
+        twice = Lam("y", App(IDENTITY, Var("y")))
+        return Lam("q", app(mk_church(r.randint(0, 24)), twice, Var("q"), pure_term(r, 2)))
+    return normalization_case(seed)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_head_reduce_fuel_matches_oracle(seed):
+    term = head_case(seed)
+    assert head_step(term) == oracle_head_step(term)
+    for fuel in (*range(1, 41), 500):
+        limits = Limits(head_fuel=fuel)
+        # names included: the result, or the stage, steps and partial term
+        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
+from oracles import oracle_alpha_eq, substitute_many
 from storlab.terms import (
     App,
     Const,
@@ -22,7 +23,6 @@ from storlab.terms import (
     mk_church,
     spine,
     substitute,
-    substitute_many,
 )
 
 names = st.sampled_from(("p", "q", "r", "s", "t"))
@@ -105,7 +105,7 @@ def test_alpha_eq_reflexive(t):
 
 @hyp.given(terms, terms)
 def test_alpha_eq_symmetric(t, u):
-    assert alpha_eq(t, u) == alpha_eq(u, t)
+    assert alpha_eq(t, u) == alpha_eq(u, t) == oracle_alpha_eq(t, u)
 
 
 def rename_binders(t, suffix):
@@ -306,6 +306,8 @@ def test_substitute_many_matches_oracle_on_generated_terms(seed):
     got = substitute_many(term, mapping)
     assert got == expected  # binder names included, not just alpha
     assert free_names(got) == oracle_free_names(expected)
+    for name, value in mapping.items():  # the production kernel, one name at a time
+        assert substitute(term, name, value) == oracle_substitute_many(term, {name: value})
 
 
 @hyp.given(terms, names, terms)
@@ -414,3 +416,120 @@ def test_iter_consts_deep_terms_without_recursion():
     for level in range(1, 5001):
         nested = Const(Family.UPPER, level, (nested, Var("p")))
     assert [c.level for c in iter_consts(nested)] == list(range(5000, -1, -1))
+
+
+# -- substitution and alpha-equivalence by explicit stacks, checked against
+#    the recursive originals in oracles.py --
+
+
+def test_substitute_renames_past_free_primed_names():
+    # y' is free in the body, so the renamed binder must skip it too
+    t = Lam("y", App(Var("z"), App(Var("y"), Var("y'"))))
+    expected = Lam("y''", App(Var("y"), App(Var("y''"), Var("y'"))))
+    assert substitute(t, "z", Var("y")) == expected == substitute_many(t, {"z": Var("y")})
+
+
+def test_substitute_deep_terms_without_recursion():
+    deep = app_power(Var("g"), 5000, Var("x"))
+    assert church_value(Lam("g", Lam("y", substitute(deep, "x", Var("y"))))) == 5000
+    assert church_value(Lam("f", Lam("x", substitute(deep, "g", Var("f"))))) == 5000
+    assert substitute(deep, "z", Var("y")) is deep
+    # the binder captures the incoming y: renamed through the whole spine
+    out = substitute(Lam("y", app_power(Var("y"), 5000, Var("z"))), "z", Var("y"))
+    assert out.binder == "y'"
+    assert alpha_eq(out, Lam("w", app_power(Var("w"), 5000, Var("y"))))
+    assert church_value(Lam("y'", Lam("y", out.body))) == 5000
+    # 5000 nested binders, each renamed on the way down
+    chain = Var("z")
+    for _ in range(5000):
+        chain = Lam("y", App(Var("y"), chain))
+    out = substitute(chain, "z", Var("y"))
+    for _ in range(5000):
+        assert isinstance(out, Lam) and out.binder == "y'"
+        assert out.body.fn == Var("y'")
+        out = out.body.arg
+    assert out == Var("y")
+    # 5000 nested payloads
+    nested = Var("z")
+    for level in range(5000):
+        nested = Const(Family.UPPER, level, (nested, Var("p")))
+    out = substitute(nested, "z", mk_church(1))
+    assert [c.level for c in iter_consts(out)] == list(range(4999, -1, -1))
+    assert free_names(out) == {"p"}
+
+
+def test_alpha_eq_deep_terms_without_recursion():
+    assert alpha_eq(mk_church(5000), mk_church(5000))
+    assert not alpha_eq(mk_church(5000), mk_church(4999))
+    # differ only at the bottom: the bound x against the bound f
+    bottom_f = Lam("f", Lam("x", app_power(Var("f"), 5000, Var("f"))))
+    assert not alpha_eq(mk_church(5000), bottom_f)
+    assert not alpha_eq(bottom_f, mk_church(5000))
+
+    def binders(names, body):
+        for name in reversed(names):
+            body = Lam(name, body)
+        return body
+
+    one = binders([f"a{i}" for i in range(5000)], Var("a0"))
+    other = binders([f"b{i}" for i in range(5000)], Var("b0"))
+    last = binders([f"b{i}" for i in range(5000)], Var("b1"))
+    assert alpha_eq(one, other)
+    assert not alpha_eq(one, last)
+
+
+def test_alpha_eq_scopes_end_with_their_binders():
+    # s is bound on the left of each application and free on the right
+    assert alpha_eq(App(Lam("s", Var("s")), Var("s")), App(Lam("t", Var("t")), Var("s")))
+    assert alpha_eq(Const(Family.UPPER, 0, (Lam("s", Var("s")), Var("s"))),
+                    Const(Family.UPPER, 0, (Lam("t", Var("t")), Var("s"))))
+    # leaving the inner x uncovers the outer x again
+    assert alpha_eq(Lam("x", App(Lam("x", Var("x")), Var("x"))),
+                    Lam("y", App(Lam("z", Var("z")), Var("y"))))
+    assert not alpha_eq(Lam("x", App(Lam("x", Var("x")), Var("x"))),
+                        Lam("y", App(Lam("z", Var("z")), Var("z"))))
+
+
+def test_alpha_eq_does_not_skip_shared_open_subterms():
+    body = App(Var("x"), Var("y"))
+    assert not alpha_eq(Lam("x", Lam("y", body)), Lam("y", Lam("x", body)))
+    assert alpha_eq(Lam("x", Lam("y", body)), Lam("x", Lam("y", body)))
+    shared = Lam("s", Var("s"))
+    assert alpha_eq(App(shared, shared), App(shared, Lam("t", Var("t"))))
+
+
+def shared_pair(seed):
+    """Two terms built around one shared body object, under binder names
+    chosen, ordered or swapped independently, so the body's free names are
+    bound differently in each about as often as the same."""
+    r = rng(seed)
+    gen = GENERATORS[seed % len(GENERATORS)]
+    names = tuple(r.sample(BINDERS, 3))
+    body = gen(r, 4, names)
+
+    def around(t):
+        roll = r.random()
+        for name in r.sample(names, r.randint(0, 3)):
+            t = Lam(name, t)
+        if roll < 0.3:
+            t = App(t, body)
+        elif roll < 0.5:
+            t = Const(Family.UPPER, 1, (t, body))
+        return t
+
+    t = around(body)
+    u = around(body) if r.random() < 0.7 else substitute(t, r.choice(names), Var(r.choice(names)))
+    return t, u
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_alpha_eq_matches_oracle_on_shared_subterms(seed):
+    t, u = shared_pair(seed)
+    expected = oracle_alpha_eq(t, u)
+    assert alpha_eq(t, u) == expected
+    assert alpha_eq(u, t) == expected
+
+
+def test_shared_pairs_are_equal_and_unequal():
+    outcomes = {oracle_alpha_eq(*shared_pair(seed)) for seed in range(100)}
+    assert outcomes == {True, False}
