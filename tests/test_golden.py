@@ -81,6 +81,17 @@ CASES = {
     "corpus_json": ["corpus", "--n-max", "2", "--json"],
     "corpus_fuel": ["corpus", "--n-max", "2", "--head-fuel", "10"],
     "corpus_fuel_json": ["corpus", "--n-max", "2", "--head-fuel", "10", "--json"],
+    # rows that share runs with theorem 2 while they starve, and the tau
+    # comparison against a numeral under a small normalization budget
+    "corpus_head_fuel": ["corpus", "--n-max", "2", "--head-fuel", "3"],
+    "corpus_head_fuel_json": ["corpus", "--n-max", "2", "--head-fuel", "3", "--json"],
+    "corpus_macro_fuel": ["corpus", "--n-max", "3", "--macro-fuel", "3"],
+    "corpus_macro_fuel_json": ["corpus", "--n-max", "3", "--macro-fuel", "3", "--json"],
+    "check_storage_norm_fuel": ["check-storage", "T1", "--n-max", "3", "--norm-fuel", "2"],
+    "check_storage_norm_fuel_json": ["check-storage", "T1", "--n-max", "3",
+                                     "--norm-fuel", "2", "--json"],
+    "theorem3_norm_fuel": ["theorem3", "--n-max", "2", "--norm-fuel", "2"],
+    "theorem3_norm_fuel_json": ["theorem3", "--n-max", "2", "--norm-fuel", "2", "--json"],
 }
 
 
