@@ -28,11 +28,17 @@ _OPERATORS = (
 )
 
 
-def prelude(successor: str | Term = "S1") -> dict[str, Term]:
-    """Standard bindings, with S bound to the chosen successor."""
+def core() -> dict[str, Term]:
+    """The bindings that need no successor: I, S1 and S2."""
     env: dict[str, Term] = {}
     for name, source in _CORE:
         env[name] = parse(source, env)
+    return env
+
+
+def prelude(successor: str | Term = "S1") -> dict[str, Term]:
+    """Standard bindings, with S bound to the chosen successor."""
+    env = core()
     if isinstance(successor, str):
         if successor not in env:
             raise ValueError(f"unknown successor {successor!r}")

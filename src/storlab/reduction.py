@@ -18,6 +18,7 @@ from .terms import (
     Term,
     alpha_eq,
     app,
+    church_value,
     is_closed_pure,
     mk_church,
     substitute,
@@ -178,9 +179,17 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
 
 
 def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
-    """True/False by comparing normal forms, None when fuel runs out first."""
+    """True/False by comparing normal forms, None when fuel runs out first.
+
+    When u is a literal numeral, already normal, t's normal form is read as
+    a numeral instead: it is alpha-equivalent to u exactly when it is that
+    numeral.
+    """
+    n = church_value(u)
     try:
         tn = normalize(t, limits)
+        if n is not None:
+            return church_value(tn) == n
         un = normalize(u, limits)
     except FuelExhausted:
         return None

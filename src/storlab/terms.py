@@ -38,10 +38,49 @@ def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
 
 
+# == and hash compare what _shape yields, so deep terms compare and hash
+# without a depth limit.  Both are structural, binder names included, and
+# leave the free-name slot out.
+
+def _shape(term: Term) -> Iterator[object]:
+    """Each node's own part, in pre-order: a Var's name, App, a Lam's binder,
+    a Const's family, level and payload length."""
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Var:
+            yield t.name
+        elif kind is App:
+            yield App
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif kind is Lam:
+            yield Lam, t.binder
+            stack.append(t.body)
+        else:
+            yield t.family, t.level, len(t.payload)
+            stack.extend(reversed(t.payload))
+
+
+def _eq(self: Term, other: object) -> bool:
+    if type(other) not in _KINDS:
+        return NotImplemented
+    # a node's part fixes how many children follow it, so two shapes that
+    # agree as far as both go are the same length
+    return self is other or all(a == b for a, b in zip(_shape(self), _shape(other)))
+
+
+def _hash(self: Term) -> int:
+    return hash(tuple(_shape(self)))
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __post_init__(self) -> None:
         fv = _SINGLETONS.get(self.name)
@@ -55,6 +94,8 @@ class Lam:
     binder: str
     body: "Term"
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __post_init__(self) -> None:
         fv = self.body._fv
@@ -68,6 +109,8 @@ class App:
     fn: "Term"
     arg: "Term"
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_fv", _join(self.fn._fv, self.arg._fv))
@@ -79,6 +122,8 @@ class Const:
     level: int
     payload: tuple["Term", ...] = ()
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __eq__ = _eq
+    __hash__ = _hash
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -96,6 +141,7 @@ class Const:
 
 
 Term = Union[Var, Lam, App, Const]
+_KINDS = (Var, Lam, App, Const)
 
 
 def app(fn: Term, *args: Term) -> Term:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from .builtins import prelude
+from .builtins import core, prelude
 from .checker import (
     TAU_NOT_CLOSED,
     MacroStep,
@@ -63,12 +63,6 @@ BOUND_NAME_IN_AB = "BoundNameInAB"
 PAYLOAD_VIOLATION = "PayloadViolation"
 
 
-def _reject_family(t: Term, family: Family, who: str) -> None:
-    for const in iter_consts(t):
-        if const.family is family:
-            raise ValueError(f"{who} does not accept {family.value}-family constants")
-
-
 def sigma_subst(t: Term, successor: Term) -> Term:
     """Replace every upper constant of level k by (S)^k #0, payload dropped.
 
@@ -78,9 +72,9 @@ def sigma_subst(t: Term, successor: Term) -> Term:
     """
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
-    _reject_family(t, Family.LOWER, "sigma_subst")
     zero = mk_church(0)
-    return _map_consts(t, lambda c: app_power(successor, c.level, zero))
+    return _map_consts(t, lambda c, _: app_power(successor, c.level, zero),
+                       Family.LOWER, "sigma_subst")
 
 
 def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
@@ -95,25 +89,61 @@ def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
         raise ValueError("successor must be a closed constant-free term")
     if y in free_names(t):
         raise ValueError(f"{y!r} occurs free in the term")
-    _reject_family(t, Family.LOWER, "sigma_hat_subst")
     s_hat = App(Lam("x", successor), Var(y))
     zero_hat = App(Lam("x", mk_church(0)), Var(y))
-    return _map_consts(t, lambda c: app_power(s_hat, c.level, zero_hat))
+    return _map_consts(t, lambda c, _: app_power(s_hat, c.level, zero_hat),
+                       Family.LOWER, "sigma_hat_subst")
 
 
-def _map_consts(t: Term, image: Callable[[Const], Term]) -> Term:
-    """t rebuilt with every constant replaced by image(constant); payloads
-    are left to image."""
-    match t:
-        case Var():
-            return t
-        case Const():
-            return image(t)
-        case Lam(binder, body):
-            return Lam(binder, _map_consts(body, image))
-        case App(fn, arg):
-            return App(_map_consts(fn, image), _map_consts(arg, image))
-    raise TypeError(f"not a term: {t!r}")
+def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
+                rejected: Family, who: str) -> Term:
+    """t with every constant c replaced by image(c, payload), where payload
+    is c's payload mapped the same way.  Raises ValueError, naming who, on a
+    constant of the rejected family.
+
+    The walk is post-order with an explicit stack and a memo keyed on node
+    identity, for this call only, so each distinct node is visited once,
+    payloads included, at any depth.  A subterm that maps to itself comes
+    back as the same object.
+    """
+    done: dict[int, Term] = {}
+    todo: list[Term] = [t]
+    while todo:
+        node = todo[-1]
+        if id(node) in done:
+            todo.pop()
+            continue
+        kind = type(node)
+        if kind is Var:
+            result = node
+        elif kind is App:
+            fn, arg = done.get(id(node.fn)), done.get(id(node.arg))
+            if fn is None or arg is None:
+                if arg is None:
+                    todo.append(node.arg)
+                if fn is None:
+                    todo.append(node.fn)
+                continue
+            result = node if fn is node.fn and arg is node.arg else App(fn, arg)
+        elif kind is Lam:
+            body = done.get(id(node.body))
+            if body is None:
+                todo.append(node.body)
+                continue
+            result = node if body is node.body else Lam(node.binder, body)
+        elif kind is Const:
+            if node.family is rejected:
+                raise ValueError(f"{who} does not accept {rejected.value}-family constants")
+            missing = [p for p in node.payload if id(p) not in done]
+            if missing:
+                todo.extend(reversed(missing))
+                continue
+            result = image(node, tuple(done[id(p)] for p in node.payload))
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        todo.pop()
+        done[id(node)] = result
+    return done[id(t)]
 
 
 @dataclass(frozen=True)
@@ -209,16 +239,14 @@ def delta_forward(t: Term) -> Term:
     (X[k; a', b', c'...]) a' b'.  The image of a machine state always
     satisfies (P).
     """
-    _reject_family(t, Family.UPPER, "delta_forward")
-    return _map_consts(t, _delta_const)
+    return _map_consts(t, _delta_const, Family.UPPER, "delta_forward")
 
 
-def _delta_const(const: Const) -> Term:
-    if not const.payload:
+def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
+    if not payload:
         return Const(Family.UPPER, const.level)
-    image = tuple(_map_consts(p, _delta_const) for p in const.payload)
-    stored = Const(Family.UPPER, const.level, image)
-    return App(App(stored, image[0]), image[1])
+    stored = Const(Family.UPPER, const.level, payload)
+    return App(App(stored, payload[0]), payload[1])
 
 
 def delta_inverse(t: Term) -> Term:
@@ -229,7 +257,8 @@ def delta_inverse(t: Term) -> Term:
     delta_forward(delta_inverse(t)) is alpha-equivalent to t.  Raises
     PViolationError when t does not satisfy (P).
     """
-    _reject_family(t, Family.LOWER, "delta_inverse")
+    if any(c.family is Family.LOWER for c in iter_consts(t)):
+        raise ValueError("delta_inverse does not accept x-family constants")
     violation = p_violation(t)
     if violation is not None:
         raise PViolationError(violation)
@@ -436,7 +465,7 @@ def verify_theorem2_instance(operator: Term, n_max: int,
         return LevelCheck(n, lower, upper, status,
                           tau_match=tau_match, delta_match=delta_match)
 
-    return _levels("theorem2", operator, prelude()["S1"], n_max, limits, judge)
+    return _levels("theorem2", operator, core()["S1"], n_max, limits, judge)
 
 
 def _delta_correspondence(lower: RunReport, upper: RunReport,

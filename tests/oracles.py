@@ -2,17 +2,36 @@
 
 Each is the recursive original of a walker that now runs on an explicit
 stack: simultaneous substitution over a dict, alpha-equivalence with one
-binder map per scope, and head reduction as a loop of single head steps,
-each unwinding and rebuilding the whole spine.  They recurse once per level
-of depth, so they are for small generated terms only.
+binder map per scope, head reduction as a loop of single head steps, each
+unwinding and rebuilding the whole spine, and the constant mappings sigma,
+sigma-hat and delta as a tree walk after a separate scan for constants of
+the rejected family.  They recurse once per level of depth, so they are for
+small generated terms only.  beta_equiv is the original that normalizes
+both sides and compares them by alpha-equivalence.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
-from storlab.reduction import DEFAULT_LIMITS, STAGE_HEAD, FuelExhausted, Limits
-from storlab.terms import App, Const, Lam, Term, Var, app, fresh_name, free_names, spine
+from storlab.reduction import DEFAULT_LIMITS, STAGE_HEAD, FuelExhausted, Limits, normalize
+from storlab.terms import (
+    App,
+    Const,
+    Family,
+    Lam,
+    Term,
+    Var,
+    alpha_eq,
+    app,
+    app_power,
+    fresh_name,
+    free_names,
+    is_closed_pure,
+    iter_consts,
+    mk_church,
+    spine,
+)
 
 
 def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -104,3 +123,65 @@ def oracle_head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS) -> tuple[Ter
     if oracle_head_step(term) is None:
         return term, steps
     raise FuelExhausted(STAGE_HEAD, term, steps)
+
+
+def oracle_beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+    try:
+        tn = normalize(t, limits)
+        un = normalize(u, limits)
+    except FuelExhausted:
+        return None
+    return alpha_eq(tn, un)
+
+
+def _reject_family(t: Term, family: Family, who: str) -> None:
+    for const in iter_consts(t):
+        if const.family is family:
+            raise ValueError(f"{who} does not accept {family.value}-family constants")
+
+
+def _map_consts(t: Term, image: Callable[[Const], Term]) -> Term:
+    """t rebuilt with every constant replaced by image(constant); payloads
+    are left to image."""
+    match t:
+        case Var():
+            return t
+        case Const():
+            return image(t)
+        case Lam(binder, body):
+            return Lam(binder, _map_consts(body, image))
+        case App(fn, arg):
+            return App(_map_consts(fn, image), _map_consts(arg, image))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_sigma_subst(t: Term, successor: Term) -> Term:
+    if not is_closed_pure(successor):
+        raise ValueError("successor must be a closed constant-free term")
+    _reject_family(t, Family.LOWER, "sigma_subst")
+    zero = mk_church(0)
+    return _map_consts(t, lambda c: app_power(successor, c.level, zero))
+
+
+def oracle_sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
+    if not is_closed_pure(successor):
+        raise ValueError("successor must be a closed constant-free term")
+    if y in free_names(t):
+        raise ValueError(f"{y!r} occurs free in the term")
+    _reject_family(t, Family.LOWER, "sigma_hat_subst")
+    s_hat = App(Lam("x", successor), Var(y))
+    zero_hat = App(Lam("x", mk_church(0)), Var(y))
+    return _map_consts(t, lambda c: app_power(s_hat, c.level, zero_hat))
+
+
+def oracle_delta_forward(t: Term) -> Term:
+    _reject_family(t, Family.UPPER, "delta_forward")
+    return _map_consts(t, _delta_const)
+
+
+def _delta_const(const: Const) -> Term:
+    if not const.payload:
+        return Const(Family.UPPER, const.level)
+    image = tuple(_map_consts(p, _delta_const) for p in const.payload)
+    stored = Const(Family.UPPER, const.level, image)
+    return App(App(stored, image[0]), image[1])

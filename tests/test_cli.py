@@ -118,6 +118,34 @@ def test_corpus_fuel_starvation(capsys):
     assert "DEVIATION" not in out
 
 
+@pytest.mark.parametrize("argv, last", [
+    (("theorem2", "T1", "--n-max", "64"), "verdict: Pass"),
+    (("corpus", "--n-max", "32"), "corpus: Pass"),
+])
+def test_theorems_hold_at_larger_n(capsys, argv, last):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_PASS
+    assert out.splitlines()[-1] == last
+
+
+def test_corpus_runs_each_sweep_once(capsys, monkeypatch):
+    import storlab.checker as checker
+    import storlab.theorems as theorems
+
+    original, runs = checker.run_check, []
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    for module in (checker, theorems):
+        monkeypatch.setattr(module, "run_check", counting)
+    assert run(capsys, "corpus", "--n-max", "2")[0] == EXIT_PASS
+    # theorem 2 on T1, T2, T3 and theorem 3 run two sweeps each, the
+    # s-storage rows with S2 one each; theorem 3 repeats T3's lower sweep
+    assert len(runs) == 10 * 3
+
+
 def test_defs_flow(capsys, tmp_path):
     path = tmp_path / "ops.defs"
     path.write_text("def T4 = \\n f. n F f #0;\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import (
+    BINDERS,
     any_term,
     lower_term,
     p_term,
@@ -13,7 +14,7 @@ from genterms import (
     substitution_for,
     with_head_redex,
 )
-from oracles import oracle_head_reduce, oracle_head_step, substitute_many
+from oracles import oracle_beta_equiv, oracle_head_reduce, oracle_head_step, substitute_many
 from storlab import prelude
 from storlab.checker import run_check
 from storlab.reduction import (
@@ -35,6 +36,7 @@ from storlab.terms import (
     Var,
     alpha_eq,
     app,
+    app_power,
     church_value,
     mk_church,
     substitute,
@@ -259,9 +261,8 @@ def test_limits_validation():
 
 
 def test_normalize_deep_numerals_without_recursion():
-    # compared with church_value: == on terms this deep recurses itself
-    assert church_value(normalize(mk_church(5000))) == 5000
-    assert church_value(normalize(App(IDENTITY, mk_church(5000)))) == 5000
+    assert normalize(mk_church(5000)) == mk_church(5000)
+    assert normalize(App(IDENTITY, mk_church(5000))) == mk_church(5000)
 
 
 # -- the normalizer checked against the one it replaced --
@@ -401,3 +402,81 @@ def test_head_reduce_fuel_matches_oracle(seed):
         limits = Limits(head_fuel=fuel)
         # names included: the result, or the stage, steps and partial term
         assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+
+
+# -- beta_equiv against a literal numeral reads the other side's normal form
+#    as a numeral; checked against normalizing both sides (oracles.py) --
+
+SUCCESSORS = (prelude()["S1"], prelude()["S2"])
+
+
+def test_beta_equiv_numeral_shapes():
+    zero_alike = Lam("a", Lam("a", Var("a")))  # #0 with both binders named alike
+    assert beta_equiv(zero_alike, mk_church(0)) is True
+    assert beta_equiv(mk_church(0), zero_alike) is True
+    assert beta_equiv(App(IDENTITY, zero_alike), mk_church(0)) is True
+    assert beta_equiv(Lam("a", Lam("a", App(Var("a"), Var("a")))), mk_church(1)) is False
+    assert beta_equiv(Lam("g", Lam("h", App(Var("g"), Var("h")))), mk_church(1)) is True
+    assert beta_equiv(Lam("g", Lam("h", App(Var("h"), Var("h")))), mk_church(1)) is False
+    assert beta_equiv(Var("p"), mk_church(2)) is False
+    assert beta_equiv(OMEGA, mk_church(2), Limits(norm_fuel=50)) is None
+
+
+def test_beta_equiv_does_not_normalize_a_literal_numeral(monkeypatch):
+    import storlab.reduction as reduction
+
+    normalized = []
+
+    def counting(term, limits=DEFAULT_LIMITS):
+        normalized.append(term)
+        return normalize(term, limits)
+
+    monkeypatch.setattr(reduction, "normalize", counting)
+    assert check_successor(SUCCESSORS[0], 40).all_pass
+    assert len(normalized) == 41
+    assert all(church_value(t) is None for t in normalized)
+
+
+def numeral_like(r):
+    """A literal numeral under any binder names, #0 with its binders alike,
+    its look-alikes that are no numeral, a numeral that is not normal, or a
+    generated term."""
+    k = r.randint(0, 4)
+    f, x = r.sample(BINDERS, 2)
+    roll = r.random()
+    if roll < 0.25:
+        return mk_church(k)
+    if roll < 0.45:
+        return Lam(f, Lam(x, app_power(Var(f), k, Var(x))))
+    if roll < 0.55:
+        return Lam(f, Lam(f, app_power(Var(f), k, Var(f))))
+    if roll < 0.65:
+        return Lam(f, Lam(x, app_power(Var(f), k, Var(f))))
+    if roll < 0.85:
+        return App(r.choice(SUCCESSORS), mk_church(k))
+    return pure_term(r, 3)
+
+
+def beta_case(seed):
+    r = rng(seed)
+    roll = r.random()
+    if roll < 0.5:
+        t = App(r.choice((*SUCCESSORS, IDENTITY)), numeral_like(r))
+    elif roll < 0.7:
+        t = numeral_like(r)
+    else:
+        t = normalization_case(seed)
+    return t, numeral_like(r)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_beta_equiv_matches_oracle(seed):
+    t, u = beta_case(seed)
+    for fuel in range(1, 41):
+        limits = Limits(norm_fuel=fuel)
+        assert beta_equiv(t, u, limits) == oracle_beta_equiv(t, u, limits)
+
+
+def test_beta_cases_reach_every_answer():
+    answers = {oracle_beta_equiv(*beta_case(seed), Limits(norm_fuel=3)) for seed in range(200)}
+    assert answers == {True, False, None}

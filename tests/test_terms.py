@@ -533,3 +533,57 @@ def test_alpha_eq_matches_oracle_on_shared_subterms(seed):
 def test_shared_pairs_are_equal_and_unequal():
     outcomes = {oracle_alpha_eq(*shared_pair(seed)) for seed in range(100)}
     assert outcomes == {True, False}
+
+
+# -- == and hash, iterative and structural --
+
+
+def rebuilt(t):
+    """An equal term that shares no node with t."""
+    match t:
+        case Var(name):
+            return Var(name)
+        case Lam(binder, body):
+            return Lam(binder, rebuilt(body))
+        case App(fn, arg):
+            return App(rebuilt(fn), rebuilt(arg))
+        case Const(family, level, payload):
+            return Const(family, level, tuple(rebuilt(p) for p in payload))
+
+
+@hyp.given(terms, terms)
+def test_eq_and_hash_are_structural(t, u):
+    copy = rebuilt(t)
+    assert copy == t and not copy != t and hash(copy) == hash(t)
+    # repr shows every compared field, binder names included, and no free-name set
+    assert (t == u) == (repr(t) == repr(u)) == (u == t)
+    if t == u:
+        assert hash(t) == hash(u)
+
+
+def test_eq_is_not_alpha_and_rejects_other_types():
+    assert Lam("x", Var("x")) != Lam("y", Var("y"))
+    assert Const(Family.LOWER, 1) != Const(Family.UPPER, 1)
+    assert Const(Family.LOWER, 1, (Var("p"), Var("q"))) != Const(Family.LOWER, 1)
+    assert Var("x") != App(Var("x"), Var("x"))
+    assert Var("x").__eq__("x") is NotImplemented
+    assert Var("x") != "x" and Const(Family.LOWER, 0) != 0
+
+
+def test_eq_and_hash_deep_terms_without_recursion():
+    assert mk_church(5000) == mk_church(5000)
+    assert hash(mk_church(5000)) == hash(mk_church(5000))
+    assert len({mk_church(5000), mk_church(5000), mk_church(4999)}) == 2
+    # differ only at the bottom
+    assert mk_church(5000) != mk_church(4999)
+    assert mk_church(5000) != Lam("f", Lam("x", app_power(Var("f"), 5000, Var("f"))))
+
+    def nested(bottom):
+        t = bottom
+        for level in range(5000):
+            t = Lam(BINDERS[level % len(BINDERS)], Const(Family.UPPER, level, (Var("p"), t)))
+        return t
+
+    assert nested(Var("q")) == nested(Var("q"))
+    assert hash(nested(Var("q"))) == hash(nested(Var("q")))
+    assert nested(Var("q")) != nested(Var("r"))

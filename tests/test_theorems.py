@@ -1,9 +1,12 @@
 """Numeral erasure, the payload discipline, the family translation, and the
 instance verifiers built on them."""
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
-from genterms import lower_term, p_term, rng, with_head_redex
+from genterms import BINDERS, any_term, lower_term, p_term, rng, with_head_redex
+from oracles import oracle_delta_forward, oracle_sigma_hat_subst, oracle_sigma_subst
 from storlab import prelude
 from storlab.checker import MacroStep, RunReport, Verdict, run_check
 from storlab.reduction import Limits, beta_equiv, head_reduce, head_step
@@ -320,3 +323,112 @@ def test_theorem3_tau_values():
         report = run_check(env2["T3"], Family.UPPER, n, env2["S2"])
         assert report.verdict == Verdict.SUCCESS
         assert beta_equiv(report.tau, mk_church(n)) is True
+
+
+# -- sigma, sigma-hat and delta as one fold over the term as a DAG, checked
+#    against the tree walks they replaced (oracles.py) --
+
+S1, S2 = prelude()["S1"], prelude("S2")["S2"]
+FAMILY_OF = {lower_term: Family.LOWER, p_term: Family.UPPER}
+
+
+def mapping_case(seed):
+    """A generated term built from pieces used more than once: in
+    applications, under binders and in the payloads of stored constants.
+    Lower-family pieces suit delta, upper-family ones sigma, and mixed ones
+    are rejected by both."""
+    r = rng(seed)
+    gen = (lower_term, p_term, any_term)[seed % 3]
+    pieces = [gen(r, 3) for _ in range(3)]
+    for _ in range(r.randint(1, 6)):
+        a, b = r.choice(pieces), r.choice(pieces)
+        roll = r.random()
+        if roll < 0.4:
+            piece = App(a, b)
+        elif roll < 0.6:
+            piece = Lam(r.choice(BINDERS), a)
+        else:
+            family = FAMILY_OF.get(gen) or r.choice(tuple(Family))
+            extras = r.sample(pieces, r.randint(0, 2))
+            piece = Const(family, r.randint(0, 2), (a, b, *extras))
+        pieces.append(piece)
+    return pieces[-1]
+
+
+def mapped(mapping, *args):
+    try:
+        return mapping(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_constant_mappings_match_oracles(seed):
+    t = mapping_case(seed)
+    for successor in (S1, S2):
+        assert mapped(sigma_subst, t, successor) == mapped(oracle_sigma_subst, t, successor)
+        assert (mapped(sigma_hat_subst, t, successor)
+                == mapped(oracle_sigma_hat_subst, t, successor))
+    assert mapped(delta_forward, t) == mapped(oracle_delta_forward, t)
+
+
+def test_mapping_cases_are_mapped_and_rejected():
+    outcomes = {(type(mapped(sigma_subst, t, S1)), type(mapped(delta_forward, t)))
+                for t in map(mapping_case, range(60))}
+    assert {kind for kind, _ in outcomes} > {str}
+    assert {kind for _, kind in outcomes} > {str}
+    assert (str, str) in outcomes
+
+
+def test_constant_mappings_keep_unchanged_subterms_and_sharing():
+    pure = Lam("s", App(Var("s"), Var("p")))
+    stored = Const(Family.LOWER, 1, (pure, Var("q")))
+    out = delta_forward(App(App(stored, pure), stored))
+    assert out.fn.arg is pure
+    assert out.fn.fn is out.arg  # one image per distinct node
+    assert out.arg.fn.fn.payload[0] is pure and out.arg.fn.arg is pure
+    assert delta_forward(pure) is pure
+    assert sigma_subst(pure, S1) is pure and sigma_hat_subst(pure, S1) is pure
+
+
+def test_constant_mappings_walk_each_shared_node_once():
+    # as trees these terms have 2**64 nodes, as DAGs 65
+    lower, upper = Const(Family.LOWER, 0), Const(Family.UPPER, 3)
+    for level in range(64):
+        lower = Const(Family.LOWER, level, (Var("p"), Var("q"), lower, lower))
+        upper = App(upper, upper)
+    image = delta_forward(lower)
+    for _ in range(64):
+        stored = image.fn.fn
+        assert stored.payload[2] is stored.payload[3]
+        image = stored.payload[2]
+    assert image == Const(Family.UPPER, 0)
+    image = sigma_subst(upper, S1)
+    for _ in range(64):
+        assert image.fn is image.arg
+        image = image.fn
+    assert image == app_power(S1, 3, mk_church(0))
+
+
+def test_constant_mappings_deep_terms_without_recursion():
+    zero_hat = App(Lam("x", mk_church(0)), Var("y"))
+    s_hat = App(Lam("x", S1), Var("y"))
+    chain = app_power(Var("g"), 5000, Const(Family.UPPER, 2))
+    assert sigma_subst(Lam("g", chain), S1) == Lam(
+        "g", app_power(Var("g"), 5000, app_power(S1, 2, mk_church(0))))
+    assert sigma_hat_subst(chain, S1) == app_power(
+        Var("g"), 5000, app_power(s_hat, 2, zero_hat))
+    assert delta_forward(app_power(Var("g"), 5000, Const(Family.LOWER, 2))) == chain
+
+    # 5000 nested payloads, a seed at the bottom
+    nested_x, nested_X = Const(Family.LOWER, 0), Const(Family.UPPER, 0)
+    for i in range(5000):
+        nested_x = Const(Family.LOWER, i % 3, (Var("p"), Var("q"), nested_x))
+        nested_X = app(Const(Family.UPPER, i % 3, (Var("p"), Var("q"), nested_X)),
+                       Var("p"), Var("q"))
+    assert delta_forward(nested_x) == nested_X
+    assert sigma_subst(nested_X.fn.fn, S1) == app_power(S1, 4999 % 3, mk_church(0))
+    with pytest.raises(ValueError, match="sigma_subst does not accept x-family"):
+        sigma_subst(nested_x, S1)
+    with pytest.raises(ValueError, match="delta_forward does not accept X-family"):
+        delta_forward(nested_X)
