@@ -23,6 +23,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 OMEGA = "(\\x. x x) (\\x. x x)"
 # fuel runs out with the hole inside a payload, ahead of two unreduced arguments
 PARTIAL = "x[1; (\\y. y) p, (\\w. w) q] ((\\z. z) r) ((\\v. v) s)"
+# a successor S3 and an operator T4 over F, which the second pass rebuilds with S3
+DEFS = str(GOLDEN / "ops.defs")
 
 CASES = {
     "parse": ["parse", "T1"],
@@ -92,6 +94,10 @@ CASES = {
                                      "--norm-fuel", "2", "--json"],
     "theorem3_norm_fuel": ["theorem3", "--n-max", "2", "--norm-fuel", "2"],
     "theorem3_norm_fuel_json": ["theorem3", "--n-max", "2", "--norm-fuel", "2", "--json"],
+    "check_s_storage_defs": ["check-s-storage", "T4", "--succ", "S3", "--defs", DEFS,
+                             "--n-max", "2"],
+    "check_s_storage_defs_json": ["check-s-storage", "T4", "--succ", "S3", "--defs", DEFS,
+                                  "--n-max", "2", "--json"],
 }
 
 
