@@ -95,12 +95,6 @@ def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:
     return term
 
 
-def head_step(term: Term) -> Term | None:
-    """Contract the head redex, or None if the term is in head normal form."""
-    prefix, head, args, steps = _run_head(term, 0, 1)
-    return _wrap(prefix, head, args[::-1]) if steps else None
-
-
 def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS) -> tuple[Term, int]:
     """Head-reduce to head normal form, returning (result, beta steps)."""
     prefix, head, args, steps = _run_head(term, 0, limits.head_fuel)

@@ -40,7 +40,7 @@ def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 
 # == and hash compare what _shape yields, so deep terms compare and hash
 # without a depth limit.  Both are structural, binder names included, and
-# leave the free-name slot out.
+# leave the free-name slot out; so does repr, which walks with its own stack.
 
 def _shape(term: Term) -> Iterator[object]:
     """Each node's own part, in pre-order: a Var's name, App, a Lam's binder,
@@ -75,12 +75,37 @@ def _hash(self: Term) -> int:
     return hash(tuple(_shape(self)))
 
 
+def _repr(self: Term) -> str:
+    """The dataclass repr, built on an explicit stack of terms and text."""
+    out: list[str] = []
+    stack: list = [self]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is str:
+            out.append(t)
+        elif kind is Var:
+            out.append(f"Var(name={t.name!r})")
+        elif kind is App:
+            out.append("App(fn=")
+            stack += [")", t.arg, ", arg=", t.fn]
+        elif kind is Lam:
+            out.append(f"Lam(binder={t.binder!r}, body=")
+            stack += [")", t.body]
+        else:
+            out.append(f"Const(family={t.family!r}, level={t.level!r}, payload=(")
+            items = [x for p in reversed(t.payload) for x in (p, ", ")]
+            stack += ["))", *items[:-1]]
+    return "".join(out)
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
     __eq__ = _eq
     __hash__ = _hash
+    __repr__ = _repr
 
     def __post_init__(self) -> None:
         fv = _SINGLETONS.get(self.name)
@@ -96,6 +121,7 @@ class Lam:
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
     __eq__ = _eq
     __hash__ = _hash
+    __repr__ = _repr
 
     def __post_init__(self) -> None:
         fv = self.body._fv
@@ -111,6 +137,7 @@ class App:
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
     __eq__ = _eq
     __hash__ = _hash
+    __repr__ = _repr
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_fv", _join(self.fn._fv, self.arg._fv))
@@ -124,6 +151,7 @@ class Const:
     _fv: frozenset[str] = field(init=False, repr=False, compare=False)
     __eq__ = _eq
     __hash__ = _hash
+    __repr__ = _repr
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -149,16 +177,6 @@ def app(fn: Term, *args: Term) -> Term:
     for a in args:
         fn = App(fn, a)
     return fn
-
-
-def spine(term: Term) -> tuple[Term, list[Term]]:
-    """Unwind nested applications into (head, argument list)."""
-    args: list[Term] = []
-    while isinstance(term, App):
-        args.append(term.arg)
-        term = term.fn
-    args.reverse()
-    return term, args
 
 
 def app_power(fn: Term, n: int, seed: Term) -> Term:

@@ -4,12 +4,9 @@ The checker runs two abstract machines: one over plain lower constants x[n],
 one over upper constants X[n] driven by a successor term.  This module holds
 the bridges between them and the real calculus:
 
-  * ``sigma_subst`` erases upper constants into concrete numerals (S)^k #0,
-    turning an abstract trace into an ordinary head reduction.
-  * ``sigma_hat_subst`` does the same with delayed redexes, so every constant
-    image still has a head redex to contract.
-  * property (P) singles out the upper terms that are images of lower terms;
-    ``delta_forward`` and ``delta_inverse`` convert between the two families.
+  * ``sigma_hat_subst`` erases upper constants into delayed numerals, so
+    every constant image still has a head redex to contract.
+  * ``delta_forward`` translates lower-family terms to the upper family.
   * ``verify_theorem1_instance``, ``verify_theorem2_instance`` and
     ``verify_theorem3`` machine-check, per level n, the three claims the
     machinery exists for: a storage operator is an S-storage operator for
@@ -21,12 +18,11 @@ the bridges between them and the real calculus:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .builtins import core, prelude
 from .checker import (
     TAU_NOT_CLOSED,
-    MacroStep,
     RunReport,
     Verdict,
     check_operator,
@@ -39,7 +35,6 @@ from .reduction import (
     beta_equiv,
     decompose_hnf,
     head_reduce,
-    head_step,
 )
 from .terms import (
     App,
@@ -50,37 +45,17 @@ from .terms import (
     Var,
     alpha_eq,
     app,
-    app_power,
     free_names,
     is_closed_pure,
     iter_consts,
     mk_church,
-    spine,
 )
-
-NOT_APPLIED_TO_AB = "NotAppliedToAB"
-BOUND_NAME_IN_AB = "BoundNameInAB"
-PAYLOAD_VIOLATION = "PayloadViolation"
-
-
-def sigma_subst(t: Term, successor: Term) -> Term:
-    """Replace every upper constant of level k by (S)^k #0, payload dropped.
-
-    The images are closed, so no renaming is ever needed and the substitution
-    commutes with head steps.  Lower constants are rejected rather than passed
-    through.
-    """
-    if not is_closed_pure(successor):
-        raise ValueError("successor must be a closed constant-free term")
-    zero = mk_church(0)
-    return _map_consts(t, lambda c, _: app_power(successor, c.level, zero),
-                       Family.LOWER, "sigma_subst")
 
 
 def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
-    """Like sigma_subst but with delayed images built from a fresh variable y.
+    """Replace every upper constant of level k by the delayed numeral
+    (S^)^k 0^, payload dropped, where S^ = (\\x. S) y and 0^ = (\\x. #0) y.
 
-    Level k maps to (S^)^k 0^ where S^ = (\\x. S) y and 0^ = (\\x. #0) y.
     Both unfold by one head step, (S^)t > (S)t and 0^ > #0, which is what
     lets a fully abstract trace project onto a reduction that starts from a
     non-normal numeral.  y must not occur free in the input.
@@ -91,8 +66,20 @@ def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
         raise ValueError(f"{y!r} occurs free in the term")
     s_hat = App(Lam("x", successor), Var(y))
     zero_hat = App(Lam("x", mk_church(0)), Var(y))
-    return _map_consts(t, lambda c, _: app_power(s_hat, c.level, zero_hat),
-                       Family.LOWER, "sigma_hat_subst")
+    return _map_consts(t, _powers(s_hat, zero_hat), Family.LOWER, "sigma_hat_subst")
+
+
+def _powers(step: Term, zero: Term) -> Callable[[Const, tuple[Term, ...]], Term]:
+    """An image for _map_consts: level k maps to step applied k times to zero,
+    payload dropped.  Each level's image is built once, from the one below."""
+    images = [zero]
+
+    def image(const: Const, _: tuple[Term, ...]) -> Term:
+        while len(images) <= const.level:
+            images.append(App(step, images[-1]))
+        return images[const.level]
+
+    return image
 
 
 def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
@@ -146,91 +133,6 @@ def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
     return done[id(t)]
 
 
-@dataclass(frozen=True)
-class PViolation:
-    """Where and how property (P) fails.
-
-    path addresses the offending stored-constant occurrence: "body" steps
-    under a binder, "fn"/"arg" through applications, "payload[i]" into a
-    constant's payload.
-    """
-
-    path: tuple[str, ...]
-    kind: str
-
-
-class PViolationError(Exception):
-    def __init__(self, violation: PViolation):
-        super().__init__(f"{violation.kind} at {'/'.join(violation.path) or '<root>'}")
-        self.violation = violation
-
-
-def p_violation(t: Term) -> PViolation | None:
-    """First property-(P) violation in t, or None.
-
-    A stored upper constant X[k; a, b, ...] is in order when it heads an
-    application whose first two arguments are alpha-copies of a and b, when
-    a and b use no name bound by an enclosing abstraction, and when the
-    payload itself is recursively in order.  Seed constants and lower-family
-    constants are unconstrained.
-    """
-    return _scan_p(t, frozenset(), ())
-
-
-def satisfies_P(t: Term) -> bool:
-    return p_violation(t) is None
-
-
-def _is_constrained(head: Term) -> bool:
-    return isinstance(head, Const) and head.family is Family.UPPER and not head.is_seed
-
-
-def _scan_p(t: Term, bound: frozenset[str], path: tuple[str, ...]) -> PViolation | None:
-    match t:
-        case Var():
-            return None
-        case Const():
-            if _is_constrained(t):
-                return PViolation(path, NOT_APPLIED_TO_AB)
-            # seed payloads are empty; stored lower payloads still scan
-            return _scan_payload(t, bound, path)
-        case Lam(binder, body):
-            return _scan_p(body, bound | {binder}, path + ("body",))
-        case App():
-            head, args = spine(t)
-            if _is_constrained(head):
-                assert isinstance(head, Const)
-                head_path = path + ("fn",) * len(args)
-                a, b = head.payload[0], head.payload[1]
-                if len(args) < 2 or not (alpha_eq(args[0], a) and alpha_eq(args[1], b)):
-                    return PViolation(head_path, NOT_APPLIED_TO_AB)
-                if (free_names(a) | free_names(b)) & bound:
-                    return PViolation(head_path, BOUND_NAME_IN_AB)
-                inner = _scan_payload(head, bound, head_path)
-                if inner is not None:
-                    return PViolation(inner.path, PAYLOAD_VIOLATION)
-                for i, arg in enumerate(args):
-                    arg_path = path + ("fn",) * (len(args) - 1 - i) + ("arg",)
-                    found = _scan_p(arg, bound, arg_path)
-                    if found is not None:
-                        return found
-                return None
-            found = _scan_p(t.fn, bound, path + ("fn",))
-            if found is not None:
-                return found
-            return _scan_p(t.arg, bound, path + ("arg",))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _scan_payload(const: Const, bound: frozenset[str],
-                  path: tuple[str, ...]) -> PViolation | None:
-    for i, item in enumerate(const.payload):
-        found = _scan_p(item, bound, path + (f"payload[{i}]",))
-        if found is not None:
-            return found
-    return None
-
-
 def delta_forward(t: Term) -> Term:
     """Translate a lower-family term to its upper-family image.
 
@@ -247,97 +149,6 @@ def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
         return Const(Family.UPPER, const.level)
     stored = Const(Family.UPPER, const.level, payload)
     return App(App(stored, payload[0]), payload[1])
-
-
-def delta_inverse(t: Term) -> Term:
-    """Inverse translation, defined exactly on the (P)-satisfying terms.
-
-    Strips the re-applied copies of a and b from every stored constant's
-    application and converts constants back to the lower family, so that
-    delta_forward(delta_inverse(t)) is alpha-equivalent to t.  Raises
-    PViolationError when t does not satisfy (P).
-    """
-    if any(c.family is Family.LOWER for c in iter_consts(t)):
-        raise ValueError("delta_inverse does not accept x-family constants")
-    violation = p_violation(t)
-    if violation is not None:
-        raise PViolationError(violation)
-    return _delta_inv(t)
-
-
-def _delta_inv(t: Term) -> Term:
-    match t:
-        case Var():
-            return t
-        case Const(level=level, payload=()):
-            return Const(Family.LOWER, level)
-        case Const():
-            # bare stored constant; p_violation would have flagged it
-            raise PViolationError(PViolation((), NOT_APPLIED_TO_AB))
-        case Lam(binder, body):
-            return Lam(binder, _delta_inv(body))
-        case App():
-            head, args = spine(t)
-            if _is_constrained(head):
-                assert isinstance(head, Const)
-                back = Const(Family.LOWER, head.level,
-                             tuple(_delta_inv(p) for p in head.payload))
-                return app(back, *(_delta_inv(a) for a in args[2:]))
-            return App(_delta_inv(t.fn), _delta_inv(t.arg))
-    raise TypeError(f"not a term: {t!r}")
-
-
-@dataclass(frozen=True)
-class Lemma1Report:
-    """Outcome of replaying an upper trace and checking (P) step by step.
-
-    A violation is a single head step from a term satisfying (P) to one that
-    does not.  States outside (P) are not themselves violations; the claim
-    under test is preservation, not membership.
-    """
-
-    pairs_checked: int
-    macro_index: int | None = None
-    step_index: int | None = None
-    witness: PViolation | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.witness is None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"check": "lemma1", "ok": self.ok,
-                               "pairs_checked": self.pairs_checked}
-        if self.witness is not None:
-            out["macro_index"] = self.macro_index
-            out["step_index"] = self.step_index
-            out["kind"] = self.witness.kind
-            out["path"] = "/".join(self.witness.path)
-        return out
-
-
-def _replay(step: MacroStep) -> Iterator[tuple[Term, Term]]:
-    t = step.u
-    for _ in range(step.beta_steps):
-        nxt = head_step(t)
-        if nxt is None:
-            raise ValueError("trace does not replay: ran out of head redexes")
-        yield t, nxt
-        t = nxt
-
-
-def verify_lemma1_along(report: RunReport) -> Lemma1Report:
-    """Scan every head step of a recorded upper run for a (P) preservation
-    failure."""
-    if report.family is not Family.UPPER:
-        raise ValueError("lemma 1 concerns upper-family runs")
-    pairs = 0
-    for i, step in enumerate(report.trace):
-        for j, (t, nxt) in enumerate(_replay(step)):
-            pairs += 1
-            if satisfies_P(t) and not satisfies_P(nxt):
-                return Lemma1Report(pairs, i, j, p_violation(nxt))
-    return Lemma1Report(pairs)
 
 
 @dataclass(frozen=True)

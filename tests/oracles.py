@@ -5,9 +5,11 @@ stack: simultaneous substitution over a dict, alpha-equivalence with one
 binder map per scope, head reduction as a loop of single head steps, each
 unwinding and rebuilding the whole spine, and the constant mappings sigma,
 sigma-hat and delta as a tree walk after a separate scan for constants of
-the rejected family.  They recurse once per level of depth, so they are for
-small generated terms only.  beta_equiv is the original that normalizes
-both sides and compares them by alpha-equivalence.
+the rejected family, and the repr the dataclasses generated.  They recurse
+once per level of depth, so they are for small generated terms only.
+beta_equiv is the original that normalizes both sides and compares them by
+alpha-equivalence.  spine unwinds an application for these oracles and for
+the lemma checks in theory.py.
 """
 
 from __future__ import annotations
@@ -30,8 +32,17 @@ from storlab.terms import (
     is_closed_pure,
     iter_consts,
     mk_church,
-    spine,
 )
+
+
+def spine(term: Term) -> tuple[Term, list[Term]]:
+    """Unwind nested applications into (head, argument list)."""
+    args: list[Term] = []
+    while isinstance(term, App):
+        args.append(term.arg)
+        term = term.fn
+    args.reverse()
+    return term, args
 
 
 def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -94,6 +105,20 @@ def _alpha(t: Term, u: Term, tb: dict, ub: dict, depth: int) -> bool:
             )
         case _:
             return False
+
+
+def oracle_repr(t: Term) -> str:
+    match t:
+        case Var(name):
+            return f"Var(name={name!r})"
+        case Lam(binder, body):
+            return f"Lam(binder={binder!r}, body={oracle_repr(body)})"
+        case App(fn, arg):
+            return f"App(fn={oracle_repr(fn)}, arg={oracle_repr(arg)})"
+        case Const(family, level, payload):
+            items = ", ".join(oracle_repr(p) for p in payload)
+            return f"Const(family={family!r}, level={level!r}, payload=({items}))"
+    raise TypeError(f"not a term: {t!r}")
 
 
 def oracle_head_step(term: Term) -> Term | None:

@@ -30,7 +30,6 @@ from storlab.reduction import (
     check_successor,
     decompose_hnf,
     head_reduce,
-    head_step,
     normalize,
 )
 from storlab.syntax import parse, pretty
@@ -43,7 +42,8 @@ from storlab.terms import (
     iter_consts,
     mk_church,
 )
-from storlab.theorems import delta_forward, delta_inverse, satisfies_P
+from storlab.theorems import delta_forward
+from theory import delta_inverse, head_step, satisfies_P
 
 BUILTINS = ("I", "S1", "S2", "G", "d0", "T1", "F", "T2", "a3", "b3", "T3")
 

@@ -25,7 +25,6 @@ from storlab.reduction import (
     check_successor,
     decompose_hnf,
     head_reduce,
-    head_step,
     normalize,
 )
 from storlab.terms import (
@@ -41,6 +40,7 @@ from storlab.terms import (
     mk_church,
     substitute,
 )
+from theory import head_step
 
 OMEGA = App(Lam("x", App(Var("x"), Var("x"))), Lam("x", App(Var("x"), Var("x"))))
 IDENTITY = Lam("x", Var("x"))

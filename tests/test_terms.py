@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
-from oracles import oracle_alpha_eq, substitute_many
+from oracles import oracle_alpha_eq, oracle_repr, spine, substitute_many
 from storlab.terms import (
     App,
     Const,
@@ -21,7 +21,6 @@ from storlab.terms import (
     is_closed_pure,
     iter_consts,
     mk_church,
-    spine,
     substitute,
 )
 
@@ -549,6 +548,26 @@ def rebuilt(t):
             return App(rebuilt(fn), rebuilt(arg))
         case Const(family, level, payload):
             return Const(family, level, tuple(rebuilt(p) for p in payload))
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_repr_matches_oracle_on_generated_terms(seed):
+    r = rng(seed)
+    for gen in (pure_term, lower_term, p_term, any_term):
+        t = gen(r, 5)
+        assert repr(t) == oracle_repr(t)
+
+
+def test_repr_deep_terms_without_recursion():
+    assert repr(mk_church(5000)) == (
+        "Lam(binder='f', body=Lam(binder='x', body="
+        + "App(fn=Var(name='f'), arg=" * 5000 + "Var(name='x')" + ")" * 5002)
+    nested = Const(Family.UPPER, 0)
+    for level in range(5000):
+        nested = Const(Family.UPPER, level, (Var("p"), nested))
+    text = repr(nested)
+    assert text.startswith("Const(family=<Family.UPPER: 'X'>, level=4999, payload=(Var(name='p'), ")
+    assert text.endswith("level=0, payload=())" + "))" * 5000)
 
 
 @hyp.given(terms, terms)

@@ -9,7 +9,7 @@ from genterms import BINDERS, any_term, lower_term, p_term, rng, with_head_redex
 from oracles import oracle_delta_forward, oracle_sigma_hat_subst, oracle_sigma_subst
 from storlab import prelude
 from storlab.checker import MacroStep, RunReport, Verdict, run_check
-from storlab.reduction import Limits, beta_equiv, head_reduce, head_step
+from storlab.reduction import Limits, beta_equiv, head_reduce
 from storlab.terms import (
     App,
     Const,
@@ -22,20 +22,23 @@ from storlab.terms import (
     mk_church,
 )
 from storlab.theorems import (
+    delta_forward,
+    sigma_hat_subst,
+    verify_theorem1_instance,
+    verify_theorem2_instance,
+    verify_theorem3,
+)
+from theory import (
     BOUND_NAME_IN_AB,
     NOT_APPLIED_TO_AB,
     PAYLOAD_VIOLATION,
     PViolationError,
-    delta_forward,
     delta_inverse,
+    head_step,
     p_violation,
     satisfies_P,
-    sigma_hat_subst,
     sigma_subst,
     verify_lemma1_along,
-    verify_theorem1_instance,
-    verify_theorem2_instance,
-    verify_theorem3,
 )
 
 U, V, W = Var("u"), Var("v"), Var("w")
@@ -420,14 +423,16 @@ def test_constant_mappings_deep_terms_without_recursion():
         Var("g"), 5000, app_power(s_hat, 2, zero_hat))
     assert delta_forward(app_power(Var("g"), 5000, Const(Family.LOWER, 2))) == chain
 
-    # 5000 nested payloads, a seed at the bottom
+    # 5000 nested payloads at levels 0..4999, a seed at the bottom; the
+    # images of the payload constants are built, one per level, and dropped
     nested_x, nested_X = Const(Family.LOWER, 0), Const(Family.UPPER, 0)
     for i in range(5000):
-        nested_x = Const(Family.LOWER, i % 3, (Var("p"), Var("q"), nested_x))
-        nested_X = app(Const(Family.UPPER, i % 3, (Var("p"), Var("q"), nested_X)),
+        nested_x = Const(Family.LOWER, i, (Var("p"), Var("q"), nested_x))
+        nested_X = app(Const(Family.UPPER, i, (Var("p"), Var("q"), nested_X)),
                        Var("p"), Var("q"))
     assert delta_forward(nested_x) == nested_X
-    assert sigma_subst(nested_X.fn.fn, S1) == app_power(S1, 4999 % 3, mk_church(0))
+    assert sigma_subst(nested_X.fn.fn, S1) == app_power(S1, 4999, mk_church(0))
+    assert sigma_hat_subst(nested_X.fn.fn, S1) == app_power(s_hat, 4999, zero_hat)
     with pytest.raises(ValueError, match="sigma_subst does not accept x-family"):
         sigma_subst(nested_x, S1)
     with pytest.raises(ValueError, match="delta_forward does not accept X-family"):
