@@ -1,8 +1,10 @@
-"""Golden outputs: stdout bytes and exit code of every subcommand.
+"""Golden outputs: stdout and stderr bytes and exit code of every subcommand.
 
 Each case runs `storlab.cli.main` in process and compares what it printed,
-byte for byte, with `golden/<name>.out`, and its exit code with the one
-recorded in `golden/exit_codes.json`.  A deliberate output change
+byte for byte, with `golden/<name>.out`, what it printed to stderr with
+`golden/<name>.err` (a file kept only for cases that print there), and its
+exit code with the one recorded in `golden/exit_codes.json`.  A deliberate
+output change
 regenerates the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -25,6 +27,8 @@ OMEGA = "(\\x. x x) (\\x. x x)"
 PARTIAL = "x[1; (\\y. y) p, (\\w. w) q] ((\\z. z) r) ((\\v. v) s)"
 # a successor S3 and an operator T4 over F, which the second pass rebuilds with S3
 DEFS = str(GOLDEN / "ops.defs")
+# a definition file whose last definition lacks its ';'
+BAD_DEFS = str(GOLDEN / "bad.defs")
 
 CASES = {
     "parse": ["parse", "T1"],
@@ -98,14 +102,18 @@ CASES = {
                              "--n-max", "2"],
     "check_s_storage_defs_json": ["check-s-storage", "T4", "--succ", "S3", "--defs", DEFS,
                                   "--n-max", "2", "--json"],
+    # parse errors: exit 3 and a message with line and column on stderr
+    "parse_unclosed": ["parse", "(p"],
+    "parse_lambda_argument": ["parse", "f \\x. x"],
+    "parse_bad_defs": ["parse", "T1", "--defs", BAD_DEFS],
 }
 
 
 def run_case(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -115,23 +123,28 @@ def exit_codes():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, exit_codes):
-    code, out = run_case(CASES[name])
+    code, out, err = run_case(CASES[name])
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+    err_path = GOLDEN / f"{name}.err"
+    assert err == (err_path.read_bytes() if err_path.exists() else b"")
     assert code == exit_codes[name]
 
 
 def test_every_golden_file_has_a_case(exit_codes):
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES) == set(exit_codes)
+    assert {p.stem for p in GOLDEN.glob("*.err")} <= set(CASES)
 
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for path in GOLDEN.glob("*.out"):
+    for path in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.err")]:
         path.unlink()
     codes = {}
     for name in sorted(CASES):
-        codes[name], out = run_case(CASES[name])
+        codes[name], out, err = run_case(CASES[name])
         (GOLDEN / f"{name}.out").write_bytes(out)
+        if err:
+            (GOLDEN / f"{name}.err").write_bytes(err)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
 
 

@@ -85,10 +85,35 @@ def test_parse_error_reports_position():
     assert "line 1" in str(info.value)
 
 
+PARSE_ERRORS = {
+    "": "expected a term, found 'end of input' (line 1, column 1)",
+    "p q)": "unexpected trailing input ')' (line 1, column 4)",
+    "x[1; a]": "a stored constant needs at least two payload terms (line 1, column 7)",
+    "x[": "expected 'nat', found 'end of input' (line 1, column 3)",
+    "\\. x": "expected 'ident', found '.' (line 1, column 2)",
+    "X[-1]": "unexpected character '-' (line 1, column 3)",
+    "def p = q;": "unexpected trailing input '=' (line 1, column 7)",
+    "(p": "expected ')', found 'end of input' (line 1, column 3)",
+    "f \\x. x": "unexpected trailing input '\\\\' (line 1, column 3)",
+    "xx[0]": "unexpected trailing input '[' (line 1, column 3)",
+    "x[1; a, b": "expected ']', found 'end of input' (line 1, column 10)",
+    "(\\x. x": "expected ')', found 'end of input' (line 1, column 7)",
+}
+
+DEFS_ERRORS = {
+    "def broken = \\x. x": "expected ';', found 'end of input' (line 1, column 19)",
+    "def = x;": "expected 'ident', found '=' (line 1, column 5)",
+    "x = y;": "expected 'def', found 'x' (line 1, column 1)",
+    "def a = ;": "expected a term, found ';' (line 1, column 9)",
+}
+
+
 def test_parse_error_cases():
-    for bad in ("", "p q)", "x[1; a]", "x[", "\\. x", "X[-1]", "def p = q;"):
-        with pytest.raises(ParseError):
-            parse(bad)
+    for parser, errors in ((parse, PARSE_ERRORS), (parse_defs, DEFS_ERRORS)):
+        for source, message in errors.items():
+            with pytest.raises(ParseError) as info:
+                parser(source)
+            assert str(info.value) == message, source
 
 
 def test_parse_defs_sees_earlier_bindings():
