@@ -73,11 +73,9 @@ def _env_pass(args: argparse.Namespace, successor: str | Term) -> dict[str, Term
     env = prelude(successor)
     for path in args.defs or ():
         try:
-            bindings = load_defs(path, env)
+            env.update(load_defs(path, env))
         except OSError as exc:
             raise UsageError(f"cannot read defs file: {exc}") from exc
-        for binding in bindings:
-            env[binding.name] = binding.value
     return env
 
 

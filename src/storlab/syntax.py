@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .terms import App, Const, Family, Lam, Term, Var, church_value, mk_church
 
@@ -67,29 +67,19 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _as_env(env) -> dict[str, Term]:
-    if env is None:
-        return {}
-    if isinstance(env, Mapping):
-        return dict(env)
-    return {b.name: b.value for b in env}
-
-
 class _Parser:
-    def __init__(self, text: str, tokens: list[Token], env: dict[str, Term]):
+    def __init__(self, text: str, env: Mapping[str, Term]):
         self.text = text
-        self.tokens = tokens
+        self.tokens = tokenize(text)
         self.env = env
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        self.i += 1  # never past eof: every caller has looked at the token
+        return self.tokens[self.i - 1]
 
     def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.peek()
@@ -99,113 +89,112 @@ class _Parser:
                              self.text, tok.pos)
         return self.advance()
 
-    def at_atom(self) -> bool:
-        tok = self.peek()
-        return tok.kind in ("ident", "church") or (tok.kind == "punct" and tok.value == "(")
-
-    def parse_term(self, bound: frozenset[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "lam":
-            self.advance()
-            binders = [self.expect("ident").value]
-            while self.peek().kind == "ident":
-                binders.append(self.advance().value)
-            self.expect("punct", ".")
-            body = self.parse_term(bound | set(binders))
-            for b in reversed(binders):
-                body = Lam(b, body)
-            return body
-        return self.parse_app(bound)
-
-    def parse_app(self, bound: frozenset[str]) -> Term:
-        if not self.at_atom():
+    def term(self) -> Term:
+        """Parse the term at the cursor, up to the first token that cannot
+        continue it.  Each open parenthesis or constant payload is a frame on
+        an explicit stack.  A frame holds the binders of its lambda prefix,
+        its scope (the env names that open binders shadow; no other name
+        needs one), the application built so far and its opener: None at the
+        top, "(", or a constant's family, level and payload so far.  A lambda
+        may only start a term, a parenthesis or a payload item; any other
+        token that is not an atom closes the frame.
+        """
+        stack: list[tuple] = []
+        binders, scope, fn, opener = [], frozenset(), None, None
+        while True:
             tok = self.peek()
-            raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
-                             self.text, tok.pos)
-        term = self.parse_atom(bound)
-        while self.at_atom():
-            term = App(term, self.parse_atom(bound))
-        return term
-
-    def parse_atom(self, bound: frozenset[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "church":
-            self.advance()
-            return mk_church(int(tok.value[1:]))
-        if tok.kind == "punct" and tok.value == "(":
-            self.advance()
-            term = self.parse_term(bound)
-            self.expect("punct", ")")
-            return term
-        if tok.kind == "ident":
-            nxt = self.peek(1)
-            if tok.value in ("x", "X") and nxt.kind == "punct" and nxt.value == "[":
-                return self.parse_const(bound)
-            self.advance()
-            if tok.value in bound:
-                return Var(tok.value)
-            if tok.value in self.env:
-                return self.env[tok.value]
-            return Var(tok.value)
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
-                         self.text, tok.pos)
-
-    def parse_const(self, bound: frozenset[str]) -> Term:
-        fam_tok = self.expect("ident")
-        family = Family.LOWER if fam_tok.value == "x" else Family.UPPER
-        self.expect("punct", "[")
-        level = int(self.expect("nat").value)
-        payload: list[Term] = []
-        if self.peek().kind == "punct" and self.peek().value == ";":
-            self.advance()
-            payload.append(self.parse_term(bound))
-            while self.peek().kind == "punct" and self.peek().value == ",":
+            if tok.kind == "lam" and fn is None:
                 self.advance()
-                payload.append(self.parse_term(bound))
-        close = self.expect("punct", "]")
-        if len(payload) == 1:
-            raise ParseError("a stored constant needs at least two payload terms",
-                             self.text, close.pos)
-        return Const(family, level, tuple(payload))
+                names = [self.expect("ident").value]
+                while self.peek().kind == "ident":
+                    names.append(self.advance().value)
+                self.expect("punct", ".")
+                binders += names
+                scope = scope.union(n for n in names if n in self.env)
+                continue
+            if tok.kind == "church":
+                self.advance()
+                atom = mk_church(int(tok.value[1:]))
+            elif tok.kind == "ident":
+                self.advance()
+                if tok.value in ("x", "X") and self.peek().value == "[":
+                    self.advance()
+                    level = int(self.expect("nat").value)
+                    if self.peek().value == ";":
+                        self.advance()
+                        stack.append((binders, scope, fn, opener))
+                        binders, fn, opener = [], None, (Family(tok.value), level, [])
+                        continue
+                    self.expect("punct", "]")
+                    atom = Const(Family(tok.value), level)
+                elif tok.value in scope or tok.value not in self.env:
+                    atom = Var(tok.value)
+                else:
+                    atom = self.env[tok.value]
+            elif tok.value == "(":
+                self.advance()
+                stack.append((binders, scope, fn, opener))
+                binders, fn, opener = [], None, "("
+                continue
+            else:
+                if fn is None:
+                    raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
+                                     self.text, tok.pos)
+                for b in reversed(binders):
+                    fn = Lam(b, fn)
+                if opener is None:
+                    return fn
+                if opener == "(":
+                    self.expect("punct", ")")
+                    atom = fn
+                else:
+                    family, level, payload = opener
+                    payload.append(fn)
+                    if tok.value == ",":
+                        self.advance()
+                        binders, scope, fn = [], stack[-1][1], None
+                        continue
+                    close = self.expect("punct", "]")
+                    if len(payload) == 1:
+                        raise ParseError("a stored constant needs at least two payload terms",
+                                         self.text, close.pos)
+                    atom = Const(family, level, tuple(payload))
+                binders, scope, fn, opener = stack.pop()
+            fn = atom if fn is None else App(fn, atom)
 
 
-def parse(text: str, env: Mapping[str, Term] | Iterable | None = None) -> Term:
+def parse(text: str, env: Mapping[str, Term] | None = None) -> Term:
     """Parse a single term; env maps names to terms spliced on use."""
-    tokens = tokenize(text)
-    parser = _Parser(text, tokens, _as_env(env))
-    term = parser.parse_term(frozenset())
+    parser = _Parser(text, env or {})
+    term = parser.term()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.value!r}", text, tok.pos)
     return term
 
 
-@dataclass(frozen=True)
-class Binding:
-    name: str
-    value: Term
-
-
-def parse_defs(text: str, env: Mapping[str, Term] | Iterable | None = None) -> list[Binding]:
-    """Parse a definition file: `def name = term ;` statements.
+def parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[str, Term]:
+    """Parse a definition file of `def name = term ;` statements into a
+    dict, in file order.
 
     Later definitions see earlier ones (and the supplied env); a repeated
-    name shadows the previous binding from that point on.
+    name shadows the previous definition from that point on and keeps only
+    its last value in the dict.
     """
-    parser = _Parser(text, tokenize(text), _as_env(env))
-    bindings: list[Binding] = []
+    env = dict(env or {})
+    parser = _Parser(text, env)
+    defs: dict[str, Term] = {}
     while parser.peek().kind != "eof":
         parser.expect("ident", "def")
         name = parser.expect("ident").value
         parser.expect("punct", "=")
-        value = parser.parse_term(frozenset())
+        value = parser.term()
         parser.expect("punct", ";")
-        parser.env[name] = value
-        bindings.append(Binding(name, value))
-    return bindings
+        env[name] = defs[name] = value
+    return defs
 
 
-def load_defs(path: str, env: Mapping[str, Term] | Iterable | None = None) -> list[Binding]:
+def load_defs(path: str, env: Mapping[str, Term] | None = None) -> dict[str, Term]:
     with open(path, encoding="utf-8") as handle:
         return parse_defs(handle.read(), env)
 

@@ -5,8 +5,9 @@ stack: simultaneous substitution over a dict, alpha-equivalence with one
 binder map per scope, head reduction as a loop of single head steps, each
 unwinding and rebuilding the whole spine, and the constant mappings sigma,
 sigma-hat and delta as a tree walk after a separate scan for constants of
-the rejected family, and the repr the dataclasses generated.  They recurse
-once per level of depth, so they are for small generated terms only.
+the rejected family, the repr the dataclasses generated, and the parser as
+four methods that call one another.  They recurse once per level of depth,
+so they are for small generated terms only.
 beta_equiv is the original that normalizes both sides and compares them by
 alpha-equivalence.  spine unwinds an application for these oracles and for
 the lemma checks in theory.py.
@@ -17,6 +18,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from storlab.reduction import DEFAULT_LIMITS, STAGE_HEAD, FuelExhausted, Limits, normalize
+from storlab.syntax import ParseError, Token, tokenize
 from storlab.terms import (
     App,
     Const,
@@ -210,3 +212,119 @@ def _delta_const(const: Const) -> Term:
     image = tuple(_map_consts(p, _delta_const) for p in const.payload)
     stored = Const(Family.UPPER, const.level, image)
     return App(App(stored, image[0]), image[1])
+
+
+class _OracleParser:
+    def __init__(self, text: str, tokens: list[Token], env: dict[str, Term]):
+        self.text = text
+        self.tokens = tokens
+        self.env = env
+        self.i = 0
+
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        return tok
+
+    def expect(self, kind: str, value: str | None = None) -> Token:
+        tok = self.peek()
+        if tok.kind != kind or (value is not None and tok.value != value):
+            want = value if value is not None else kind
+            raise ParseError(f"expected {want!r}, found {tok.value or 'end of input'!r}",
+                             self.text, tok.pos)
+        return self.advance()
+
+    def at_atom(self) -> bool:
+        tok = self.peek()
+        return tok.kind in ("ident", "church") or (tok.kind == "punct" and tok.value == "(")
+
+    def parse_term(self, bound: frozenset[str]) -> Term:
+        tok = self.peek()
+        if tok.kind == "lam":
+            self.advance()
+            binders = [self.expect("ident").value]
+            while self.peek().kind == "ident":
+                binders.append(self.advance().value)
+            self.expect("punct", ".")
+            body = self.parse_term(bound | set(binders))
+            for b in reversed(binders):
+                body = Lam(b, body)
+            return body
+        return self.parse_app(bound)
+
+    def parse_app(self, bound: frozenset[str]) -> Term:
+        if not self.at_atom():
+            tok = self.peek()
+            raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
+                             self.text, tok.pos)
+        term = self.parse_atom(bound)
+        while self.at_atom():
+            term = App(term, self.parse_atom(bound))
+        return term
+
+    def parse_atom(self, bound: frozenset[str]) -> Term:
+        tok = self.peek()
+        if tok.kind == "church":
+            self.advance()
+            return mk_church(int(tok.value[1:]))
+        if tok.kind == "punct" and tok.value == "(":
+            self.advance()
+            term = self.parse_term(bound)
+            self.expect("punct", ")")
+            return term
+        if tok.kind == "ident":
+            nxt = self.peek(1)
+            if tok.value in ("x", "X") and nxt.kind == "punct" and nxt.value == "[":
+                return self.parse_const(bound)
+            self.advance()
+            if tok.value in bound:
+                return Var(tok.value)
+            if tok.value in self.env:
+                return self.env[tok.value]
+            return Var(tok.value)
+        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}",
+                         self.text, tok.pos)
+
+    def parse_const(self, bound: frozenset[str]) -> Term:
+        fam_tok = self.expect("ident")
+        family = Family.LOWER if fam_tok.value == "x" else Family.UPPER
+        self.expect("punct", "[")
+        level = int(self.expect("nat").value)
+        payload: list[Term] = []
+        if self.peek().kind == "punct" and self.peek().value == ";":
+            self.advance()
+            payload.append(self.parse_term(bound))
+            while self.peek().kind == "punct" and self.peek().value == ",":
+                self.advance()
+                payload.append(self.parse_term(bound))
+        close = self.expect("punct", "]")
+        if len(payload) == 1:
+            raise ParseError("a stored constant needs at least two payload terms",
+                             self.text, close.pos)
+        return Const(family, level, tuple(payload))
+
+
+def oracle_parse(text: str, env: Mapping[str, Term] | None = None) -> Term:
+    parser = _OracleParser(text, tokenize(text), dict(env or {}))
+    term = parser.parse_term(frozenset())
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.value!r}", text, tok.pos)
+    return term
+
+
+def oracle_parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[str, Term]:
+    parser = _OracleParser(text, tokenize(text), dict(env or {}))
+    defs: dict[str, Term] = {}
+    while parser.peek().kind != "eof":
+        parser.expect("ident", "def")
+        name = parser.expect("ident").value
+        parser.expect("punct", "=")
+        value = parser.parse_term(frozenset())
+        parser.expect("punct", ";")
+        parser.env[name] = defs[name] = value
+    return defs

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
+from oracles import oracle_parse, oracle_parse_defs
 from storlab import checker, cli, prelude, syntax
 from storlab.checker import run_check
 from storlab.reduction import normalize
 from storlab.syntax import (
-    Binding,
     ParseError,
     load_defs,
     parse,
     parse_defs,
     pretty,
     printer,
+    tokenize,
 )
 from storlab.terms import (
     App,
@@ -117,18 +118,18 @@ def test_parse_error_cases():
 
 
 def test_parse_defs_sees_earlier_bindings():
-    bindings = parse_defs("def twice = \\f x. f (f x);\ndef four = twice twice;\n"
-                          "def k = x[1; p, q]; def u = k;")
-    assert [b.name for b in bindings] == ["twice", "four", "k", "u"]
-    assert bindings[0].value == mk_church(2)
-    assert bindings[1].value == App(mk_church(2), mk_church(2))
+    defs = parse_defs("def twice = \\f x. f (f x);\ndef four = twice twice;\n"
+                      "def k = x[1; p, q]; def u = k;")
+    assert list(defs) == ["twice", "four", "k", "u"]
+    assert defs["twice"] == mk_church(2)
+    assert defs["four"] == App(mk_church(2), mk_church(2))
     stored = Const(Family.LOWER, 1, (Var("p"), Var("q")))
-    assert bindings[2].value == stored and bindings[3].value == stored
+    assert defs["k"] == stored and defs["u"] is defs["k"]
 
 
 def test_parse_defs_shadowing():
-    bindings = parse_defs("def one = #1;\ndef one = #2;\ndef use = one;")
-    assert bindings[-1].value == mk_church(2)
+    defs = parse_defs("def one = #1;\ndef use1 = one;\ndef one = #2;\ndef use2 = one;")
+    assert defs == {"one": mk_church(2), "use1": mk_church(1), "use2": mk_church(2)}
 
 
 def test_parse_defs_requires_semicolons():
@@ -139,10 +140,9 @@ def test_parse_defs_requires_semicolons():
 def test_load_defs(tmp_path):
     path = tmp_path / "extra.defs"
     path.write_text("# a storage operator clone\ndef T4 = \\n f. n F f #0;\n")
-    bindings = load_defs(str(path), prelude())
-    assert isinstance(bindings[0], Binding)
-    assert bindings[0].name == "T4"
-    assert alpha_eq(bindings[0].value, prelude()["T2"])
+    defs = load_defs(str(path), prelude())
+    assert list(defs) == ["T4"]
+    assert alpha_eq(defs["T4"], prelude()["T2"])
 
 
 def test_round_trip_spec_strings():
@@ -162,6 +162,91 @@ def test_round_trip_deep_payload_nesting():
     inner = Const(Family.UPPER, 0, (Var("p"), Const(Family.LOWER, 1, (Var("q"), Var("r")))))
     t = Lam("s", app(inner, Var("s"), mk_church(2)))
     assert alpha_eq(parse(pretty(t)), t)
+
+
+def test_parse_splices_env_terms_as_the_same_objects():
+    env = prelude()
+    term = parse("T1 G", env)
+    assert term.fn is env["T1"] and term.arg is env["G"]
+    assert parse_defs("def a = T1; def b = a;", env)["b"] is env["T1"]
+
+
+# -- the parser at depth, and checked against the recursive original --
+
+
+DEPTH = 5000
+
+
+def test_parse_deep_binders():
+    source = "".join(f"\\x{i}. " for i in range(DEPTH)) + "x0"
+    lams = Var("x0")
+    for i in reversed(range(DEPTH)):
+        lams = Lam(f"x{i}", lams)
+    assert parse(source) == lams
+    assert parse_defs(f"def deep = {source};") == {"deep": lams}
+
+
+def test_parse_deep_parentheses():
+    assert parse("(" * DEPTH + "p" + ")" * DEPTH) == Var("p")
+    assert parse("(" * DEPTH + "f" + " a)" * DEPTH) == app(Var("f"), *[Var("a")] * DEPTH)
+    assert parse("g (" * DEPTH + "x" + ")" * DEPTH) == app_power(Var("g"), DEPTH, Var("x"))
+
+
+def test_parse_deep_payloads():
+    nested = Var("p")
+    for _ in range(DEPTH):
+        nested = Const(Family.LOWER, 1, (Var("a"), nested))
+    assert parse("x[1; a, " * DEPTH + "p" + "]" * DEPTH) == nested
+
+
+def test_cli_parses_deep_binders(capsys):
+    names = [f"x{i}" for i in range(1500)]
+    source = "".join(f"\\{name}. " for name in names) + "x0"
+    assert cli.main(["parse", source]) == 0
+    assert capsys.readouterr().out == "\\" + " ".join(names) + ". x0\n"
+
+
+# tokens of the grammar, a comment, a character outside it, and names that
+# the prelude binds
+SOUP = ("\\", "λ", "x", "X", "[", "]", ";", ",", "(", ")", ".", "=", "#0", "#2", "0", "1",
+        "12", "a", "b", "f", "s", "p", "def", "S1", "I", "T1", "# note\n", "-")
+PRELUDE = prelude()
+
+
+def one_token_edit(source, r):
+    """source with one token deleted, replaced or inserted."""
+    try:
+        spans = [(tok.pos, tok.pos + len(tok.value)) for tok in tokenize(source)]
+    except ParseError:
+        return source
+    start, end = r.choice(spans)
+    token = f" {r.choice(SOUP)} "
+    edit = r.randrange(3)
+    if edit == 0:
+        return source[:start] + source[end:]
+    if edit == 1:
+        return source[:start] + token + source[end:]
+    return source[:start] + token + source[start:]
+
+
+def outcome(parser, source):
+    try:
+        return "ok", parser(source, PRELUDE)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@hyp.given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(SOUP), max_size=16),
+           st.sampled_from((" ", "", "\n")))
+def test_parser_matches_recursive_oracle(seed, soup, sep):
+    r = rng(seed)
+    generated = pretty((any_term, lower_term, p_term, pure_term)[seed % 4](r, 4))
+    sources = [generated, sep.join(soup)]
+    sources += [one_token_edit(source, r) for source in sources]
+    for source in sources:
+        assert outcome(parse, source) == outcome(oracle_parse, source)
+        defs = f"def a = {source}; def b = a;"
+        assert outcome(parse_defs, defs) == outcome(oracle_parse_defs, defs)
 
 
 # -- the memoized printer, checked against the recursive original --
