@@ -169,6 +169,10 @@ def test_parse_splices_env_terms_as_the_same_objects():
     term = parse("T1 G", env)
     assert term.fn is env["T1"] and term.arg is env["G"]
     assert parse_defs("def a = T1; def b = a;", env)["b"] is env["T1"]
+    # a binder shadows an env name only up to the end of its parenthesis or
+    # payload item
+    assert parse("(\\I. I) I", env) == App(Lam("I", Var("I")), env["I"])
+    assert parse("x[1; \\I. I, I]", env).payload == (Lam("I", Var("I")), env["I"])
 
 
 # -- the parser at depth, and checked against the recursive original --
@@ -184,6 +188,11 @@ def test_parse_deep_binders():
         lams = Lam(f"x{i}", lams)
     assert parse(source) == lams
     assert parse_defs(f"def deep = {source};") == {"deep": lams}
+    # each binder shadows the prelude's I, in a parenthesis of its own
+    shadowing = Var("I")
+    for _ in range(DEPTH):
+        shadowing = Lam("I", shadowing)
+    assert parse("\\I. (" * DEPTH + "I" + ")" * DEPTH, prelude()) == shadowing
 
 
 def test_parse_deep_parentheses():
@@ -207,10 +216,12 @@ def test_cli_parses_deep_binders(capsys):
 
 
 # tokens of the grammar, a comment, a character outside it, and names that
-# the prelude binds
+# the env binds
 SOUP = ("\\", "λ", "x", "X", "[", "]", ";", ",", "(", ")", ".", "=", "#0", "#2", "0", "1",
         "12", "a", "b", "f", "s", "p", "def", "S1", "I", "T1", "# note\n", "-")
-PRELUDE = prelude()
+# the prelude, and some of genterms' binder and free names, so that
+# generated terms both shadow env names and splice them
+ENV = prelude() | {name: Const(Family.UPPER, 1) for name in ("p", "s", "g")}
 
 
 def one_token_edit(source, r):
@@ -231,7 +242,7 @@ def one_token_edit(source, r):
 
 def outcome(parser, source):
     try:
-        return "ok", parser(source, PRELUDE)
+        return "ok", parser(source, ENV)
     except ParseError as exc:
         return "error", str(exc)
 
