@@ -102,6 +102,16 @@ CASES = {
                              "--n-max", "2"],
     "check_s_storage_defs_json": ["check-s-storage", "T4", "--succ", "S3", "--defs", DEFS,
                                   "--n-max", "2", "--json"],
+    # trace stop steps: starved upper runs carrying their successor, and
+    # lower runs that stop on a malformed head
+    "check_s_storage_fuel_trace": ["check-s-storage", "T2", "--succ", "S2", "--n-max", "3",
+                                   "--head-fuel", "5", "--trace"],
+    "check_s_storage_fuel_json_trace": ["check-s-storage", "T2", "--succ", "S2",
+                                        "--n-max", "3", "--head-fuel", "5", "--json",
+                                        "--trace"],
+    "check_storage_fail_trace": ["check-storage", "I", "--n-max", "1", "--trace"],
+    "check_storage_fail_json_trace": ["check-storage", "I", "--n-max", "1", "--json",
+                                      "--trace"],
     # parse errors: exit 3 and a message with line and column on stderr
     "parse_unclosed": ["parse", "(p"],
     "parse_lambda_argument": ["parse", "f \\x. x"],
