@@ -68,10 +68,12 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, env: Mapping[str, Term]):
+    def __init__(self, text: str, env: Mapping[str, Term],
+                 keywords: frozenset[str] = frozenset()):
         self.text = text
         self.tokens = tokenize(text)
         self.env = env
+        self.keywords = keywords  # identifiers that end a term instead of naming one
         self.i = 0
 
     def peek(self) -> Token:
@@ -115,7 +117,7 @@ class _Parser:
             if tok.kind == "church":
                 self.advance()
                 atom = mk_church(int(tok.value[1:]))
-            elif tok.kind == "ident":
+            elif tok.kind == "ident" and tok.value not in self.keywords:
                 self.advance()
                 if tok.value in ("x", "X") and self.peek().value == "[":
                     self.advance()
@@ -179,10 +181,11 @@ def parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[str, Te
 
     Later definitions see earlier ones (and the supplied env); a repeated
     name shadows the previous definition from that point on and keeps only
-    its last value in the dict.
+    its last value in the dict.  `def` ends a term here, so a definition
+    that lacks its `;` is reported at the next `def`.
     """
     env = dict(env or {})
-    parser = _Parser(text, env)
+    parser = _Parser(text, env, frozenset({"def"}))
     defs: dict[str, Term] = {}
     while parser.peek().kind != "eof":
         parser.expect("ident", "def")

@@ -106,6 +106,8 @@ DEFS_ERRORS = {
     "def = x;": "expected 'ident', found '=' (line 1, column 5)",
     "x = y;": "expected 'def', found 'x' (line 1, column 1)",
     "def a = ;": "expected a term, found ';' (line 1, column 9)",
+    "# T4 lacks the ; that ends a definition\ndef T4 = \\n f. n F f #0\ndef T5 = T4;\n":
+        "expected ';', found 'def' (line 3, column 1)",
 }
 
 
