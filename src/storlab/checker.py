@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Callable, Iterable
+from typing import Any, Iterator
 
 from .reduction import (
     DEFAULT_LIMITS,
@@ -23,59 +22,13 @@ from .reduction import (
     FuelExhausted,
     HnfDecomposition,
     Limits,
+    Verdict,
     beta_equiv,
     decompose_hnf,
     head_reduce,
 )
 from .syntax import pretty, printer
 from .terms import App, Const, Family, Term, Var, app, is_closed_pure, mk_church
-
-EXIT_PASS = 0
-EXIT_REFUTED = 1
-EXIT_FUEL = 2
-
-
-class Verdict(str, Enum):
-    """Every verdict storlab reports; the value is the string printed and
-    serialized.
-
-    A run ends in SUCCESS, FAIL or FUEL; an operator summary is ALL_PASS,
-    FIRST_FAILURE or FUEL; a theorem level is PASS, FAIL, VACUOUS or
-    UNKNOWN; a claim as a whole is PASS, REFUTED or FUEL.
-    """
-
-    SUCCESS = "Success"
-    FAIL = "Fail"
-    FUEL = "FuelExhausted"
-    ALL_PASS = "AllPass"
-    FIRST_FAILURE = "FirstFailureAt"
-    PASS = "Pass"
-    REFUTED = "Refuted"
-    VACUOUS = "Vacuous"
-    UNKNOWN = "Unknown"
-
-    # a plain (str, Enum) member would print as "Verdict.PASS"
-    __str__ = str.__str__
-    __format__ = str.__format__
-
-    @property
-    def exit_code(self) -> int:
-        """The CLI exit code of a command whose overall verdict this is."""
-        if self in (Verdict.PASS, Verdict.ALL_PASS):
-            return EXIT_PASS
-        return EXIT_FUEL if self is Verdict.FUEL else EXIT_REFUTED
-
-    @staticmethod
-    def fold(levels: Iterable[Verdict]) -> Verdict:
-        """A claim's verdict from its levels: REFUTED if any level is FAIL,
-        else FUEL if any is undecided (UNKNOWN or FUEL), else PASS."""
-        seen = set(levels)
-        if Verdict.FAIL in seen:
-            return Verdict.REFUTED
-        if Verdict.UNKNOWN in seen or Verdict.FUEL in seen:
-            return Verdict.FUEL
-        return Verdict.PASS
-
 
 SEED_ZERO = "SeedZero"
 SEED_SUCC = "SeedSucc"
@@ -182,9 +135,41 @@ class RunReport:
     tau: Term | None = None
     trace: list[MacroStep] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == Verdict.SUCCESS
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        show = printer()  # one per report: its steps share most of their subterms
+        out: dict[str, Any] = {"family": self.family.value}
+        if self.successor is not None:
+            out["successor"] = show(self.successor)
+        out["n"] = self.n
+        out["verdict"] = self.verdict
+        if self.reason is not None:
+            out["reason"] = self.reason
+        if self.tau is not None:
+            out["tau"] = show(self.tau)
+        if trace:
+            out["steps"] = [{"u": show(step.u), "v": show(step.v),
+                             "beta_steps": step.beta_steps, "transform": step.transform}
+                            for step in self.trace]
+        return out
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        """The verdict line, then with trace one line per macro step:
+        u, its steps to v, and the transform into the next u."""
+        show = printer()  # one per report, as in to_dict
+        line = f"n={self.n}: {self.verdict}"
+        if self.reason is not None:
+            line += f" ({self.reason})"
+        if self.tau is not None:
+            line += f"  tau = {show(self.tau)}"
+        yield line
+        steps = self.trace if trace else []
+        for i, step in enumerate(steps):
+            line = f"{show(step.u)}  ≻({step.beta_steps})  {show(step.v)}"
+            if step.transform is not None:
+                line += f"  —{step.transform}→"
+                if i + 1 < len(steps):
+                    line += f"  {show(steps[i + 1].u)}"
+            yield line
 
 
 def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
@@ -277,9 +262,24 @@ class OperatorSummary:
                 return report.n
         return None
 
-    @property
-    def all_pass(self) -> bool:
-        return self.verdict == Verdict.ALL_PASS
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        out: dict[str, Any] = {"family": self.family.value}
+        if self.successor is not None:
+            out["successor"] = pretty(self.successor)
+        out["n_max"] = self.n_max
+        out["verdict"] = self.verdict
+        if self.at is not None:
+            out["at"] = self.at
+        out["runs"] = [r.to_dict(trace) for r in self.reports]
+        return out
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        for report in self.reports:
+            yield from report.lines(trace)
+        tail = f"verdict: {self.verdict}"
+        if self.at is not None:
+            tail += f" (n={self.at})"
+        yield tail
 
 
 def check_operator(term: Term, family: Family, n_max: int,
@@ -288,45 +288,6 @@ def check_operator(term: Term, family: Family, n_max: int,
     """Run every level 0..n_max and summarize."""
     reports = [run_check(term, family, n, successor, limits) for n in range(n_max + 1)]
     return OperatorSummary(family, n_max, reports, successor)
-
-
-def step_to_dict(step: MacroStep, show: Callable[[Term], str]) -> dict[str, Any]:
-    """One macro step, printed by show, the printer of its report."""
-    return {
-        "u": show(step.u),
-        "v": show(step.v),
-        "beta_steps": step.beta_steps,
-        "transform": step.transform,
-    }
-
-
-def report_to_dict(report: RunReport, include_trace: bool = True) -> dict[str, Any]:
-    # one printer per report: its steps share most of their subterms
-    show = printer()
-    out: dict[str, Any] = {"family": report.family.value}
-    if report.successor is not None:
-        out["successor"] = show(report.successor)
-    out["n"] = report.n
-    out["verdict"] = report.verdict
-    if report.reason is not None:
-        out["reason"] = report.reason
-    if report.tau is not None:
-        out["tau"] = show(report.tau)
-    if include_trace:
-        out["steps"] = [step_to_dict(s, show) for s in report.trace]
-    return out
-
-
-def summary_to_dict(summary: OperatorSummary, include_trace: bool = True) -> dict[str, Any]:
-    out: dict[str, Any] = {"family": summary.family.value}
-    if summary.successor is not None:
-        out["successor"] = pretty(summary.successor)
-    out["n_max"] = summary.n_max
-    out["verdict"] = summary.verdict
-    if summary.at is not None:
-        out["at"] = summary.at
-    out["runs"] = [report_to_dict(r, include_trace) for r in summary.reports]
-    return out
 
 
 def to_json(payload: Any) -> str:

@@ -12,41 +12,88 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Protocol, Sequence
 
 from .builtins import prelude
-from .checker import (
-    EXIT_PASS,
-    OperatorSummary,
-    RunReport,
-    Verdict,
-    check_operator,
-    summary_to_dict,
-    to_json,
-)
+from .checker import OperatorSummary, check_operator, to_json
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
     Limits,
+    Verdict,
     check_successor,
     head_reduce,
     normalize,
 )
-from .syntax import ParseError, load_defs, parse, pretty, printer
+from .syntax import ParseError, load_defs, parse, pretty
 from .terms import Family, Term, free_names, iter_consts
-from .theorems import (
-    LevelReport,
-    verify_theorem1_instance,
-    verify_theorem2_instance,
-    verify_theorem3,
-)
+from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
-# check_successor's per-k answer as a level verdict
-_SUCCESSOR_LEVEL = {True: Verdict.PASS, False: Verdict.FAIL, None: Verdict.UNKNOWN}
+
+class Report(Protocol):
+    """What every command returns: its verdict, which picks the exit code,
+    and its JSON and text forms.  Only an operator summary reads trace."""
+
+    @property
+    def verdict(self) -> Verdict: ...
+    def to_dict(self, trace: bool = False) -> dict[str, Any]: ...
+    def lines(self, trace: bool = False) -> Iterator[str]: ...
+
+
+@dataclass(frozen=True)
+class TermReport:
+    """The term that parse, reduce or normalize arrives at; reduce adds its steps."""
+
+    term: Term
+    beta_steps: int | None = None
+    verdict = Verdict.PASS
+
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        out: dict[str, Any] = {"term": pretty(self.term)}
+        if self.beta_steps is not None:
+            out["beta_steps"] = self.beta_steps
+        return out
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        yield pretty(self.term)
+
+
+def _row_status(expected: Verdict, actual: Verdict) -> Verdict:
+    """PASS on a match; a row that starves is undecided, any other mismatch refutes."""
+    return (Verdict.PASS if actual == expected else
+            Verdict.FUEL if actual == Verdict.FUEL else Verdict.FAIL)
+
+
+_ROW_MARK = {Verdict.PASS: "ok", Verdict.FUEL: "FUEL", Verdict.FAIL: "DEVIATION"}
+
+
+@dataclass(frozen=True)
+class CorpusReport:
+    """Each builtin claim with its expected and its actual verdict."""
+
+    n_max: int
+    rows: tuple[tuple[str, Verdict, Verdict], ...]
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.fold(_row_status(expected, actual) for _, expected, actual in self.rows)
+
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        return {"check": "corpus", "n_max": self.n_max, "verdict": self.verdict,
+                "rows": [{"claim": claim, "expected": expected,
+                          "actual": actual, "ok": actual == expected}
+                         for claim, expected, actual in self.rows]}
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        width = max(len(claim) for claim, _, _ in self.rows)
+        for claim, expected, actual in self.rows:
+            mark = _ROW_MARK[_row_status(expected, actual)]
+            yield f"{claim:<{width}}  expected={expected:<10} actual={actual:<14} {mark}"
+        yield f"corpus: {self.verdict}"
 
 
 class UsageError(Exception):
@@ -93,161 +140,65 @@ def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
     return term
 
 
-def _print_trace(report: RunReport, show: Callable[[Term], str]) -> None:
-    steps = report.trace
-    for i, step in enumerate(steps):
-        line = f"{show(step.u)}  ≻({step.beta_steps})  {show(step.v)}"
-        if step.transform is not None:
-            line += f"  —{step.transform}→"
-            if i + 1 < len(steps):
-                line += f"  {show(steps[i + 1].u)}"
-        print(line)
-
-
-def _emit_summary(summary: OperatorSummary, args: argparse.Namespace) -> int:
+def _emit(report: Report, args: argparse.Namespace) -> int:
+    """Print the report as JSON or as text lines; its verdict is the exit code."""
+    trace = getattr(args, "trace", False)
     if args.json:
-        print(to_json(summary_to_dict(summary, include_trace=args.trace)))
-        return summary.verdict.exit_code
-    for report in summary.reports:
-        show = printer()  # one per report, as in checker.report_to_dict
-        line = f"n={report.n}: {report.verdict}"
-        if report.reason is not None:
-            line += f" ({report.reason})"
-        if report.tau is not None:
-            line += f"  tau = {show(report.tau)}"
-        print(line)
-        if args.trace:
-            _print_trace(report, show)
-    tail = f"verdict: {summary.verdict}"
-    if summary.at is not None:
-        tail += f" (n={summary.at})"
-    print(tail)
-    return summary.verdict.exit_code
-
-
-def _emit_fuel(exc: FuelExhausted, args: argparse.Namespace) -> int:
-    if args.json:
-        print(to_json({"verdict": Verdict.FUEL, "stage": exc.stage,
-                       "beta_steps": exc.steps, "partial": pretty(exc.partial)}))
+        print(to_json(report.to_dict(trace)))
     else:
-        print(f"fuel exhausted after {exc.steps} steps: {pretty(exc.partial)}")
-    return Verdict.FUEL.exit_code
-
-
-def _emit_levels(report: LevelReport, args: argparse.Namespace, upper_label: str) -> int:
-    """A theorem 1 or 2 report: one row per level, then the verdict."""
-    if args.json:
-        print(to_json(report.to_dict()))
-    else:
-        for check in report.checks:
-            detail = ""
-            if check.hat_status is not None:
-                detail += f" sigma-hat={check.hat_status}"
-            if check.tau_match is not None:
-                detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
-            print(f"n={check.n}: lower={check.lower.verdict}"
-                  f" {upper_label}={check.upper.verdict}{detail}  -> {check.status}")
-        print(f"verdict: {report.verdict}")
+        for line in report.lines(trace):
+            print(line)
     return report.verdict.exit_code
 
 
-def cmd_parse(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_parse(args: argparse.Namespace, limits: Limits) -> Report:
     env, _ = _build_env(args)
-    term = _resolve(args.term, env)
-    if args.json:
-        print(to_json({"term": pretty(term)}))
-    else:
-        print(pretty(term))
-    return EXIT_PASS
+    return TermReport(_resolve(args.term, env))
 
 
-def cmd_reduce(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_reduce(args: argparse.Namespace, limits: Limits) -> Report:
     env, _ = _build_env(args)
-    term = _resolve(args.term, env)
-    try:
-        result, steps = head_reduce(term, limits)
-    except FuelExhausted as exc:
-        return _emit_fuel(exc, args)
-    if args.json:
-        print(to_json({"term": pretty(result), "beta_steps": steps}))
-    else:
-        print(pretty(result))
-    return EXIT_PASS
+    return TermReport(*head_reduce(_resolve(args.term, env), limits))
 
 
-def cmd_normalize(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_normalize(args: argparse.Namespace, limits: Limits) -> Report:
     env, _ = _build_env(args)
-    term = _resolve(args.term, env)
-    try:
-        result = normalize(term, limits)
-    except FuelExhausted as exc:
-        return _emit_fuel(exc, args)
-    if args.json:
-        print(to_json({"term": pretty(result)}))
-    else:
-        print(pretty(result))
-    return EXIT_PASS
+    return TermReport(normalize(_resolve(args.term, env), limits))
 
 
-def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> Report:
     env, _ = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="successor")
-    report = check_successor(term, args.k_max, limits)
-    verdict = Verdict.fold(_SUCCESSOR_LEVEL[r] for r in report.results)
-    if args.json:
-        print(to_json({"check": "successor", "term": pretty(term),
-                       "k_max": report.k_max, "verdict": verdict,
-                       "results": list(report.results)}))
-    else:
-        for k, result in enumerate(report.results):
-            word = {True: "ok", False: "FAILED", None: "unknown (fuel)"}[result]
-            print(f"k={k}: {word}")
-        print(f"verdict: {verdict}")
-    return verdict.exit_code
+    return check_successor(term, args.k_max, limits)
 
 
-def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> Report:
     """check-storage and check-s-storage; the subcommand sets args.family.
     check-storage still reads --succ, for the prelude's S only."""
     env, successor = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
     if args.family is Family.LOWER:
         successor = None
-    summary = check_operator(term, args.family, args.n_max, successor, limits)
-    return _emit_summary(summary, args)
+    return check_operator(term, args.family, args.n_max, successor, limits)
 
 
-def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> Report:
     env, successor = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
-    report = verify_theorem1_instance(term, successor, args.n_max, limits)
-    return _emit_levels(report, args, "upper")
+    return verify_theorem1_instance(term, successor, args.n_max, limits)
 
 
-def cmd_theorem2(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_theorem2(args: argparse.Namespace, limits: Limits) -> Report:
     env, _ = _build_env(args)
     term = _resolve(args.term, env, closed=True, what="operator")
-    report = verify_theorem2_instance(term, args.n_max, limits)
-    return _emit_levels(report, args, "upper[S1]")
+    return verify_theorem2_instance(term, args.n_max, limits)
 
 
-def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> int:
-    report = verify_theorem3(args.n_max, limits)
-    if args.json:
-        print(to_json(report.to_dict()))
-    else:
-        print(f"X-family with S2: {report.upper_verdict}"
-              f" (tau beta-equivalent: {report.upper_tau_ok})")
-        line = f"x-family: {report.lower_verdict}"
-        if report.lower_at is not None:
-            line += (f" (n={report.lower_at},"
-                     f" failures as expected: {report.lower_failures_ok})")
-        print(line)
-        print(f"verdict: {report.verdict}")
-    return report.verdict.exit_code
+def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> Report:
+    return verify_theorem3(args.n_max, limits)
 
 
-def cmd_corpus(args: argparse.Namespace, limits: Limits) -> int:
+def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
     """The whole battery on builtins, each row against its expected outcome.
 
     Theorem 2 runs every level of an operator's storage sweep and of its
@@ -267,42 +218,17 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> int:
         swept[name, "S1"] = OperatorSummary(
             Family.UPPER, n_max, [c.upper for c in report.checks]).verdict
 
-    rows: list[tuple[str, Verdict, Verdict]] = []
-    for name in ("S1", "S2"):
-        successors = check_successor(env1[name], 10, limits)
-        verdict = Verdict.fold(_SUCCESSOR_LEVEL[r] for r in successors.results)
-        rows.append((f"successor {name}", Verdict.PASS, verdict))
-    for name in ("T1", "T2"):
-        rows.append((f"storage {name}", Verdict.ALL_PASS, swept[name, "x"]))
+    rows = [(f"successor {name}", Verdict.PASS, check_successor(env1[name], 10, limits).verdict)
+            for name in ("S1", "S2")]
+    rows += [(f"storage {name}", Verdict.ALL_PASS, swept[name, "x"]) for name in ("T1", "T2")]
     for name in ("T1", "T2"):
         rows.append((f"s-storage {name} S1", Verdict.ALL_PASS, swept[name, "S1"]))
         summary = check_operator(env2[name], Family.UPPER, n_max,
                                  successor=env2["S2"], limits=limits)
         rows.append((f"s-storage {name} S2", Verdict.ALL_PASS, summary.verdict))
-    for name in ("T1", "T2", "T3"):
-        rows.append((f"theorem2 {name}", Verdict.PASS, theorem2[name]))
+    rows += [(f"theorem2 {name}", Verdict.PASS, theorem2[name]) for name in ("T1", "T2", "T3")]
     rows.append(("theorem3", Verdict.PASS, verify_theorem3(n_max, limits).verdict))
-
-    # a row that starves is undecided; any other mismatch refutes
-    verdict = Verdict.fold(
-        Verdict.PASS if actual == expected else
-        Verdict.FUEL if actual == Verdict.FUEL else Verdict.FAIL
-        for _, expected, actual in rows)
-
-    if args.json:
-        payload = {"check": "corpus", "n_max": n_max, "verdict": verdict,
-                   "rows": [{"claim": claim, "expected": expected,
-                             "actual": actual, "ok": actual == expected}
-                            for claim, expected, actual in rows]}
-        print(to_json(payload))
-    else:
-        width = max(len(claim) for claim, _, _ in rows)
-        for claim, expected, actual in rows:
-            mark = "ok" if actual == expected else (
-                "FUEL" if actual == Verdict.FUEL else "DEVIATION")
-            print(f"{claim:<{width}}  expected={expected:<10} actual={actual:<14} {mark}")
-        print(f"corpus: {verdict}")
-    return verdict.exit_code
+    return CorpusReport(n_max, tuple(rows))
 
 
 def _bound(text: str) -> int:
@@ -390,7 +316,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a subcommand without a fuel flag runs on its default
         limits = replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
                                             if name.endswith("_fuel")})
-        return args.func(args, limits)
+        return _emit(args.func(args, limits), args)
+    except FuelExhausted as exc:  # from any command: undecided, never a crash
+        return _emit(exc, args)
     except UsageError as exc:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,10 @@ FuelExhausted, never as a negative answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import Any, Iterable, Iterator
 
+from .syntax import pretty
 from .terms import (
     App,
     Const,
@@ -23,6 +26,53 @@ from .terms import (
     mk_church,
     substitute,
 )
+
+EXIT_PASS = 0
+EXIT_REFUTED = 1
+EXIT_FUEL = 2
+
+
+class Verdict(str, Enum):
+    """Every verdict storlab reports; the value is the string printed and
+    serialized.
+
+    A run ends in SUCCESS, FAIL or FUEL; an operator summary is ALL_PASS,
+    FIRST_FAILURE or FUEL; a theorem level is PASS, FAIL, VACUOUS or
+    UNKNOWN; a claim as a whole is PASS, REFUTED or FUEL.
+    """
+
+    SUCCESS = "Success"
+    FAIL = "Fail"
+    FUEL = "FuelExhausted"
+    ALL_PASS = "AllPass"
+    FIRST_FAILURE = "FirstFailureAt"
+    PASS = "Pass"
+    REFUTED = "Refuted"
+    VACUOUS = "Vacuous"
+    UNKNOWN = "Unknown"
+
+    # a plain (str, Enum) member would print as "Verdict.PASS"
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+    @property
+    def exit_code(self) -> int:
+        """The CLI exit code of a command whose overall verdict this is."""
+        if self in (Verdict.PASS, Verdict.ALL_PASS):
+            return EXIT_PASS
+        return EXIT_FUEL if self is Verdict.FUEL else EXIT_REFUTED
+
+    @staticmethod
+    def fold(levels: Iterable[Verdict]) -> Verdict:
+        """A claim's verdict from its levels: REFUTED if any level is FAIL,
+        else FUEL if any is undecided (UNKNOWN or FUEL), else PASS."""
+        seen = set(levels)
+        if Verdict.FAIL in seen:
+            return Verdict.REFUTED
+        if Verdict.UNKNOWN in seen or Verdict.FUEL in seen:
+            return Verdict.FUEL
+        return Verdict.PASS
+
 
 STAGE_HEAD = "Head"
 STAGE_MACRO = "Macro"
@@ -50,11 +100,20 @@ DEFAULT_LIMITS = Limits()
 class FuelExhausted(Exception):
     """A step budget ran out; carries the stage, partial term, and count."""
 
+    verdict = Verdict.FUEL  # it is the report of any command it escapes from
+
     def __init__(self, stage: str, partial: Term, steps: int):
         super().__init__(f"{stage} fuel exhausted after {steps} steps")
         self.stage = stage
         self.partial = partial
         self.steps = steps
+
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        return {"verdict": self.verdict, "stage": self.stage,
+                "beta_steps": self.steps, "partial": pretty(self.partial)}
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        yield f"fuel exhausted after {self.steps} steps: {pretty(self.partial)}"
 
 
 def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[Term], int]:
@@ -190,21 +249,31 @@ def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None
     return alpha_eq(tn, un)
 
 
+# check_successor's answer at one k: as a level verdict, and as a word
+_SUCCESSOR_ANSWERS = {True: (Verdict.PASS, "ok"), False: (Verdict.FAIL, "FAILED"),
+                      None: (Verdict.UNKNOWN, "unknown (fuel)")}
+
+
 @dataclass(frozen=True)
 class SuccessorReport:
+    """Whether (term) #k is beta-equal to #k+1, per k up to k_max; None: no fuel."""
+
+    term: Term
     k_max: int
     results: tuple[bool | None, ...]
 
     @property
-    def all_pass(self) -> bool:
-        return all(r is True for r in self.results)
+    def verdict(self) -> Verdict:
+        return Verdict.fold(_SUCCESSOR_ANSWERS[r][0] for r in self.results)
 
-    @property
-    def first_failure(self) -> int | None:
-        for k, r in enumerate(self.results):
-            if r is False:
-                return k
-        return None
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        return {"check": "successor", "term": pretty(self.term), "k_max": self.k_max,
+                "verdict": self.verdict, "results": list(self.results)}
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        for k, result in enumerate(self.results):
+            yield f"k={k}: {_SUCCESSOR_ANSWERS[result][1]}"
+        yield f"verdict: {self.verdict}"
 
 
 def check_successor(successor: Term, k_max: int,
@@ -216,4 +285,4 @@ def check_successor(successor: Term, k_max: int,
         beta_equiv(App(successor, mk_church(k)), mk_church(k + 1), limits)
         for k in range(k_max + 1)
     )
-    return SuccessorReport(k_max, results)
+    return SuccessorReport(successor, k_max, results)

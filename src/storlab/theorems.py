@@ -18,20 +18,15 @@ the bridges between them and the real calculus:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .builtins import core, prelude
-from .checker import (
-    TAU_NOT_CLOSED,
-    RunReport,
-    Verdict,
-    check_operator,
-    run_check,
-)
+from .checker import TAU_NOT_CLOSED, RunReport, check_operator, run_check
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
     Limits,
+    Verdict,
     beta_equiv,
     decompose_hnf,
     head_reduce,
@@ -189,14 +184,22 @@ class LevelReport:
     def verdict(self) -> Verdict:
         return Verdict.fold(c.status for c in self.checks)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict == Verdict.PASS
-
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
         return {"check": self.check, "n_max": self.n_max,
                 "verdict": self.verdict,
                 "checks": [c.to_dict() for c in self.checks]}
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        upper = "upper" if self.check == "theorem1" else "upper[S1]"  # theorem 2 runs S1
+        for check in self.checks:
+            detail = ""
+            if check.hat_status is not None:
+                detail += f" sigma-hat={check.hat_status}"
+            if check.tau_match is not None:
+                detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
+            yield (f"n={check.n}: lower={check.lower.verdict}"
+                   f" {upper}={check.upper.verdict}{detail}  -> {check.status}")
+        yield f"verdict: {self.verdict}"
 
 
 def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Limits,
@@ -310,17 +313,15 @@ class Theorem3Report:
     def verdict(self) -> Verdict:
         if Verdict.FUEL in (self.upper_verdict, self.lower_verdict):
             return Verdict.FUEL
-        return Verdict.PASS if self.ok else Verdict.REFUTED
-
-    @property
-    def ok(self) -> bool:
-        upper_good = self.upper_verdict == Verdict.ALL_PASS and self.upper_tau_ok
         if self.n_max == 0:
-            return upper_good and self.lower_verdict == Verdict.ALL_PASS
-        return (upper_good and self.lower_verdict == Verdict.FIRST_FAILURE
-                and self.lower_at == 1 and self.lower_failures_ok)
+            lower_good = self.lower_verdict == Verdict.ALL_PASS
+        else:
+            lower_good = (self.lower_verdict == Verdict.FIRST_FAILURE
+                          and self.lower_at == 1 and self.lower_failures_ok)
+        upper_good = self.upper_verdict == Verdict.ALL_PASS and self.upper_tau_ok
+        return Verdict.PASS if upper_good and lower_good else Verdict.REFUTED
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, trace: bool = False) -> dict[str, Any]:
         return {"check": "theorem3", "n_max": self.n_max,
                 "verdict": self.verdict,
                 "checks": [{"family": "X", "verdict": self.upper_verdict,
@@ -328,6 +329,15 @@ class Theorem3Report:
                            {"family": "x", "verdict": self.lower_verdict,
                             "first_failure": self.lower_at,
                             "failures_as_expected": self.lower_failures_ok}]}
+
+    def lines(self, trace: bool = False) -> Iterator[str]:
+        yield (f"X-family with S2: {self.upper_verdict}"
+               f" (tau beta-equivalent: {self.upper_tau_ok})")
+        line = f"x-family: {self.lower_verdict}"
+        if self.lower_at is not None:
+            line += f" (n={self.lower_at}, failures as expected: {self.lower_failures_ok})"
+        yield line
+        yield f"verdict: {self.verdict}"
 
 
 def verify_theorem3(n_max: int, limits: Limits = DEFAULT_LIMITS) -> Theorem3Report:

@@ -15,7 +15,6 @@ from genterms import any_term, lower_term, p_term, pure_term, rng, \
 from oracles import substitute_many
 from storlab import prelude
 from storlab.checker import (
-    EXIT_FUEL,
     FINAL,
     TAU_NOT_CLOSED,
     Verdict,
@@ -24,6 +23,7 @@ from storlab.checker import (
 )
 from storlab.cli import main
 from storlab.reduction import (
+    EXIT_FUEL,
     FuelExhausted,
     Limits,
     beta_equiv,
@@ -67,10 +67,10 @@ def test_successors():
     env = prelude()
     for name in ("S1", "S2"):
         report = check_successor(env[name], 10)
-        assert report.all_pass
+        assert report.verdict == Verdict.PASS
     bad = check_successor(env["I"], 3)
-    assert not bad.all_pass
-    assert bad.first_failure == 0
+    assert bad.verdict == Verdict.REFUTED
+    assert bad.results[0] is False
 
 
 @criterion(2, "storage operators")
@@ -79,7 +79,7 @@ def test_storage_operators():
     s1 = env["S1"]
     for name in ("T1", "T2"):
         summary = check_operator(env[name], Family.LOWER, 8)
-        assert summary.all_pass
+        assert summary.verdict == Verdict.ALL_PASS
         for report in summary.reports:
             n = report.n
             assert beta_equiv(report.tau, mk_church(n)) is True
@@ -93,7 +93,7 @@ def test_s_storage_matrix():
         for succ_name in ("S1", "S2"):
             env = prelude(succ_name)
             summary = check_operator(env[op_name], Family.UPPER, 8, env[succ_name])
-            assert summary.all_pass, (op_name, succ_name, summary.verdict)
+            assert summary.verdict == Verdict.ALL_PASS, (op_name, succ_name)
 
     # the worked-chain shape: n+1 constant transforms, then the unwinding
     env = prelude("S2")
@@ -118,7 +118,7 @@ def test_s_storage_matrix():
 def test_t3_reproduction():
     env = prelude("S2")
     upper = check_operator(env["T3"], Family.UPPER, 5, env["S2"])
-    assert upper.all_pass
+    assert upper.verdict == Verdict.ALL_PASS
     for report in upper.reports:
         assert beta_equiv(report.tau, mk_church(report.n)) is True
 

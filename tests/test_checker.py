@@ -2,6 +2,7 @@
 
 import pytest
 
+import storlab
 from storlab import prelude
 from storlab.checker import (
     FINAL,
@@ -13,9 +14,7 @@ from storlab.checker import (
     WrongLevelError,
     X_transform,
     check_operator,
-    report_to_dict,
     run_check,
-    summary_to_dict,
     to_json,
     x_transform,
 )
@@ -113,7 +112,6 @@ def test_run_check_storage_success():
     env = prelude()
     report = run_check(env["T1"], Family.LOWER, 3)
     assert report.verdict == Verdict.SUCCESS
-    assert report.ok
     assert beta_equiv(report.tau, mk_church(3)) is True
 
 
@@ -169,7 +167,7 @@ def test_trace_replays():
     env = prelude()
     for family, succ in ((Family.LOWER, None), (Family.UPPER, env["S1"])):
         report = run_check(env["T2"], family, 3, succ)
-        assert report.ok
+        assert report.verdict == Verdict.SUCCESS
         for i, step in enumerate(report.trace):
             assert head_reduce(step.u) == (step.v, step.beta_steps)
             if step.transform == FINAL:
@@ -208,7 +206,6 @@ def test_check_operator_storage():
     env = prelude()
     summary = check_operator(env["T2"], Family.LOWER, 8)
     assert summary.verdict == Verdict.ALL_PASS
-    assert summary.all_pass
     assert summary.at is None
 
 
@@ -223,7 +220,7 @@ def test_check_operator_first_failure():
 def test_check_operator_cross_successor():
     env = prelude()
     summary = check_operator(env["T1"], Family.UPPER, 6, prelude("S2")["S2"])
-    assert summary.all_pass
+    assert summary.verdict == Verdict.ALL_PASS
 
 
 def test_fuel_exhaustion_is_not_refutation():
@@ -263,32 +260,31 @@ GOLDEN_RUN_JSON = r'''{
 
 def test_report_json_golden_bytes():
     report = run_check(parse("\\n f. f #0"), Family.LOWER, 0)
-    assert to_json(report_to_dict(report)) == GOLDEN_RUN_JSON
+    assert to_json(report.to_dict(trace=True)) == GOLDEN_RUN_JSON
 
 
 def test_json_is_byte_stable():
     env = prelude()
     summary = check_operator(env["T1"], Family.LOWER, 2)
-    first = to_json(summary_to_dict(summary))
-    second = to_json(summary_to_dict(check_operator(env["T1"], Family.LOWER, 2)))
+    first = to_json(summary.to_dict(trace=True))
+    second = to_json(check_operator(env["T1"], Family.LOWER, 2).to_dict(trace=True))
     assert first == second
 
 
 def test_trace_serialization_can_be_suppressed():
     env = prelude()
     report = run_check(env["T1"], Family.LOWER, 1)
-    with_trace = report_to_dict(report)
-    without = report_to_dict(report, include_trace=False)
+    with_trace = report.to_dict(trace=True)
+    without = report.to_dict()
     assert "steps" in with_trace
     assert "steps" not in without
-    summary = summary_to_dict(check_operator(env["T1"], Family.LOWER, 1),
-                              include_trace=False)
+    summary = check_operator(env["T1"], Family.LOWER, 1).to_dict()
     assert all("steps" not in run for run in summary["runs"])
 
 
 def test_summary_dict_envelope():
     env = prelude()
-    d = summary_to_dict(check_operator(env["T1"], Family.UPPER, 1, env["S1"]))
+    d = check_operator(env["T1"], Family.UPPER, 1, env["S1"]).to_dict(trace=True)
     assert list(d)[:4] == ["family", "successor", "n_max", "verdict"]
     assert d["family"] == "X"
     assert len(d["runs"]) == 2
@@ -303,3 +299,5 @@ def test_verdict_fold_and_exit_codes():
     assert [v.exit_code for v in V] == [1, 1, 2, 0, 1, 0, 1, 1, 1]
     assert f"{V.ALL_PASS:<9}|{V.FUEL}" == "AllPass  |FuelExhausted"
     assert to_json({"verdict": V.REFUTED}) == '{\n  "verdict": "Refuted"\n}'
+    # one vocabulary: the package, the checker and the reducer share the class
+    assert storlab.Verdict is V is storlab.reduction.Verdict

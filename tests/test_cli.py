@@ -9,10 +9,10 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import any_term, rng
-from storlab.checker import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED
 from storlab import cli
 from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, main
-from storlab.syntax import pretty
+from storlab.reduction import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED, FuelExhausted
+from storlab.syntax import parse, pretty
 
 
 def run(capsys, *argv):
@@ -256,6 +256,21 @@ def test_deep_numeral_normalizes(capsys):
     # substitution walks with an explicit stack, so depth is no limit
     code, out, err = run(capsys, "normalize", "S1 #1500")
     assert (code, out, err) == (EXIT_PASS, "#1501\n", "")
+
+
+@pytest.mark.parametrize("json_flag, expected", [
+    ([], "fuel exhausted after 7 steps: p q\n"),
+    (["--json"], '{\n  "verdict": "FuelExhausted",\n  "stage": "Norm",\n'
+                 '  "beta_steps": 7,\n  "partial": "p q"\n}\n'),
+])
+def test_fuel_from_any_command_is_reported_as_fuel(capsys, monkeypatch, json_flag, expected):
+    # a FuelExhausted that escapes a command is its result, never a crash
+    def starved(n_max, limits):
+        raise FuelExhausted("Norm", parse("p q"), 7)
+
+    monkeypatch.setattr(cli, "verify_theorem3", starved)
+    code, out, err = run(capsys, "theorem3", "--n-max", "1", *json_flag)
+    assert (code, out, err) == (EXIT_FUEL, expected, "")
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from storlab.reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
     Limits,
+    Verdict,
     beta_equiv,
     check_successor,
     decompose_hnf,
@@ -238,11 +239,11 @@ def test_check_successor_builtins():
     env = prelude()
     for name in ("S1", "S2"):
         report = check_successor(env[name], 10)
-        assert report.all_pass
-        assert report.first_failure is None
+        assert report.results == (True,) * 11
+        assert report.verdict == Verdict.PASS
     report = check_successor(env["I"], 3)
-    assert not report.all_pass
-    assert report.first_failure == 0
+    assert report.results[0] is False
+    assert report.verdict == Verdict.REFUTED
 
 
 def test_check_successor_rejects_open_terms():
@@ -432,7 +433,7 @@ def test_beta_equiv_does_not_normalize_a_literal_numeral(monkeypatch):
         return normalize(term, limits)
 
     monkeypatch.setattr(reduction, "normalize", counting)
-    assert check_successor(SUCCESSORS[0], 40).all_pass
+    assert check_successor(SUCCESSORS[0], 40).verdict == Verdict.PASS
     assert len(normalized) == 41
     assert all(church_value(t) is None for t in normalized)
 

@@ -253,13 +253,13 @@ def test_p_preservation_under_head_steps():
 def test_theorem1_instances():
     env1, env2 = prelude("S1"), prelude("S2")
     report = verify_theorem1_instance(env1["T1"], env2["S2"], 4)
-    assert report.verdict == Verdict.PASS and report.ok
+    assert report.verdict == Verdict.PASS
     assert all(c.status == Verdict.PASS for c in report.checks)
     assert all(c.hat_status == Verdict.PASS for c in report.checks)
     assert all(c.hat_matches_tau for c in report.checks)
 
     report = verify_theorem1_instance(env1["T2"], env1["S1"], 4)
-    assert report.ok
+    assert report.verdict == Verdict.PASS
 
 
 def test_theorem1_vacuous_when_lower_fails():
@@ -307,7 +307,7 @@ def test_theorem2_equivalence_through_shared_failure():
 
 def test_theorem3_reproduction():
     report = verify_theorem3(3)
-    assert report.ok
+    assert report.verdict == Verdict.PASS
     assert report.upper_verdict == "AllPass"
     assert report.lower_at == 1
     d = report.to_dict()
@@ -316,7 +316,7 @@ def test_theorem3_reproduction():
 
 def test_theorem3_degenerate_bound():
     report = verify_theorem3(0)
-    assert report.ok
+    assert report.verdict == Verdict.PASS
     assert report.lower_verdict == "AllPass"
 
 
