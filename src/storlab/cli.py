@@ -108,12 +108,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_env(args: argparse.Namespace) -> tuple[dict[str, Term], Term]:
-    """Two passes: defs are first read against the default prelude so the
-    successor flag may name one of them, then everything is rebuilt with S
-    bound to the chosen successor."""
+    """Defs are first read against the default prelude so the successor flag
+    may name one of them; unless that is the prelude's S already, everything
+    is then rebuilt with S bound to the chosen successor."""
     env = _env_pass(args, "S1")
     successor = _resolve(args.succ, env, closed=True, what="successor")
-    return _env_pass(args, successor), successor
+    if successor is not env["S"]:
+        env = _env_pass(args, successor)
+    return env, successor
 
 
 def _env_pass(args: argparse.Namespace, successor: str | Term) -> dict[str, Term]:
