@@ -9,7 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import any_term, rng
-from storlab import cli
+from storlab import cli, prelude
 from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, main
 from storlab.reduction import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED, FuelExhausted
 from storlab.syntax import parse, pretty
@@ -156,6 +156,26 @@ def test_defs_flow(capsys, tmp_path):
     code, _, _ = run(capsys, "check-s-storage", "T4", "--succ", "S2",
                      "--defs", str(path), "--n-max", "2")
     assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["parse", "T1"], 1),
+    (["parse", "T1", "--succ", "S1"], 1),
+    (["parse", "T1", "--succ", "S2"], 2),
+    (["parse", "T1", "--succ", "\\n f x. f (n f x)"], 2),
+])
+def test_prelude_is_rebuilt_only_for_another_successor(capsys, monkeypatch, argv, builds):
+    successors = []
+
+    def counting(successor="S1"):
+        successors.append(successor)
+        return prelude(successor)
+
+    monkeypatch.setattr(cli, "prelude", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_PASS and len(successors) == builds
+    # T1 is built around S2 only when S2 is asked for
+    assert ("n f (f x)" in out) == ("S2" in argv)
 
 
 def test_unbound_name_is_usage_error(capsys):
