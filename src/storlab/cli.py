@@ -109,17 +109,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_env(args: argparse.Namespace) -> tuple[dict[str, Term], Term]:
     """Defs are first read against the default prelude so the successor flag
-    may name one of them; unless that is the prelude's S already, everything
-    is then rebuilt with S bound to the chosen successor."""
-    env = _env_pass(args, "S1")
+    may name one of them; unless the successor is the S that prelude was built
+    with (defs may rebind S), everything is rebuilt with S bound to it."""
+    env = prelude("S1")
+    built_with = env["S"]
+    _load_defs(args, env)
     successor = _resolve(args.succ, env, closed=True, what="successor")
-    if successor is not env["S"]:
-        env = _env_pass(args, successor)
+    if successor is not built_with:
+        env = _load_defs(args, prelude(successor))
     return env, successor
 
 
-def _env_pass(args: argparse.Namespace, successor: str | Term) -> dict[str, Term]:
-    env = prelude(successor)
+def _load_defs(args: argparse.Namespace, env: dict[str, Term]) -> dict[str, Term]:
     for path in args.defs or ():
         try:
             env.update(load_defs(path, env))

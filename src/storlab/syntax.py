@@ -68,12 +68,11 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, env: Mapping[str, Term],
-                 keywords: frozenset[str] = frozenset()):
+    def __init__(self, text: str, env: Mapping[str, Term], defs: bool = False):
         self.text = text
         self.tokens = tokenize(text)
         self.env = env
-        self.keywords = keywords  # identifiers that end a term instead of naming one
+        self.defs = defs  # in a definition file, `def` ends a term instead of naming one
         self.i = 0
 
     def peek(self) -> Token:
@@ -117,7 +116,7 @@ class _Parser:
             if tok.kind == "church":
                 self.advance()
                 atom = mk_church(int(tok.value[1:]))
-            elif tok.kind == "ident" and tok.value not in self.keywords:
+            elif tok.kind == "ident" and not (self.defs and tok.value == "def"):
                 self.advance()
                 if tok.value in ("x", "X") and self.peek().value == "[":
                     self.advance()
@@ -185,7 +184,7 @@ def parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[str, Te
     that lacks its `;` is reported at the next `def`.
     """
     env = dict(env or {})
-    parser = _Parser(text, env, frozenset({"def"}))
+    parser = _Parser(text, env, defs=True)
     defs: dict[str, Term] = {}
     while parser.peek().kind != "eof":
         parser.expect("ident", "def")

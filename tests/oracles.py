@@ -216,11 +216,11 @@ def _delta_const(const: Const) -> Term:
 
 class _OracleParser:
     def __init__(self, text: str, tokens: list[Token], env: dict[str, Term],
-                 keywords: frozenset[str] = frozenset()):
+                 defs: bool = False):
         self.text = text
         self.tokens = tokens
         self.env = env
-        self.keywords = keywords
+        self.defs = defs
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
@@ -243,7 +243,7 @@ class _OracleParser:
     def at_atom(self) -> bool:
         tok = self.peek()
         if tok.kind == "ident":
-            return tok.value not in self.keywords
+            return not (self.defs and tok.value == "def")
         return tok.kind == "church" or (tok.kind == "punct" and tok.value == "(")
 
     def parse_term(self, bound: frozenset[str]) -> Term:
@@ -322,7 +322,7 @@ def oracle_parse(text: str, env: Mapping[str, Term] | None = None) -> Term:
 
 
 def oracle_parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[str, Term]:
-    parser = _OracleParser(text, tokenize(text), dict(env or {}), frozenset({"def"}))
+    parser = _OracleParser(text, tokenize(text), dict(env or {}), defs=True)
     defs: dict[str, Term] = {}
     while parser.peek().kind != "eof":
         parser.expect("ident", "def")

@@ -178,6 +178,16 @@ def test_prelude_is_rebuilt_only_for_another_successor(capsys, monkeypatch, argv
     assert ("n f (f x)" in out) == ("S2" in argv)
 
 
+@pytest.mark.parametrize("succ", ["S2", "S"])
+def test_prelude_is_rebuilt_when_defs_rebind_s(capsys, tmp_path, succ):
+    # the defs file makes env["S"] the S2 term, but the prelude was built on S1
+    path = tmp_path / "s2.defs"
+    path.write_text("def S = S2;\n")
+    code, out, _ = run(capsys, "parse", "T2", "--defs", str(path), "--succ", succ)
+    assert code == EXIT_PASS
+    assert "n f (f x)" in out and "f (n f x)" not in out
+
+
 def test_unbound_name_is_usage_error(capsys):
     code, _, err = run(capsys, "check-storage", "T9")
     assert code == EXIT_USAGE
