@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .reduction import (
     DEFAULT_LIMITS,
@@ -172,11 +172,7 @@ class RunReport:
             yield line
 
 
-def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
-              limits: Limits = DEFAULT_LIMITS, probe: str = "f") -> RunReport:
-    """Run the family's characterization machine on one level n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def _check_operands(term: Term, family: Family, successor: Term | None) -> None:
     if not is_closed_pure(term):
         raise ValueError("operator must be a closed constant-free term")
     if family is Family.UPPER:
@@ -186,6 +182,20 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
             raise ValueError("successor must be a closed constant-free term")
     elif successor is not None:
         raise ValueError("successor is only meaningful for upper-family runs")
+
+
+def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
+              limits: Limits = DEFAULT_LIMITS, probe: str = "f", *,
+              checked: bool = False) -> RunReport:
+    """Run the family's characterization machine on one level n.
+
+    checked says that the operator and the successor were already found
+    closed and constant-free, as sweep() does once for all its levels.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if not checked:
+        _check_operands(term, family, successor)
 
     def report(verdict: Verdict, reason: str | None = None,
                tau: Term | None = None) -> RunReport:
@@ -239,12 +249,48 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
     return report(Verdict.FUEL, STAGE_MACRO)
 
 
-@dataclass
+class _RunDicts:
+    """The dicts of some runs, each built when an iteration reaches it, so
+    that a writer can drop one before it builds the next."""
+
+    def __init__(self, reports: list[RunReport], trace: bool):
+        self.reports = reports
+        self.trace = trace
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return (r.to_dict(self.trace) for r in self.reports)
+
+    def __len__(self) -> int:
+        return len(self.reports)
+
+
 class OperatorSummary:
-    family: Family
-    n_max: int
-    reports: list[RunReport]
-    successor: Term | None = None
+    """The runs of one operator over the levels 0..n_max, and their verdict.
+
+    The runs may come lazily, as from sweep(): each is then run when it is
+    first reached, so that lines() yields a level's lines as soon as its run
+    returns.  The verdict and `at` read every run, and so does `reports`.
+    """
+
+    def __init__(self, family: Family, n_max: int, reports: Iterable[RunReport],
+                 successor: Term | None = None):
+        self.family = family
+        self.n_max = n_max
+        self.successor = successor
+        self._taken: list[RunReport] = []
+        self._pending = iter(reports)
+
+    def _runs(self) -> Iterator[RunReport]:
+        """Every run in level order, taking each from the sweep when first reached."""
+        yield from self._taken
+        for report in self._pending:
+            self._taken.append(report)
+            yield report
+
+    @property
+    def reports(self) -> list[RunReport]:
+        self._taken.extend(self._pending)
+        return self._taken
 
     @property
     def verdict(self) -> Verdict:
@@ -263,6 +309,8 @@ class OperatorSummary:
         return None
 
     def to_dict(self, trace: bool = False) -> dict[str, Any]:
+        """The summary; its runs are a _RunDicts, which to_json writes as
+        the list of the runs' dicts."""
         out: dict[str, Any] = {"family": self.family.value}
         if self.successor is not None:
             out["successor"] = pretty(self.successor)
@@ -270,11 +318,11 @@ class OperatorSummary:
         out["verdict"] = self.verdict
         if self.at is not None:
             out["at"] = self.at
-        out["runs"] = [r.to_dict(trace) for r in self.reports]
+        out["runs"] = _RunDicts(self.reports, trace)
         return out
 
     def lines(self, trace: bool = False) -> Iterator[str]:
-        for report in self.reports:
+        for report in self._runs():
             yield from report.lines(trace)
         tail = f"verdict: {self.verdict}"
         if self.at is not None:
@@ -282,14 +330,26 @@ class OperatorSummary:
         yield tail
 
 
+def sweep(term: Term, family: Family, n_max: int, successor: Term | None = None,
+          limits: Limits = DEFAULT_LIMITS) -> Iterator[RunReport]:
+    """The runs at the levels 0..n_max, each run by run_check when it is
+    asked for.  The operator and the successor are checked here, once,
+    before any run."""
+    _check_operands(term, family, successor)
+    return (run_check(term, family, n, successor, limits, checked=True)
+            for n in range(n_max + 1))
+
+
 def check_operator(term: Term, family: Family, n_max: int,
                    successor: Term | None = None,
                    limits: Limits = DEFAULT_LIMITS) -> OperatorSummary:
     """Run every level 0..n_max and summarize."""
-    reports = [run_check(term, family, n, successor, limits) for n in range(n_max + 1)]
-    return OperatorSummary(family, n_max, reports, successor)
+    return OperatorSummary(family, n_max, list(sweep(term, family, n_max, successor, limits)),
+                           successor)
 
 
 def to_json(payload: Any) -> str:
-    """Render with a fixed key order so identical inputs give identical bytes."""
-    return json.dumps(payload, indent=2, sort_keys=False)
+    """Render with a fixed key order so identical inputs give identical bytes.
+    An iterable that json does not know, such as a summary's runs, stands
+    for the list of its items."""
+    return json.dumps(payload, indent=2, sort_keys=False, default=list)

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Iterator, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from .builtins import prelude
-from .checker import OperatorSummary, check_operator, to_json
+from .checker import OperatorSummary, check_operator, sweep, to_json
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -147,11 +147,33 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     """Print the report as JSON or as text lines; its verdict is the exit code."""
     trace = getattr(args, "trace", False)
     if args.json:
-        print(to_json(report.to_dict(trace)))
+        _write_json(report.to_dict(trace))
     else:
         for line in report.lines(trace):
             print(line)
     return report.verdict.exit_code
+
+
+def _write_json(payload: dict[str, Any]) -> None:
+    """Print to_json(payload) a piece at a time, with the same bytes: each
+    top-level value, or for a list each of its items, is encoded and written
+    at the indentation it has in the whole document, then dropped.  A list
+    may be an iterable that builds its items as it goes, such as a summary's
+    runs."""
+    write = sys.stdout.write
+    opening = "{"
+    for key, value in payload.items():
+        write(f"{opening}\n  {to_json(key)}: ")
+        opening = ","
+        if isinstance(value, Iterable) and not isinstance(value, (str, dict)):
+            bracket = "["
+            for item in value:
+                write(f"{bracket}\n    " + to_json(item).replace("\n", "\n    "))
+                bracket = ","
+            write("[]" if bracket == "[" else "\n  ]")
+        else:
+            write(to_json(value).replace("\n", "\n  "))
+    write("{}\n" if opening == "{" else "\n}\n")
 
 
 def cmd_parse(args: argparse.Namespace, limits: Limits) -> Report:
@@ -182,7 +204,8 @@ def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> Report:
     term = _resolve(args.term, env, closed=True, what="operator")
     if args.family is Family.LOWER:
         successor = None
-    return check_operator(term, args.family, args.n_max, successor, limits)
+    runs = sweep(term, args.family, args.n_max, successor, limits)
+    return OperatorSummary(args.family, args.n_max, runs, successor)
 
 
 def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> Report:

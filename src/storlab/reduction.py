@@ -121,10 +121,13 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
     `fuel`, returning (prefix binders, head, argument stack, steps).
 
     The argument stack holds the head's arguments with the first one last.
-    Each step pops it into the head abstraction's body, and an application
-    that comes out as the new head is unwound onto it; an abstraction with
-    no argument left joins the prefix.  The head is a Lam exactly when fuel
-    ran out before the head normal form.
+    Each step pops it into the head abstraction's body: the arguments along
+    the body's spine that the binder is free in are substituted and pushed
+    straight onto the stack, and only the spine's head is substituted as a
+    term, so that no application is built only to be unwound again.  An
+    application that comes out as the new head is unwound onto the stack; an
+    abstraction with no argument left joins the prefix.  The head is a Lam
+    exactly when fuel ran out before the head normal form.
     """
     prefix: list[str] = []
     args: list[Term] = []
@@ -142,7 +145,11 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
         elif steps == fuel:
             return prefix, head, args, steps
         else:
-            head = substitute(head.body, head.binder, args.pop())
+            binder, value, body = head.binder, args.pop(), head.body
+            while type(body) is App and binder in body._fv:
+                args.append(substitute(body.arg, binder, value))
+                body = body.fn
+            head = substitute(body, binder, value)
             steps += 1
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .builtins import core, prelude
-from .checker import TAU_NOT_CLOSED, RunReport, check_operator, run_check
+from .checker import TAU_NOT_CLOSED, RunReport, check_operator, sweep
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -205,10 +205,9 @@ class LevelReport:
 def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Limits,
             judge: Callable[[int, RunReport, RunReport], LevelCheck]) -> LevelReport:
     """Per level n: the lower run, the upper run with successor, then judge."""
-    return LevelReport(check, n_max, tuple(
-        judge(n, run_check(operator, Family.LOWER, n, limits=limits),
-              run_check(operator, Family.UPPER, n, successor=successor, limits=limits))
-        for n in range(n_max + 1)))
+    lower = sweep(operator, Family.LOWER, n_max, limits=limits)
+    upper = sweep(operator, Family.UPPER, n_max, successor, limits)
+    return LevelReport(check, n_max, tuple(map(judge, range(n_max + 1), lower, upper)))
 
 
 def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,

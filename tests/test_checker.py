@@ -15,6 +15,7 @@ from storlab.checker import (
     X_transform,
     check_operator,
     run_check,
+    sweep,
     to_json,
     x_transform,
 )
@@ -28,6 +29,7 @@ from storlab.terms import (
     alpha_eq,
     app,
     app_power,
+    is_closed_pure,
     iter_consts,
     mk_church,
 )
@@ -147,6 +149,26 @@ def test_run_check_t3_upper_succeeds():
     report = run_check(env["T3"], Family.UPPER, 2, env["S2"])
     assert report.verdict == Verdict.SUCCESS
     assert beta_equiv(report.tau, mk_church(2)) is True
+
+
+def test_sweep_checks_its_operands_once(monkeypatch):
+    import storlab.checker as checker
+
+    env, calls = prelude(), []
+
+    def counting(term):
+        calls.append(term)
+        return is_closed_pure(term)
+
+    monkeypatch.setattr(checker, "is_closed_pure", counting)
+    check_operator(env["T1"], Family.UPPER, 4, env["S1"])
+    # the other calls are run_check's own, on each witness
+    assert [t for t in calls if t is env["T1"] or t is env["S1"]] == [env["T1"], env["S1"]]
+    # checked before any run, with run_check's own errors
+    with pytest.raises(ValueError, match="operator must be"):
+        sweep(Var("x"), Family.LOWER, 3)
+    with pytest.raises(ValueError, match="need a successor"):
+        sweep(env["T1"], Family.UPPER, 3)
 
 
 def test_run_check_validation():

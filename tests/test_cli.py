@@ -1,8 +1,11 @@
 """End-to-end command line behavior, driven through main() in process."""
 
+import argparse
 import contextlib
+import gc
 import io
 import json
+import tracemalloc
 
 import hypothesis as hyp
 import pytest
@@ -10,9 +13,23 @@ from hypothesis import strategies as st
 
 from genterms import any_term, rng
 from storlab import cli, prelude
-from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, main
-from storlab.reduction import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED, FuelExhausted
+from storlab.checker import OperatorSummary, check_operator, sweep, to_json
+from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, CorpusReport, TermReport, main
+from storlab.reduction import (
+    EXIT_FUEL,
+    EXIT_PASS,
+    EXIT_REFUTED,
+    FuelExhausted,
+    Verdict,
+    check_successor,
+)
 from storlab.syntax import parse, pretty
+from storlab.terms import Family
+from storlab.theorems import (
+    verify_theorem1_instance,
+    verify_theorem2_instance,
+    verify_theorem3,
+)
 
 
 def run(capsys, *argv):
@@ -130,7 +147,6 @@ def test_theorems_hold_at_larger_n(capsys, argv, last):
 
 def test_corpus_runs_each_sweep_once(capsys, monkeypatch):
     import storlab.checker as checker
-    import storlab.theorems as theorems
 
     original, runs = checker.run_check, []
 
@@ -138,8 +154,8 @@ def test_corpus_runs_each_sweep_once(capsys, monkeypatch):
         runs.append(args)
         return original(*args, **kwargs)
 
-    for module in (checker, theorems):
-        monkeypatch.setattr(module, "run_check", counting)
+    # every sweep, the theorems' included, runs its levels through checker.run_check
+    monkeypatch.setattr(checker, "run_check", counting)
     assert run(capsys, "corpus", "--n-max", "2")[0] == EXIT_PASS
     # theorem 2 on T1, T2, T3 and theorem 3 run two sweeps each, the
     # s-storage rows with S2 one each; theorem 3 repeats T3's lower sweep
@@ -310,6 +326,90 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_parse", broken)
     code, out, err = run(capsys, "parse", "T1")
     assert (code, out, err) == (EXIT_INTERNAL, "", "storlab: internal error: RuntimeError: boom\n")
+
+
+# -- JSON is written a piece at a time, text a level at a time --
+
+
+def report_cases():
+    """One report of every type, the summaries with and without a successor
+    and both eager and lazy."""
+    env, env2 = prelude(), prelude("S2")
+    return [
+        check_operator(env["T1"], Family.LOWER, 2),
+        check_operator(env2["T3"], Family.LOWER, 2),
+        check_operator(env["T2"], Family.UPPER, 2, env["S1"]),
+        OperatorSummary(Family.UPPER, 1, sweep(env2["T1"], Family.UPPER, 1, env2["S2"]),
+                        env2["S2"]),
+        verify_theorem1_instance(env2["T2"], env2["S2"], 1),
+        verify_theorem2_instance(env["T1"], 1),
+        verify_theorem3(1),
+        CorpusReport(1, (("successor S1", Verdict.PASS, Verdict.PASS),
+                         ("theorem3", Verdict.PASS, Verdict.FUEL))),
+        check_successor(env["S1"], 2),
+        TermReport(parse("\\x. x")),
+        TermReport(env["T1"], beta_steps=3),
+        FuelExhausted("Head", parse("p q"), 7),
+    ]
+
+
+def emitted(report, trace):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._emit(report, argparse.Namespace(json=True, trace=trace))
+    assert code == report.verdict.exit_code
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_streamed_json_is_the_whole_document(trace):
+    for report in report_cases():
+        assert emitted(report, trace) == to_json(report.to_dict(trace)) + "\n", report
+    for payload in ({}, {"a": []}, {"a": {}, "b": [1, {"c": [2, []]}, "d"], "e": None}):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_json(payload)
+        assert out.getvalue() == to_json(payload) + "\n"
+
+
+def test_json_trace_heap_stays_near_its_output():
+    argv = ["check-storage", "T1", "--json", "--trace", "--n-max"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv + ["1"])  # one-time allocations fall outside the measure
+    out = io.StringIO()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["30"]) == EXIT_PASS
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 4.2 times the output while every run's dict and the encoder's chunks
+    # of the whole document were alive at once
+    assert peak <= 2.5 * len(out.getvalue().encode())
+
+
+def test_text_prints_each_level_as_its_run_returns(monkeypatch):
+    import storlab.checker as checker
+
+    original, out, printed = checker.run_check, io.StringIO(), {}
+
+    def watching(term, family, n, *args, **kwargs):
+        printed[n] = out.getvalue()
+        if n == 2:
+            raise RuntimeError("boom")
+        return original(term, family, n, *args, **kwargs)
+
+    monkeypatch.setattr(checker, "run_check", watching)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["check-storage", "T1", "--n-max", "3"])
+    assert printed[1] == "n=0: Success  tau = #0\n"
+    # an internal error after some levels leaves their lines, but no verdict
+    assert (code, err.getvalue()) == (EXIT_INTERNAL, "storlab: internal error: RuntimeError: boom\n")
+    assert out.getvalue() == printed[2]
+    assert out.getvalue().splitlines()[1].startswith("n=1: Success")
 
 
 # -- every command line ends in one of the five documented exit codes --

@@ -382,17 +382,40 @@ def run_states():
 RUN_STATES = run_states()
 
 
+def spine_body(r, name):
+    """An application spine whose head and arguments may or may not have
+    name free: its head is name, another variable or a generated term."""
+    head = r.choice((Var(name), Var("q"), pure_term(r, 2, (name,))))
+    return app(head, *(pure_term(r, 2, (name,)) for _ in range(r.randint(0, 4))))
+
+
 def head_case(seed):
-    """A state of a storage run, a generated term, or one whose head
-    reduction takes up to 50 steps: a numeral iterating a function that
-    takes two steps per application, under a binder, before an argument."""
+    """A state of a storage run, a generated term, one whose head reduction
+    takes up to 50 steps (a numeral iterating a function that takes two
+    steps per application, under a binder, before an argument), or binders
+    over an application spine, applied to arguments, where the innermost
+    binder is free in some of the spine's arguments and not in others."""
     r = rng(seed)
-    if seed % 3 == 0:
+    if seed % 4 == 0:
         return RUN_STATES[r.randrange(len(RUN_STATES))]
-    if seed % 3 == 1:
+    if seed % 4 == 1:
         twice = Lam("y", App(IDENTITY, Var("y")))
         return Lam("q", app(mk_church(r.randint(0, 24)), twice, Var("q"), pure_term(r, 2)))
+    if seed % 4 == 2:
+        names = [r.choice(BINDERS) for _ in range(r.randint(1, 3))]
+        term = spine_body(r, names[-1])
+        for name in reversed(names):
+            term = Lam(name, term)
+        return app(term, *(pure_term(r, 2) for _ in range(r.randint(1, 4))))
     return normalization_case(seed)
+
+
+def test_head_step_keeps_arguments_without_the_binder():
+    kept = Lam("z", App(Var("z"), Var("p")))
+    term = App(Lam("x", app(Var("x"), kept, App(Var("x"), kept))), Var("h"))
+    result, steps = head_reduce(term)
+    assert (result, steps) == (app(Var("h"), kept, App(Var("h"), kept)), 1)
+    assert result.fn.arg is kept and result.arg.arg is kept
 
 
 @hyp.given(st.integers(0, 2**32 - 1))
