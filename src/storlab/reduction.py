@@ -24,7 +24,7 @@ from .terms import (
     church_value,
     is_closed_pure,
     mk_church,
-    substitute,
+    substitute_many,
 )
 
 EXIT_PASS = 0
@@ -121,13 +121,13 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
     `fuel`, returning (prefix binders, head, argument stack, steps).
 
     The argument stack holds the head's arguments with the first one last.
-    Each step pops it into the head abstraction's body: the arguments along
-    the body's spine that the binder is free in are substituted and pushed
-    straight onto the stack, and only the spine's head is substituted as a
-    term, so that no application is built only to be unwound again.  An
-    application that comes out as the new head is unwound onto the stack; an
-    abstraction with no argument left joins the prefix.  The head is a Lam
-    exactly when fuel ran out before the head normal form.
+    A head abstraction contracts as many of its prefix binders as there are
+    arguments and fuel for, k of them, in one simultaneous substitution that
+    counts k steps (see _contract); if that would rename a binder, it
+    contracts one binder instead, so every name is the one single steps
+    give.  An application that comes out as the new head is unwound onto
+    the stack; an abstraction with no argument left joins the prefix.  The
+    head is a Lam exactly when fuel ran out before the head normal form.
     """
     prefix: list[str] = []
     args: list[Term] = []
@@ -145,12 +145,47 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
         elif steps == fuel:
             return prefix, head, args, steps
         else:
-            binder, value, body = head.binder, args.pop(), head.body
-            while type(body) is App and binder in body._fv:
-                args.append(substitute(body.arg, binder, value))
-                body = body.fn
-            head = substitute(body, binder, value)
-            steps += 1
+            binders, body = [head.binder], head.body
+            most = min(len(args), fuel - steps)
+            while type(body) is Lam and len(binders) < most:
+                binders.append(body.binder)
+                body = body.body
+            reduced = _contract(binders, body, args) if len(binders) > 1 else None
+            if reduced is None:
+                binders, body = binders[:1], head.body
+                reduced = _contract(binders, body, args)
+            head = reduced
+            steps += len(binders)
+
+
+def _contract(binders: list[str], body: Term, args: list[Term]) -> Term | None:
+    """Contract the head abstraction's binders b1..bk, over body, with the
+    last k arguments on the stack: the new head, or None, with the stack
+    left as it was, when substitute_many gives None (never for k = 1).
+
+    Only the live arguments are substituted: those whose binder is free in
+    the body and not shadowed by a later binder of the k.  The arguments
+    along the body's spine that a binder is free in are substituted and
+    pushed straight onto the stack, and only the spine's head is substituted
+    as a term, so that no application is built only to be unwound again.
+    """
+    free, mapping = body._fv, {}
+    for i in range(len(binders) - 1, -1, -1):  # a later binder shadows an earlier one
+        if binders[i] in free and binders[i] not in mapping:
+            mapping[binders[i]] = args[-1 - i]
+    pushed: list[Term] = []
+    while type(body) is App and not body._fv.isdisjoint(mapping):
+        arg = substitute_many(body.arg, mapping)
+        if arg is None:
+            return None
+        pushed.append(arg)
+        body = body.fn
+    head = substitute_many(body, mapping)
+    if head is None:
+        return None
+    del args[-len(binders):]
+    args += pushed
+    return head
 
 
 def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:

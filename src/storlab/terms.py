@@ -274,34 +274,51 @@ def fresh_name(base: str, avoid: Iterable[str]) -> str:
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution of replacement for the free name.
+    """Capture-avoiding substitution of replacement for the free name: the
+    one-name case of substitute_many, which never gives None."""
+    return substitute_many(term, {name: replacement})
 
-    A binder is renamed, deterministically by priming, only when it would
-    capture a free name of the replacement.  Constant payloads are rewritten
-    like any other subterm.  A subterm in which the name is not free is
-    returned as it is, not rebuilt and not visited.
+
+def substitute_many(term: Term, mapping: dict[str, Term]) -> Term | None:
+    """Simultaneous capture-avoiding substitution of each mapped term for
+    its free name, or None.
+
+    With one name, a binder that would capture a free name of the
+    replacement is renamed, deterministically by priming; the result is
+    never None.  With two or more names, the walk renames nothing: it
+    returns None at a binder that would capture a free name of a term it
+    carries into the body, or that differs from a name free in the body
+    only in primes (substituting one name at a time might rename that
+    name's own binder to it further out).  A caller then falls back to one
+    name at a time, and gets the same primed names either way.  A binder
+    that is a mapped name shadows it in the body.  Constant payloads are
+    rewritten like any other subterm.  A subterm with none of the names
+    free is returned as it is, not rebuilt and not visited.
 
     The walk is post-order with an explicit stack, so there is no depth
-    limit.  Only nodes with the name free are pushed, and an App takes the
+    limit.  Only nodes with a name free are pushed, and an App takes the
     replacement for a Var child without pushing it.  The rebuild of a node
     is pushed below its children as a marker: the binder (a str) for a Lam;
     for an App, its (fn, arg) pair with None for each child taken from the
-    results; for a Const, the node in a list.
+    results; for a Const, the node in a list.  A Lam that shadows a name
+    pushes the mapping outside it (a dict) below its own marker.
     """
-    if name not in term._fv:
+    m = mapping
+    if term._fv.isdisjoint(m):
         return term
-    avoid = replacement._fv
+    # with one name, the free names of its replacement, which a binder must avoid
+    avoid = next(iter(m.values()))._fv if len(m) == 1 else None
     done: list[Term] = []
     todo: list = [term]
     while todo:
         t = todo.pop()
         kind = type(t)
         if kind is Var:
-            done.append(replacement)
+            done.append(m[t.name])
         elif kind is App:
             fn, arg = t.fn, t.arg
-            f = fn if name not in fn._fv else replacement if type(fn) is Var else None
-            a = arg if name not in arg._fv else replacement if type(arg) is Var else None
+            f = fn if fn._fv.isdisjoint(m) else m[fn.name] if type(fn) is Var else None
+            a = arg if arg._fv.isdisjoint(m) else m[arg.name] if type(arg) is Var else None
             if f is None or a is None:
                 todo.append((f, a))
                 if a is None:
@@ -317,22 +334,32 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
             done.append(App(done.pop() if fn is None else fn, arg))
         elif kind is Lam:
             binder, body = t.binder, t.body
-            if binder in avoid:  # name is free in body, so it is avoided too
+            if avoid is None:
+                if binder in m:
+                    todo.append(m)
+                    m = {k: v for k, v in m.items() if k != binder}
+                base = binder.rstrip("'")
+                for k, v in m.items():
+                    if k in body._fv and (binder in v._fv or k.rstrip("'") == base):
+                        return None
+            elif binder in avoid:  # the name is free in body, so it is avoided too
                 renamed = fresh_name(binder, avoid | body._fv)
-                body = substitute(body, binder, Var(renamed))
+                body = substitute_many(body, {binder: Var(renamed)})
                 binder = renamed
             todo.append(binder)
             todo.append(body)
         elif kind is str:
             done.append(Lam(t, done.pop()))
+        elif kind is dict:
+            m = t
         elif kind is Const:
             todo.append([t])
-            todo.extend(reversed([p for p in t.payload if name in p._fv]))
+            todo.extend(reversed([p for p in t.payload if not p._fv.isdisjoint(m)]))
         elif kind is list:
             c = t[0]
             payload = list(c.payload)
             for i in range(len(payload) - 1, -1, -1):
-                if name in payload[i]._fv:
+                if not payload[i]._fv.isdisjoint(m):
                     payload[i] = done.pop()
             done.append(Const(c.family, c.level, tuple(payload)))
     return done[0]

@@ -78,17 +78,18 @@ def _powers(step: Term, zero: Term) -> Callable[[Const, tuple[Term, ...]], Term]
 
 
 def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
-                rejected: Family, who: str) -> Term:
+                rejected: Family, who: str, memo: dict[int, Term] | None = None) -> Term:
     """t with every constant c replaced by image(c, payload), where payload
     is c's payload mapped the same way.  Raises ValueError, naming who, on a
     constant of the rejected family.
 
     The walk is post-order with an explicit stack and a memo keyed on node
-    identity, for this call only, so each distinct node is visited once,
-    payloads included, at any depth.  A subterm that maps to itself comes
-    back as the same object.
+    identity, so each distinct node is visited once, payloads included, at
+    any depth.  The memo is this call's own, or the one given: calls with
+    the same image can share one as long as every node it has seen stays
+    alive.  A subterm that maps to itself comes back as the same object.
     """
-    done: dict[int, Term] = {}
+    done: dict[int, Term] = {} if memo is None else memo
     todo: list[Term] = [t]
     while todo:
         node = todo[-1]
@@ -128,15 +129,16 @@ def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
     return done[id(t)]
 
 
-def delta_forward(t: Term) -> Term:
+def delta_forward(t: Term, memo: dict[int, Term] | None = None) -> Term:
     """Translate a lower-family term to its upper-family image.
 
     Seeds map level for level; a stored x[k; a, b, c...] becomes the stored
     upper constant re-applied to its own first two payload entries,
     (X[k; a', b', c'...]) a' b'.  The image of a machine state always
-    satisfies (P).
+    satisfies (P).  memo, keyed on node identity, may be shared by calls
+    whose terms all stay alive while it is in use.
     """
-    return _map_consts(t, _delta_const, Family.UPPER, "delta_forward")
+    return _map_consts(t, _delta_const, Family.UPPER, "delta_forward", memo)
 
 
 def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
@@ -285,9 +287,12 @@ def _delta_correspondence(lower: RunReport, upper: RunReport,
                           limits: Limits) -> bool | None:
     if len(lower.trace) != len(upper.trace):
         return False
+    # one memo for the whole trace, which keeps every node it maps alive:
+    # the states share most of their subterms, so each is mapped once
+    memo: dict[int, Term] = {}
     for mine, theirs in zip(lower.trace, upper.trace):
         try:
-            hnf, _ = head_reduce(delta_forward(mine.u), limits)
+            hnf, _ = head_reduce(delta_forward(mine.u, memo), limits)
         except FuelExhausted:
             return None
         if not alpha_eq(hnf, theirs.v):

@@ -7,7 +7,9 @@ unwinding and rebuilding the whole spine, and the constant mappings sigma,
 sigma-hat and delta as a tree walk after a separate scan for constants of
 the rejected family, the repr the dataclasses generated, and the parser as
 four methods that call one another.  They recurse once per level of depth,
-so they are for small generated terms only.
+so they are for small generated terms only.  The delta correspondence maps
+each state of a lower trace on its own, without the memo that
+theorems._delta_correspondence shares across the trace.
 beta_equiv is the original that normalizes both sides and compares them by
 alpha-equivalence.  spine unwinds an application for these oracles and for
 the lemma checks in theory.py.
@@ -17,7 +19,14 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from storlab.reduction import DEFAULT_LIMITS, STAGE_HEAD, FuelExhausted, Limits, normalize
+from storlab.reduction import (
+    DEFAULT_LIMITS,
+    STAGE_HEAD,
+    FuelExhausted,
+    Limits,
+    head_reduce,
+    normalize,
+)
 from storlab.syntax import ParseError, Token, tokenize
 from storlab.terms import (
     App,
@@ -212,6 +221,22 @@ def _delta_const(const: Const) -> Term:
     image = tuple(_map_consts(p, _delta_const) for p in const.payload)
     stored = Const(Family.UPPER, const.level, image)
     return App(App(stored, image[0]), image[1])
+
+
+def oracle_delta_correspondence(lower, upper, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+    """theorems._delta_correspondence state by state: each lower state's
+    delta image mapped on its own, head-reduced and compared with the
+    upper state's head normal form."""
+    if len(lower.trace) != len(upper.trace):
+        return False
+    for mine, theirs in zip(lower.trace, upper.trace):
+        try:
+            hnf, _ = head_reduce(oracle_delta_forward(mine.u), limits)
+        except FuelExhausted:
+            return None
+        if not alpha_eq(hnf, theirs.v):
+            return False
+    return True
 
 
 class _OracleParser:

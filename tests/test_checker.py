@@ -25,6 +25,7 @@ from storlab.terms import (
     App,
     Const,
     Family,
+    Lam,
     Var,
     alpha_eq,
     app,
@@ -229,6 +230,23 @@ def test_check_operator_storage():
     summary = check_operator(env["T2"], Family.LOWER, 8)
     assert summary.verdict == Verdict.ALL_PASS
     assert summary.at is None
+
+
+def test_check_operator_builds_few_nodes(monkeypatch):
+    # a head abstraction's binders are contracted together, so the terms
+    # between them are never built: 2109 App and 766 Lam one binder at a time
+    env = prelude("S2")
+    built = {App: 0, Lam: 0}
+    for kind in built:
+        def counting(node, kind=kind, original=kind.__post_init__):
+            built[kind] += 1
+            original(node)
+
+        monkeypatch.setattr(kind, "__post_init__", counting)
+    summary = check_operator(env["T1"], Family.UPPER, 12, env["S2"])
+    assert summary.verdict == Verdict.ALL_PASS
+    assert sum(len(report.trace) for report in summary.reports) == 104
+    assert built[App] <= 1300 and built[Lam] <= 250  # 1077 and 178
 
 
 def test_check_operator_first_failure():

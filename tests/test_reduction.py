@@ -39,7 +39,6 @@ from storlab.terms import (
     app_power,
     church_value,
     mk_church,
-    substitute,
 )
 from theory import head_step
 
@@ -279,7 +278,7 @@ def oracle_step(term):
             nxt = oracle_step(body)
             return Lam(binder, nxt) if nxt is not None else None
         case App(Lam(binder, body), arg):
-            return substitute(body, binder, arg)
+            return substitute_many(body, {binder: arg})
         case App(fn, arg):
             nxt = oracle_step(fn)
             if nxt is not None:
@@ -426,6 +425,74 @@ def test_head_reduce_fuel_matches_oracle(seed):
         limits = Limits(head_fuel=fuel)
         # names included: the result, or the stage, steps and partial term
         assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+
+
+# -- a head abstraction's binders contracted at once, or one at a time when a
+#    binder inside the body would capture a free name of an argument --
+
+POOL = ("a", "b", "c", "a'", "b'")
+
+
+def pool_term(r, depth):
+    """A term over POOL's names, each free or bound, primed names included."""
+    if depth <= 0 or r.random() < 0.25:
+        return Var(r.choice(POOL))
+    if r.random() < 0.4:
+        return Lam(r.choice(POOL), pool_term(r, depth - 1))
+    return App(pool_term(r, depth - 1), pool_term(r, depth - 1))
+
+
+def prefix_redex(seed):
+    """A head abstraction with 2-4 binders from POOL, applied to 1-5
+    arguments whose free names are POOL's, so the binders inside the body
+    and the later prefix binders are often free names of an argument."""
+    r = rng(seed)
+    binders = [r.choice(POOL) for _ in range(r.randint(2, 4))]
+    term = pool_term(r, 4)
+    for binder in reversed(binders):
+        term = Lam(binder, term)
+    return app(term, *(pool_term(r, 2) for _ in range(r.randint(1, len(binders) + 1))))
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_prefix_contraction_matches_oracle(seed):
+    term = prefix_redex(seed)
+    for fuel in (*range(1, 41), 500):
+        limits = Limits(head_fuel=fuel)
+        # names included: the result, or the stage, steps and partial term
+        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+    limits = Limits(norm_fuel=500)
+    assert outcome(normalize, term, limits) == outcome(oracle_normalize, term, limits)
+
+
+def test_prefix_contraction_falls_back_to_one_binder(monkeypatch):
+    import storlab.reduction as reduction
+
+    kernel, gave_none = reduction.substitute_many, []
+
+    def counting(term, mapping):
+        result = kernel(term, mapping)
+        if result is None:
+            gave_none.append(len(mapping))
+        return result
+
+    monkeypatch.setattr(reduction, "substitute_many", counting)
+    # the inner c would capture the argument c: a is contracted alone, which
+    # primes c, then b
+    pinned = app(Lam("a", Lam("b", Lam("c", app(Var("a"), Var("b"), Var("c"))))),
+                 Var("c"), Var("b"))
+    assert head_reduce(pinned) == (Lam("c'", app(Var("c"), Var("b"), Var("c'"))), 2)
+    # contracting a alone primes b, which primes the inner b' (b is free
+    # under it) before b's argument comes in: b' differs from b only in primes
+    primed = app(Lam("a", Lam("b", Lam("b'", app(Var("a"), Var("b"), Var("b'"))))),
+                 Var("b"), Var("c"))
+    assert head_reduce(primed) == (Lam("b''", app(Var("b"), Var("c"), Var("b''"))), 2)
+    assert gave_none == [2, 2]
+    limits = Limits(head_fuel=500)
+    for seed in range(300):
+        term = prefix_redex(seed)
+        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+    assert len(gave_none) > 10 and min(gave_none) >= 2  # 23 from the 300 terms
 
 
 # -- beta_equiv against a literal numeral reads the other side's normal form

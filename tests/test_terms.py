@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
-from oracles import oracle_alpha_eq, oracle_repr, spine, substitute_many
+import oracles
+from oracles import oracle_alpha_eq, oracle_repr, spine
 from storlab.terms import (
     App,
     Const,
@@ -22,6 +23,7 @@ from storlab.terms import (
     iter_consts,
     mk_church,
     substitute,
+    substitute_many,
 )
 
 names = st.sampled_from(("p", "q", "r", "s", "t"))
@@ -152,6 +154,7 @@ def test_substitute_self_application():
 
 def test_substitute_many_is_simultaneous():
     swap = {"p": Var("q"), "q": Var("p")}
+    assert oracles.substitute_many(App(Var("p"), Var("q")), swap) == App(Var("q"), Var("p"))
     assert substitute_many(App(Var("p"), Var("q")), swap) == App(Var("q"), Var("p"))
 
 
@@ -302,11 +305,42 @@ def test_free_names_match_oracle_on_generated_terms(seed):
 def test_substitute_many_matches_oracle_on_generated_terms(seed):
     term, mapping = generated_case(seed)
     expected = oracle_substitute_many(term, mapping)
-    got = substitute_many(term, mapping)
+    got = oracles.substitute_many(term, mapping)
     assert got == expected  # binder names included, not just alpha
     assert free_names(got) == oracle_free_names(expected)
     for name, value in mapping.items():  # the production kernel, one name at a time
         assert substitute(term, name, value) == oracle_substitute_many(term, {name: value})
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_substitute_many_kernel_matches_oracle_or_gives_none(seed):
+    term, mapping = generated_case(seed)
+    got = substitute_many(term, mapping)
+    if got is not None:  # a binder would have been renamed: None
+        assert got == oracles.substitute_many(term, mapping)
+    for name, value in mapping.items():  # one name is never None
+        assert substitute_many(term, {name: value}) == oracles.substitute_many(
+            term, {name: value})
+
+
+def test_substitute_many_gives_up_at_capturing_binders():
+    outcomes = {True: 0, False: 0}
+    for seed in range(400):
+        term, mapping = generated_case(seed)
+        if len(mapping) > 1 and not free_names(term).isdisjoint(mapping):
+            outcomes[substitute_many(term, mapping) is None] += 1
+    assert min(outcomes.values()) > 20  # 38 None and 243 terms
+    # the inner s would capture the incoming s; a primed s is a name that
+    # renaming the binder of s one name at a time might give
+    inner = Lam("s", app(Var("p"), Var("q"), Var("s")))
+    assert substitute_many(inner, {"p": Var("s"), "q": Var("r")}) is None
+    assert substitute_many(Lam("s'", app(Var("s"), Var("q"))),
+                           {"s": Var("p"), "q": Var("r")}) is None
+    # shadowed: p is not substituted under its own binder, q is
+    shadow = Lam("p", app(Var("p"), Var("q")))
+    assert substitute_many(shadow, {"p": Var("s"), "q": Var("r")}) == Lam(
+        "p", app(Var("p"), Var("r")))
+    assert substitute_many(inner, {"s": Var("p"), "r": Var("q")}) is inner
 
 
 @hyp.given(terms, names, terms)
@@ -387,7 +421,7 @@ def oracle_iter_consts(term):
 @hyp.given(st.integers(0, 2**32 - 1))
 def test_iter_consts_matches_oracle_on_generated_terms(seed):
     term, mapping = generated_case(seed)
-    for t in (term, substitute_many(term, mapping), *mapping.values()):
+    for t in (term, oracles.substitute_many(term, mapping), *mapping.values()):
         got, expected = list(iter_consts(t)), list(oracle_iter_consts(t))
         # the same occurrences in the same order, by identity
         assert [id(c) for c in got] == [id(c) for c in expected]
@@ -425,7 +459,7 @@ def test_substitute_renames_past_free_primed_names():
     # y' is free in the body, so the renamed binder must skip it too
     t = Lam("y", App(Var("z"), App(Var("y"), Var("y'"))))
     expected = Lam("y''", App(Var("y"), App(Var("y''"), Var("y'"))))
-    assert substitute(t, "z", Var("y")) == expected == substitute_many(t, {"z": Var("y")})
+    assert substitute(t, "z", Var("y")) == expected == oracles.substitute_many(t, {"z": Var("y")})
 
 
 def test_substitute_deep_terms_without_recursion():
@@ -433,6 +467,10 @@ def test_substitute_deep_terms_without_recursion():
     assert church_value(Lam("g", Lam("y", substitute(deep, "x", Var("y"))))) == 5000
     assert church_value(Lam("f", Lam("x", substitute(deep, "g", Var("f"))))) == 5000
     assert substitute(deep, "z", Var("y")) is deep
+    # two names at once under the same 5000-deep spine
+    both = substitute_many(deep, {"g": Var("f"), "x": Var("y")})
+    assert church_value(Lam("f", Lam("y", both))) == 5000
+    assert substitute_many(deep, {"z": Var("y"), "w": Var("f")}) is deep
     # the binder captures the incoming y: renamed through the whole spine
     out = substitute(Lam("y", app_power(Var("y"), 5000, Var("z"))), "z", Var("y"))
     assert out.binder == "y'"
@@ -448,6 +486,14 @@ def test_substitute_deep_terms_without_recursion():
         assert out.body.fn == Var("y'")
         out = out.body.arg
     assert out == Var("y")
+    # two names under the same 5000 binders: the outer y shadows y, and the
+    # incoming y would be captured at the top, so the walk gives up at once
+    out = substitute_many(chain, {"y": Var("p"), "z": Var("q")})
+    for _ in range(5000):
+        assert isinstance(out, Lam) and out.binder == "y"
+        out = out.body.arg
+    assert out == Var("q")
+    assert substitute_many(chain, {"z": Var("y"), "q": Var("p")}) is None
     # 5000 nested payloads
     nested = Var("z")
     for level in range(5000):

@@ -1,15 +1,23 @@
 """Numeral erasure, the payload discipline, the family translation, and the
 instance verifiers built on them."""
 
+import dataclasses
+import functools
+
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, any_term, lower_term, p_term, rng, with_head_redex
-from oracles import oracle_delta_forward, oracle_sigma_hat_subst, oracle_sigma_subst
-from storlab import prelude
+from oracles import (
+    oracle_delta_correspondence,
+    oracle_delta_forward,
+    oracle_sigma_hat_subst,
+    oracle_sigma_subst,
+)
+from storlab import prelude, theorems
 from storlab.checker import MacroStep, RunReport, Verdict, run_check
-from storlab.reduction import Limits, beta_equiv, head_reduce
+from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
 from storlab.terms import (
     App,
     Const,
@@ -295,6 +303,68 @@ def test_theorem2_instances():
         assert all(c.status == Verdict.PASS for c in report.checks)
         assert all(c.tau_match for c in report.checks)
         assert all(c.delta_match for c in report.checks)
+
+
+def test_delta_correspondence_maps_each_trace_node_once(monkeypatch):
+    # one memo per level: the nodes mapped grow with the trace's DAG, about
+    # linearly in n, not with the summed sizes of its states (3.6x per doubling)
+    original, memos = theorems._map_consts, {}
+
+    def recording(t, image, rejected, who, memo=None):
+        memo = {} if memo is None else memo
+        memos[id(memo)] = memo
+        return original(t, image, rejected, who, memo)
+
+    monkeypatch.setattr(theorems, "_map_consts", recording)
+    env = prelude()
+    mapped = []
+    for n in (128, 256):
+        lower = run_check(env["T1"], Family.LOWER, n)
+        upper = run_check(env["T1"], Family.UPPER, n, env["S1"])
+        memos.clear()
+        assert theorems._delta_correspondence(lower, upper, DEFAULT_LIMITS) is True
+        mapped.append(sum(len(memo) for memo in memos.values()))
+    assert mapped[1] <= 2.2 * mapped[0]
+
+
+@functools.cache
+def theorem2_runs(name, n):
+    env = prelude()
+    return (run_check(env[name], Family.LOWER, n),
+            run_check(env[name], Family.UPPER, n, env["S1"]))
+
+
+def mutated_runs(seed):
+    """The lower and upper runs of T1 or T2 at a level up to 8, as they are
+    or with one state changed: a lower start term or an upper head normal
+    form replaced by another state's or applied to a variable, or the last
+    step dropped."""
+    r = rng(seed)
+    lower, upper = theorem2_runs(r.choice(("T1", "T2")), r.randint(0, 8))
+    kind = r.randrange(6)
+    if kind == 0:
+        return lower, upper, True
+    side = r.choice((lower, upper))
+    steps = list(side.trace)
+    i, j = r.randrange(len(steps)), r.randrange(len(steps))
+    field = "u" if side is lower else "v"
+    if kind == 1:
+        steps.pop()
+    elif kind in (2, 3) and i != j:
+        steps[i] = dataclasses.replace(steps[i], **{field: getattr(steps[j], field)})
+    else:
+        changed = App(getattr(steps[i], field), Var("p"))
+        steps[i] = dataclasses.replace(steps[i], **{field: changed})
+    side = dataclasses.replace(side, trace=steps)
+    return (side, upper, False) if field == "u" else (lower, side, False)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_delta_correspondence_matches_per_state_check(seed):
+    lower, upper, real = mutated_runs(seed)
+    verdict = theorems._delta_correspondence(lower, upper, DEFAULT_LIMITS)
+    assert verdict == oracle_delta_correspondence(lower, upper)
+    assert verdict is real
 
 
 def test_theorem2_equivalence_through_shared_failure():
