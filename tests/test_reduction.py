@@ -427,8 +427,8 @@ def test_head_reduce_fuel_matches_oracle(seed):
         assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
 
 
-# -- a head abstraction's binders contracted at once, or one at a time when a
-#    binder inside the body would capture a free name of an argument --
+# -- a head abstraction's binders contracted at once, or one at a time where
+#    single steps might rename a binder; checked against single steps --
 
 POOL = ("a", "b", "c", "a'", "b'")
 

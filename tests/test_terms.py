@@ -316,7 +316,7 @@ def test_substitute_many_matches_oracle_on_generated_terms(seed):
 def test_substitute_many_kernel_matches_oracle_or_gives_none(seed):
     term, mapping = generated_case(seed)
     got = substitute_many(term, mapping)
-    if got is not None:  # a binder would have been renamed: None
+    if got is not None:  # None where a binder might have been renamed
         assert got == oracles.substitute_many(term, mapping)
     for name, value in mapping.items():  # one name is never None
         assert substitute_many(term, {name: value}) == oracles.substitute_many(
