@@ -1,7 +1,7 @@
 """Storage-operator checking by symbolic-constant runs.
 
-A run feeds the candidate operator a seed constant at level n plus a fresh
-probe variable, head-reduces, and keeps firing the family's transform on
+A run feeds the candidate operator a seed constant at level n plus the
+probe variable f, head-reduces, and keeps firing the family's transform on
 the constant-headed head normal forms.  A run succeeds when the probe
 surfaces applied to exactly one closed argument beta-equal to the numeral
 n.  Lower-family runs characterize plain storage operators; upper-family
@@ -44,19 +44,16 @@ WRONG_LEVEL = "WrongLevel"
 TAU_NOT_CLOSED = "TauNotClosed"
 TAU_NOT_N = "TauNotN"
 
+PROBE = "f"  # an operator is closed, so the probe is fresh whatever its name
+
 
 class TransformError(Exception):
-    """A head normal form the transform rules do not cover."""
+    """A head normal form the transform rules do not cover; reason names
+    the rule it breaks (MALFORMED_HEAD or WRONG_LEVEL)."""
 
-    reason = MALFORMED_HEAD
-
-
-class MalformedHeadError(TransformError):
-    reason = MALFORMED_HEAD
-
-
-class WrongLevelError(TransformError):
-    reason = WRONG_LEVEL
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 def _head_const(v: HnfDecomposition, family: Family) -> Const:
@@ -77,9 +74,10 @@ def x_transform(v: HnfDecomposition, n: int) -> Term:
     head = _head_const(v, Family.LOWER)
     if head.is_seed:
         if head.level != n:
-            raise WrongLevelError(f"seed at level {head.level}, expected {n}")
+            raise TransformError(WRONG_LEVEL, f"seed at level {head.level}, expected {n}")
         if len(v.args) < 2:
-            raise MalformedHeadError("seed constant applied to fewer than two arguments")
+            raise TransformError(MALFORMED_HEAD,
+                                 "seed constant applied to fewer than two arguments")
         a, b, *cs = v.args
     else:
         a, b = head.payload[0], head.payload[1]
@@ -99,9 +97,9 @@ def X_transform(v: HnfDecomposition, successor: Term, n: int) -> Term:
     """
     head = _head_const(v, Family.UPPER)
     if head.is_seed and head.level != n:
-        raise WrongLevelError(f"seed at level {head.level}, expected {n}")
+        raise TransformError(WRONG_LEVEL, f"seed at level {head.level}, expected {n}")
     if len(v.args) < 2:
-        raise MalformedHeadError("constant applied to fewer than two arguments")
+        raise TransformError(MALFORMED_HEAD, "constant applied to fewer than two arguments")
     if head.level == 0:
         return app(mk_church(0), *v.args)
     stored = Const(Family.UPPER, head.level - 1, tuple(v.args))
@@ -114,7 +112,7 @@ def _step_kind(head: Const) -> str:
     return STORED_ZERO if head.level == 0 else STORED_SUCC
 
 
-@dataclass
+@dataclass(slots=True)
 class MacroStep:
     """One recorded macro step: u head-reduces to v in beta_steps, then
     transform names what the run did with v (None when the run stopped)."""
@@ -125,7 +123,7 @@ class MacroStep:
     transform: str | None
 
 
-@dataclass
+@dataclass(slots=True)
 class RunReport:
     family: Family
     n: int
@@ -185,12 +183,11 @@ def _check_operands(term: Term, family: Family, successor: Term | None) -> None:
 
 
 def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
-              limits: Limits = DEFAULT_LIMITS, probe: str = "f", *,
-              checked: bool = False) -> RunReport:
+              limits: Limits = DEFAULT_LIMITS, *, checked: bool = False) -> RunReport:
     """Run the family's characterization machine on one level n.
 
     checked says that the operator and the successor were already found
-    closed and constant-free, as sweep() does once for all its levels.
+    closed and constant-free, as check_operator() does once for all its levels.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -207,7 +204,7 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         return report(verdict, reason)
 
     trace: list[MacroStep] = []
-    u = app(term, Const(family, n), Var(probe))
+    u = app(term, Const(family, n), Var(PROBE))
     for _ in range(limits.macro_fuel):
         try:
             v, beta_steps = head_reduce(u, limits)
@@ -219,7 +216,7 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
             return stop(Verdict.FAIL, PREFIX_NOT_EMPTY)
         head = decomposed.head
         if isinstance(head, Var):
-            if head.name != probe:
+            if head.name != PROBE:
                 return stop(Verdict.FAIL, FOREIGN_HEAD)
             if len(decomposed.args) != 1:
                 return stop(Verdict.FAIL, F_WRONG_ARITY)
@@ -267,21 +264,18 @@ class _RunDicts:
 class OperatorSummary:
     """The runs of one operator over the levels 0..n_max, and their verdict.
 
-    The runs may come lazily, as from sweep(): each is then run when it is
-    first reached, so that lines() yields a level's lines as soon as its run
-    returns.  The verdict and `at` read every run, and so does `reports`.
+    The runs may come lazily, as from check_operator(): each is then run when
+    it is first reached, so that iterating, and so lines(), yields a level as
+    soon as its run returns.  The verdict and `at` read every run, and so
+    does `reports`.  The family, the successor and n_max are the runs' own.
     """
 
-    def __init__(self, family: Family, n_max: int, reports: Iterable[RunReport],
-                 successor: Term | None = None):
-        self.family = family
-        self.n_max = n_max
-        self.successor = successor
+    def __init__(self, runs: Iterable[RunReport]):
         self._taken: list[RunReport] = []
-        self._pending = iter(reports)
+        self._pending = iter(runs)
 
-    def _runs(self) -> Iterator[RunReport]:
-        """Every run in level order, taking each from the sweep when first reached."""
+    def __iter__(self) -> Iterator[RunReport]:
+        """Every run in level order, each run when first reached."""
         yield from self._taken
         for report in self._pending:
             self._taken.append(report)
@@ -311,10 +305,11 @@ class OperatorSummary:
     def to_dict(self, trace: bool = False) -> dict[str, Any]:
         """The summary; its runs are a _RunDicts, which to_json writes as
         the list of the runs' dicts."""
-        out: dict[str, Any] = {"family": self.family.value}
-        if self.successor is not None:
-            out["successor"] = pretty(self.successor)
-        out["n_max"] = self.n_max
+        first = self.reports[0]
+        out: dict[str, Any] = {"family": first.family.value}
+        if first.successor is not None:
+            out["successor"] = pretty(first.successor)
+        out["n_max"] = len(self.reports) - 1
         out["verdict"] = self.verdict
         if self.at is not None:
             out["at"] = self.at
@@ -322,7 +317,7 @@ class OperatorSummary:
         return out
 
     def lines(self, trace: bool = False) -> Iterator[str]:
-        for report in self._runs():
+        for report in self:
             yield from report.lines(trace)
         tail = f"verdict: {self.verdict}"
         if self.at is not None:
@@ -330,22 +325,17 @@ class OperatorSummary:
         yield tail
 
 
-def sweep(term: Term, family: Family, n_max: int, successor: Term | None = None,
-          limits: Limits = DEFAULT_LIMITS) -> Iterator[RunReport]:
-    """The runs at the levels 0..n_max, each run by run_check when it is
-    asked for.  The operator and the successor are checked here, once,
-    before any run."""
-    _check_operands(term, family, successor)
-    return (run_check(term, family, n, successor, limits, checked=True)
-            for n in range(n_max + 1))
-
-
 def check_operator(term: Term, family: Family, n_max: int,
                    successor: Term | None = None,
                    limits: Limits = DEFAULT_LIMITS) -> OperatorSummary:
-    """Run every level 0..n_max and summarize."""
-    return OperatorSummary(family, n_max, list(sweep(term, family, n_max, successor, limits)),
-                           successor)
+    """The summary of the levels 0..n_max, each run by run_check when the
+    summary first reaches it.  n_max and the operands are checked here, once,
+    before any run."""
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    _check_operands(term, family, successor)
+    return OperatorSummary(run_check(term, family, n, successor, limits, checked=True)
+                           for n in range(n_max + 1))
 
 
 def to_json(payload: Any) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from .builtins import prelude
-from .checker import OperatorSummary, check_operator, sweep, to_json
+from .checker import OperatorSummary, check_operator, to_json
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -204,8 +204,7 @@ def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> Report:
     term = _resolve(args.term, env, closed=True, what="operator")
     if args.family is Family.LOWER:
         successor = None
-    runs = sweep(term, args.family, args.n_max, successor, limits)
-    return OperatorSummary(args.family, args.n_max, runs, successor)
+    return check_operator(term, args.family, args.n_max, successor, limits)
 
 
 def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> Report:
@@ -239,10 +238,8 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
     for name, env in (("T1", env1), ("T2", env1), ("T3", env2)):
         report = verify_theorem2_instance(env[name], n_max, limits)
         theorem2[name] = report.verdict
-        swept[name, "x"] = OperatorSummary(
-            Family.LOWER, n_max, [c.lower for c in report.checks]).verdict
-        swept[name, "S1"] = OperatorSummary(
-            Family.UPPER, n_max, [c.upper for c in report.checks]).verdict
+        swept[name, "x"] = OperatorSummary(c.lower for c in report.checks).verdict
+        swept[name, "S1"] = OperatorSummary(c.upper for c in report.checks).verdict
 
     rows = [(f"successor {name}", Verdict.PASS, check_successor(env1[name], 10, limits).verdict)
             for name in ("S1", "S2")]

@@ -321,6 +321,8 @@ class SuccessorReport:
 def check_successor(successor: Term, k_max: int,
                     limits: Limits = DEFAULT_LIMITS) -> SuccessorReport:
     """Does (S) k-numeral equal the k+1 numeral for every k up to k_max?"""
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
     results = tuple(

@@ -11,8 +11,10 @@ so they are for small generated terms only.  The delta correspondence maps
 each state of a lower trace on its own, without the memo that
 theorems._delta_correspondence shares across the trace.
 beta_equiv is the original that normalizes both sides and compares them by
-alpha-equivalence.  spine unwinds an application for these oracles and for
-the lemma checks in theory.py.
+alpha-equivalence.  Theorem 3's upper tau check normalizes every upper tau a
+second time, as the theorem did before it read the runs' verdict.  spine
+unwinds an application for these oracles and for the lemma checks in
+theory.py.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from storlab.reduction import (
     STAGE_HEAD,
     FuelExhausted,
     Limits,
+    beta_equiv,
     head_reduce,
     normalize,
 )
@@ -168,6 +171,12 @@ def oracle_beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool
     except FuelExhausted:
         return None
     return alpha_eq(tn, un)
+
+
+def oracle_upper_tau_ok(upper, limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Every run of upper has a tau beta-equal to the numeral of its level."""
+    return all(r.tau is not None and beta_equiv(r.tau, mk_church(r.n), limits) is True
+               for r in upper)
 
 
 def _reject_family(t: Term, family: Family, who: str) -> None:

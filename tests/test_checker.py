@@ -9,13 +9,11 @@ from storlab.checker import (
     MALFORMED_HEAD,
     TAU_NOT_CLOSED,
     WRONG_LEVEL,
-    MalformedHeadError,
+    TransformError,
     Verdict,
-    WrongLevelError,
     X_transform,
     check_operator,
     run_check,
-    sweep,
     to_json,
     x_transform,
 )
@@ -89,21 +87,18 @@ def test_X_transform_stored_uses_current_arguments():
 
 
 def test_transform_errors():
-    with pytest.raises(MalformedHeadError) as info:
-        x_transform(hnf(app(Const(Family.LOWER, 2), A)), 2)
-    assert info.value.reason == MALFORMED_HEAD
-
-    with pytest.raises(WrongLevelError) as info:
-        x_transform(hnf(app(Const(Family.LOWER, 3), A, B)), 2)
-    assert info.value.reason == WRONG_LEVEL
-
     s1 = prelude()["S1"]
-    with pytest.raises(MalformedHeadError):
-        X_transform(hnf(app(Const(Family.UPPER, 1), A)), s1, 1)
-    with pytest.raises(MalformedHeadError):
-        X_transform(hnf(Const(Family.UPPER, 0, (A, B))), s1, 0)
-    with pytest.raises(WrongLevelError):
-        X_transform(hnf(app(Const(Family.UPPER, 2), A, B)), s1, 0)
+    cases = [
+        (lambda: x_transform(hnf(app(Const(Family.LOWER, 2), A)), 2), MALFORMED_HEAD),
+        (lambda: x_transform(hnf(app(Const(Family.LOWER, 3), A, B)), 2), WRONG_LEVEL),
+        (lambda: X_transform(hnf(app(Const(Family.UPPER, 1), A)), s1, 1), MALFORMED_HEAD),
+        (lambda: X_transform(hnf(Const(Family.UPPER, 0, (A, B))), s1, 0), MALFORMED_HEAD),
+        (lambda: X_transform(hnf(app(Const(Family.UPPER, 2), A, B)), s1, 0), WRONG_LEVEL),
+    ]
+    for transform, reason in cases:
+        with pytest.raises(TransformError) as info:
+            transform()
+        assert info.value.reason == reason
 
     with pytest.raises(ValueError):
         x_transform(hnf(app(Var("f"), A, B)), 0)
@@ -167,9 +162,39 @@ def test_sweep_checks_its_operands_once(monkeypatch):
     assert [t for t in calls if t is env["T1"] or t is env["S1"]] == [env["T1"], env["S1"]]
     # checked before any run, with run_check's own errors
     with pytest.raises(ValueError, match="operator must be"):
-        sweep(Var("x"), Family.LOWER, 3)
+        check_operator(Var("x"), Family.LOWER, 3)
     with pytest.raises(ValueError, match="need a successor"):
-        sweep(env["T1"], Family.UPPER, 3)
+        check_operator(env["T1"], Family.UPPER, 3)
+
+
+def test_check_operator_runs_each_level_when_first_read(monkeypatch):
+    import storlab.checker as checker
+
+    original, levels = checker.run_check, []
+
+    def counting(term, family, n, *args, **kwargs):
+        levels.append(n)
+        return original(term, family, n, *args, **kwargs)
+
+    monkeypatch.setattr(checker, "run_check", counting)
+    env = prelude()
+    summary = check_operator(env["T1"], Family.LOWER, 5)
+    assert levels == []
+    assert next(iter(summary)).n == 0 and levels == [0]
+    assert summary.verdict == Verdict.ALL_PASS
+    assert levels == list(range(6))
+    # read again, the runs are the ones already made
+    assert [r.n for r in summary] == list(range(6)) and len(levels) == 6
+
+
+def test_check_operator_rejects_a_negative_bound():
+    # I fails at level 0, so a summary of no levels would pass it vacuously
+    env = prelude()
+    assert check_operator(env["I"], Family.LOWER, 0).verdict == Verdict.FIRST_FAILURE
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        check_operator(env["I"], Family.LOWER, -1)
+    with pytest.raises(ValueError, match="n_max must be non-negative"):
+        check_operator(env["T1"], Family.UPPER, -1, env["S1"])
 
 
 def test_run_check_validation():
@@ -215,14 +240,6 @@ def test_upper_levels_strictly_decrease():
         assert levels == sorted(levels, reverse=True)
         assert len(levels) == len(set(levels))
         assert len(levels) <= n + 1
-
-
-def test_tau_independent_of_probe_name():
-    env = prelude()
-    with_f = run_check(env["T2"], Family.LOWER, 4, probe="f")
-    with_g = run_check(env["T2"], Family.LOWER, 4, probe="g")
-    assert with_f.verdict == with_g.verdict == Verdict.SUCCESS
-    assert alpha_eq(with_f.tau, with_g.tau)
 
 
 def test_check_operator_storage():

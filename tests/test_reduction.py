@@ -245,6 +245,14 @@ def test_check_successor_builtins():
     assert report.verdict == Verdict.REFUTED
 
 
+def test_check_successor_rejects_a_negative_bound():
+    # I fails at k = 0, so a report of no k would pass it vacuously
+    env = prelude()
+    assert check_successor(env["I"], 0).verdict == Verdict.REFUTED
+    with pytest.raises(ValueError, match="k_max must be non-negative"):
+        check_successor(env["I"], -1)
+
+
 def test_check_successor_rejects_open_terms():
     with pytest.raises(ValueError):
         check_successor(Lam("f", App(Var("f"), Var("y"))), 2)

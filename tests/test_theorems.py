@@ -3,6 +3,7 @@ instance verifiers built on them."""
 
 import dataclasses
 import functools
+import itertools
 
 import hypothesis as hyp
 import pytest
@@ -14,9 +15,10 @@ from oracles import (
     oracle_delta_forward,
     oracle_sigma_hat_subst,
     oracle_sigma_subst,
+    oracle_upper_tau_ok,
 )
 from storlab import prelude, theorems
-from storlab.checker import MacroStep, RunReport, Verdict, run_check
+from storlab.checker import MacroStep, RunReport, Verdict, check_operator, run_check
 from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
 from storlab.terms import (
     App,
@@ -388,6 +390,41 @@ def test_theorem3_degenerate_bound():
     report = verify_theorem3(0)
     assert report.verdict == Verdict.PASS
     assert report.lower_verdict == "AllPass"
+
+
+def test_theorem3_reads_tau_from_the_upper_verdict(monkeypatch):
+    # a run succeeds only on a tau beta-equal to #n, so no tau is normalized again
+    calls = []
+    monkeypatch.setattr(theorems, "beta_equiv", lambda *args: calls.append(args))
+    assert verify_theorem3(6).upper_tau_ok is True
+    assert calls == []
+
+
+def test_theorem3_upper_tau_matches_oracle():
+    env2 = prelude("S2")
+    seen = set()
+    for head, macro, norm in itertools.product((1, 2, 3, 5, 8, 13, 10**6), (1, 2, 3, 10**4),
+                                               (1, 3, 8, 10**6)):
+        limits = Limits(head_fuel=head, macro_fuel=macro, norm_fuel=norm)
+        upper = check_operator(env2["T3"], Family.UPPER, 4, env2["S2"], limits)
+        ok = verify_theorem3(4, limits).upper_tau_ok
+        assert ok == oracle_upper_tau_ok(upper, limits), limits
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_verifiers_reject_a_negative_bound():
+    # at bound 0 the verdicts rest on I's two failed runs; below 0 they would rest on none
+    env = prelude()
+    for report in (verify_theorem1_instance(env["I"], env["S1"], 0),
+                   verify_theorem2_instance(env["I"], 0)):
+        (level,) = report.checks
+        assert (level.lower.verdict, level.upper.verdict) == (Verdict.FAIL, Verdict.FAIL)
+    for verify in (lambda: verify_theorem1_instance(env["I"], env["S1"], -1),
+                   lambda: verify_theorem2_instance(env["I"], -1),
+                   lambda: verify_theorem3(-1)):
+        with pytest.raises(ValueError, match="n_max must be non-negative"):
+            verify()
 
 
 def test_theorem3_tau_values():
