@@ -5,7 +5,9 @@ import contextlib
 import gc
 import io
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import hypothesis as hyp
 import pytest
@@ -285,6 +287,40 @@ def test_unread_flag_exits_3(capsys, argv):
         main(argv)
     assert info.value.code == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def readme_flag_table():
+    """README's Subcommand/Flags table, each row's "the `x` flags" and
+    "except" spelled out: subcommand -> the flags it accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| Subcommand | Flags |\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for commands, flags in re.findall(r"^\| (.*?) \| (.*?) \|$", rows, re.M):
+        taken, _, dropped = flags.partition(" except ")
+        base = re.search(r"the `([a-z0-9-]+)` flags", taken)
+        accepted = set(table[base.group(1)]) if base else set()
+        accepted |= set(re.findall(r"`(--[a-z-]+)`", taken))
+        accepted -= set(re.findall(r"`(--[a-z-]+)`", dropped))
+        for command in re.findall(r"`([a-z0-9-]+)`", commands):
+            table[command] = accepted
+    return table
+
+
+def usage(capsys, *argv):
+    """The usage block that `--help` prints first, the parser's format_usage()."""
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out.split("\n\n", 1)[0]
+
+
+def test_usage_lists_the_readme_flags_in_flag_order(capsys):
+    commands = re.search(r"\{([a-z0-9,-]+)\}", usage(capsys)).group(1).split(",")
+    table = readme_flag_table()
+    assert sorted(table) == sorted(commands)
+    for command in commands:
+        shown = re.findall(r"\[(--[a-z-]+)", usage(capsys, command))
+        assert shown == [flag for flag in cli._FLAGS if flag in table[command]], command
 
 
 def test_recursion_limit_is_an_internal_error(capsys, monkeypatch):
