@@ -282,24 +282,19 @@ _FLAGS: dict[str, dict[str, Any]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # one parent parser per flag, so that the subcommands taking it share its action
-    flag_parsers = {}
-    for flag, spec in _FLAGS.items():
-        flag_parsers[flag] = argparse.ArgumentParser(add_help=False)
-        flag_parsers[flag].add_argument(flag, **spec)
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="storlab",
                      description="Head-reduction laboratory for storage operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func: Any, help_text: str, flags: str, term: str | None = None,
             **defaults: Any) -> None:
-        p = sub.add_parser(name, help=help_text, parents=[
-            flag_parsers[flag] for flag in _FLAGS if flag in flags.split()])
+        p = sub.add_parser(name, help=help_text)
+        for flag in sorted(flags.split(), key=list(_FLAGS).index):
+            p.add_argument(flag, **_FLAGS[flag])
         if term is not None:
             p.add_argument("term", metavar="TERM", help=term)
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func.__name__, **defaults)
 
     env = "--succ --defs --json"
     fuel = "--head-fuel --macro-fuel --norm-fuel"
@@ -333,22 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import.  main looks up each command's cmd_* by name when it
+# runs, so a cmd_* replaced after import is the one called.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         # a subcommand without a fuel flag runs on its default
         limits = replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
                                             if name.endswith("_fuel")})
-        return _emit(args.func(args, limits), args)
+        return _emit(globals()[args.func](args, limits), args)
     except FuelExhausted as exc:  # from any command: undecided, never a crash
         return _emit(exc, args)
-    except UsageError as exc:
-        print(f"storlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"storlab: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # RecursionError included: a crash is no verdict

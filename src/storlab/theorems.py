@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .builtins import core, prelude
-from .checker import TAU_NOT_CLOSED, RunReport, check_operator
+from .checker import PROBE, TAU_NOT_CLOSED, RunReport, check_operator
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -237,13 +237,13 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
 def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
                limits: Limits) -> tuple[Verdict, bool | None]:
     numeral = sigma_hat_subst(Const(Family.UPPER, n), successor)
-    start = app(operator, numeral, Var("f"))
+    start = app(operator, numeral, Var(PROBE))
     try:
         hnf, _ = head_reduce(start, limits)
     except FuelExhausted:
         return Verdict.UNKNOWN, None
     v = decompose_hnf(hnf)
-    if v.prefix or v.head != Var("f") or len(v.args) != 1:
+    if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
         return Verdict.FAIL, None
     t = v.args[0]
     equal = beta_equiv(t, mk_church(n), limits)

@@ -323,6 +323,34 @@ def test_usage_lists_the_readme_flags_in_flag_order(capsys):
         assert shown == [flag for flag in cli._FLAGS if flag in table[command]], command
 
 
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "parse", "T1")[0] == EXIT_PASS
+    assert run(capsys, "check-storage", "T1", "--n-max", "1")[0] == EXIT_PASS
+    assert built == []
+
+
+def test_calls_share_no_flag_values(capsys, tmp_path):
+    ops = tmp_path / "ops.defs"
+    ops.write_text("def T4 = \\n f. n F f #0;\n")
+    code, out, _ = run(capsys, "parse", "T4", "--defs", str(ops))
+    assert code == EXIT_PASS and out != "T4\n"
+    # without --defs, T4 is a free name again
+    assert run(capsys, "parse", "T4") == (EXIT_PASS, "T4\n", "")
+    families = []
+    for command in ("check-storage", "check-s-storage", "check-storage"):
+        _, out, _ = run(capsys, command, "T1", "--n-max", "0", "--json")
+        families.append(json.loads(out)["family"])
+    assert families == ["x", "X", "x"]
+
+
 def test_recursion_limit_is_an_internal_error(capsys, monkeypatch):
     def too_deep(args, limits):
         raise RecursionError("maximum recursion depth exceeded")
