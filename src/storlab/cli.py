@@ -124,7 +124,7 @@ def _load_defs(args: argparse.Namespace, env: dict[str, Term]) -> dict[str, Term
     for path in args.defs or ():
         try:
             env.update(load_defs(path, env))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read defs file: {exc}") from exc
     return env
 
@@ -333,19 +333,25 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _limits(args: argparse.Namespace) -> Limits:
+    """The fuel flags' limits; a subcommand without a fuel flag runs on its default."""
+    try:
+        return replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
+                                          if name.endswith("_fuel")})
+    except ValueError as exc:  # a fuel below 1
+        raise UsageError(str(exc)) from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        # a subcommand without a fuel flag runs on its default
-        limits = replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
-                                            if name.endswith("_fuel")})
-        return _emit(globals()[args.func](args, limits), args)
+        return _emit(globals()[args.func](args, _limits(args)), args)
     except FuelExhausted as exc:  # from any command: undecided, never a crash
         return _emit(exc, args)
     except ParseError as exc:
         print(f"storlab: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # RecursionError included: a crash is no verdict

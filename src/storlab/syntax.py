@@ -90,6 +90,16 @@ class _Parser:
                              self.text, tok.pos)
         return self.advance()
 
+    def number(self, tok: Token) -> int:
+        """The value of a level or of a numeral literal, whose "#" is dropped.
+        int() refuses more digits than sys.get_int_max_str_digits()."""
+        digits = tok.value.lstrip("#")
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(f"number too long: {len(digits)} digits",
+                             self.text, tok.pos) from None
+
     def term(self) -> Term:
         """Parse the term at the cursor, up to the first token that cannot
         continue it.  Each open parenthesis or constant payload is a frame on
@@ -115,12 +125,12 @@ class _Parser:
                 continue
             if tok.kind == "church":
                 self.advance()
-                atom = mk_church(int(tok.value[1:]))
+                atom = mk_church(self.number(tok))
             elif tok.kind == "ident" and not (self.defs and tok.value == "def"):
                 self.advance()
                 if tok.value in ("x", "X") and self.peek().value == "[":
                     self.advance()
-                    level = int(self.expect("nat").value)
+                    level = self.number(self.expect("nat"))
                     if self.peek().value == ";":
                         self.advance()
                         stack.append((binders, scope, fn, opener))

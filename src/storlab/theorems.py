@@ -1,18 +1,17 @@
-"""Substitutions and instance verifiers tying the two constant families together.
+"""Translations and instance verifiers tying the two constant families together.
 
 The checker runs two abstract machines: one over plain lower constants x[n],
 one over upper constants X[n] driven by a successor term.  This module holds
 the bridges between them and the real calculus:
 
-  * ``sigma_hat_subst`` erases upper constants into delayed numerals, so
-    every constant image still has a head redex to contract.
   * ``delta_forward`` translates lower-family terms to the upper family.
   * ``verify_theorem1_instance``, ``verify_theorem2_instance`` and
     ``verify_theorem3`` machine-check, per level n, the three claims the
     machinery exists for: a storage operator is an S-storage operator for
     every successor S; being an S1-storage operator is the same thing as
     being a storage operator; and the builtin T3 with S2 witnesses that the
-    equivalence stops at S1.
+    equivalence stops at S1.  Theorem 1 also drives the operator with the
+    delayed numeral (S^)^n 0^, built directly at each level n.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from .builtins import core, prelude
+from .builtins import _CORE, prelude
 from .checker import PROBE, TAU_NOT_CLOSED, RunReport, check_operator
 from .reduction import (
     DEFAULT_LIMITS,
@@ -40,41 +39,10 @@ from .terms import (
     Var,
     alpha_eq,
     app,
-    free_names,
-    is_closed_pure,
+    app_power,
     iter_consts,
     mk_church,
 )
-
-
-def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
-    """Replace every upper constant of level k by the delayed numeral
-    (S^)^k 0^, payload dropped, where S^ = (\\x. S) y and 0^ = (\\x. #0) y.
-
-    Both unfold by one head step, (S^)t > (S)t and 0^ > #0, which is what
-    lets a fully abstract trace project onto a reduction that starts from a
-    non-normal numeral.  y must not occur free in the input.
-    """
-    if not is_closed_pure(successor):
-        raise ValueError("successor must be a closed constant-free term")
-    if y in free_names(t):
-        raise ValueError(f"{y!r} occurs free in the term")
-    s_hat = App(Lam("x", successor), Var(y))
-    zero_hat = App(Lam("x", mk_church(0)), Var(y))
-    return _map_consts(t, _powers(s_hat, zero_hat), Family.LOWER, "sigma_hat_subst")
-
-
-def _powers(step: Term, zero: Term) -> Callable[[Const, tuple[Term, ...]], Term]:
-    """An image for _map_consts: level k maps to step applied k times to zero,
-    payload dropped.  Each level's image is built once, from the one below."""
-    images = [zero]
-
-    def image(const: Const, _: tuple[Term, ...]) -> Term:
-        while len(images) <= const.level:
-            images.append(App(step, images[-1]))
-        return images[const.level]
-
-    return image
 
 
 def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
@@ -236,7 +204,10 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
 
 def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
                limits: Limits) -> tuple[Verdict, bool | None]:
-    numeral = sigma_hat_subst(Const(Family.UPPER, n), successor)
+    # the delayed numeral (S^)^n 0^, with S^ = (\x. S) y and 0^ = (\x. #0) y,
+    # is not normal: each unfolds by one head step, (S^)t > (S)t and 0^ > #0
+    numeral = app_power(App(Lam("x", successor), Var("y")), n,
+                        App(Lam("x", mk_church(0)), Var("y")))
     start = app(operator, numeral, Var(PROBE))
     try:
         hnf, _ = head_reduce(start, limits)
@@ -280,7 +251,7 @@ def verify_theorem2_instance(operator: Term, n_max: int,
         return LevelCheck(n, lower, upper, status,
                           tau_match=tau_match, delta_match=delta_match)
 
-    return _levels("theorem2", operator, core()["S1"], n_max, limits, judge)
+    return _levels("theorem2", operator, _CORE["S1"], n_max, limits, judge)
 
 
 def _delta_correspondence(lower: RunReport, upper: RunReport,

@@ -12,15 +12,17 @@ each state of a lower trace on its own, without the memo that
 theorems._delta_correspondence shares across the trace.
 beta_equiv is the original that normalizes both sides and compares them by
 alpha-equivalence.  Theorem 3's upper tau check normalizes every upper tau a
-second time, as the theorem did before it read the runs' verdict.  spine
-unwinds an application for these oracles and for the lemma checks in
-theory.py.
+second time, as the theorem did before it read the runs' verdict.  The
+prelude parses every builtin source on each call, with S bound to the
+successor.  spine unwinds an application for these oracles and for the
+lemma checks in theory.py.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from storlab.builtins import _CORE_SOURCES, _OPERATOR_SOURCES
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -30,7 +32,7 @@ from storlab.reduction import (
     head_reduce,
     normalize,
 )
-from storlab.syntax import ParseError, Token, tokenize
+from storlab.syntax import ParseError, Token, parse, tokenize
 from storlab.terms import (
     App,
     Const,
@@ -366,3 +368,22 @@ def oracle_parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[
         parser.expect("punct", ";")
         parser.env[name] = defs[name] = value
     return defs
+
+
+def oracle_prelude(successor: str | Term = "S1") -> dict[str, Term]:
+    """builtins.prelude as it was before: every builtin source parsed on each
+    call, the operators with S bound to the successor in the env."""
+    env: dict[str, Term] = {}
+    for name, source in _CORE_SOURCES:
+        env[name] = parse(source, env)
+    if isinstance(successor, str):
+        if successor not in env:
+            raise ValueError(f"unknown successor {successor!r}")
+        env["S"] = env[successor]
+    else:
+        if not is_closed_pure(successor):
+            raise ValueError("successor must be a closed constant-free term")
+        env["S"] = successor
+    for name, source in _OPERATOR_SOURCES:
+        env[name] = parse(source, env)
+    return env

@@ -219,8 +219,26 @@ def test_parse_error_is_usage_error(capsys):
 
 
 def test_zero_fuel_is_usage_error(capsys):
-    code, _, err = run(capsys, "check-storage", "T1", "--head-fuel", "0")
-    assert code == EXIT_USAGE
+    for flag in ("--head-fuel", "--macro-fuel", "--norm-fuel"):
+        code, out, err = run(capsys, "check-storage", "T1", flag, "0")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"storlab: {flag[2:].replace('-', '_')} must be at least 1\n"
+
+
+@pytest.mark.parametrize("source", ["x[" + "7" * 5000 + "]", "#" + "7" * 5000])
+def test_overlong_number_is_a_parse_error(capsys, source):
+    # int() refuses more than 4300 digits; the parser reports where
+    code, out, err = run(capsys, "parse", source)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("storlab: parse error: number too long: 5000 digits")
+
+
+def test_defs_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "latin1.defs"
+    path.write_bytes("def A = \\x. x;\n# café\n".encode("latin-1"))
+    code, out, err = run(capsys, "parse", "A", "--defs", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("storlab: cannot read defs file: 'utf-8' codec can't decode")
 
 
 def test_unknown_subcommand_exits_3(capsys):
@@ -390,6 +408,17 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_parse", broken)
     code, out, err = run(capsys, "parse", "T1")
     assert (code, out, err) == (EXIT_INTERNAL, "", "storlab: internal error: RuntimeError: boom\n")
+
+
+def test_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch):
+    # only a UsageError or a ParseError reads as bad usage
+    def broken(args, limits):
+        raise ValueError("checker bug")
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = run(capsys, "parse", "T1")
+    assert (code, out, err) == (EXIT_INTERNAL, "",
+                                "storlab: internal error: ValueError: checker bug\n")
 
 
 # -- JSON is written a piece at a time, text a level at a time --

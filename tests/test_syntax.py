@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import BINDERS, FREEPOOL, any_term, lower_term, p_term, pure_term, rng
-from oracles import oracle_parse, oracle_parse_defs
+from oracles import oracle_parse, oracle_parse_defs, oracle_prelude
 from storlab import checker, cli, prelude, syntax
 from storlab.checker import run_check
 from storlab.reduction import normalize
@@ -177,6 +177,38 @@ def test_parse_splices_env_terms_as_the_same_objects():
     assert parse("x[1; \\I. I, I]", env).payload == (Lam("I", Var("I")), env["I"])
 
 
+# -- the builtins, parsed once at import and instantiated per successor --
+
+# a successor name or term: S1, S2 and three literal successors
+SUCCESSORS = ("S1", "S2", "\\n. n S1 #1", "\\n f x. n (\\y. f y) (f x)",
+              "\\n f. (\\g x. g (n g x)) f")
+
+
+@pytest.mark.parametrize("source", SUCCESSORS)
+def test_prelude_matches_parsing_with_s_bound(source):
+    successor = source if source in ("S1", "S2") else parse(source, prelude())
+    env, expected = prelude(successor), oracle_prelude(successor)
+    assert list(env) == list(expected)
+    for name in expected:
+        assert env[name] == expected[name], name
+
+
+def test_prelude_returns_a_new_dict_each_call():
+    env = prelude()
+    assert env is not prelude()
+    env.update(S1=Var("p"), T1=Var("q"))
+    assert prelude() == oracle_prelude()
+
+
+@pytest.mark.parametrize("successor", ["S3", "T1", Var("p"), parse("\\n. n p"),
+                                       Const(Family.UPPER, 0)])
+def test_prelude_rejects_an_unknown_or_open_successor(successor):
+    with pytest.raises(ValueError):
+        prelude(successor)
+    with pytest.raises(ValueError):
+        oracle_prelude(successor)
+
+
 # -- the parser at depth, and checked against the recursive original --
 
 
@@ -218,9 +250,11 @@ def test_cli_parses_deep_binders(capsys):
 
 
 # tokens of the grammar, a comment, a character outside it, and names that
-# the env binds
-SOUP = ("\\", "λ", "x", "X", "[", "]", ";", ",", "(", ")", ".", "=", "#0", "#2", "0", "1",
-        "12", "a", "b", "f", "s", "p", "def", "S1", "I", "T1", "# note\n", "-")
+# the env binds.  Each numeral ends in a space, so that joined with sep=""
+# no digit can extend it: "#2" then "12" three times would spell #2121212,
+# a term of 2.1M nodes
+SOUP = ("\\", "λ", "x", "X", "[", "]", ";", ",", "(", ")", ".", "=", "#0 ", "#2 ", "#12 ",
+        "0", "1", "12", "a", "b", "f", "s", "p", "def", "S1", "I", "T1", "# note\n", "-")
 # the prelude, and some of genterms' binder and free names, so that
 # generated terms both shadow env names and splice them
 ENV = prelude() | {name: Const(Family.UPPER, 1) for name in ("p", "s", "g")}

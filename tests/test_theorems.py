@@ -18,7 +18,7 @@ from oracles import (
     oracle_upper_tau_ok,
 )
 from storlab import prelude, theorems
-from storlab.checker import MacroStep, RunReport, Verdict, check_operator, run_check
+from storlab.checker import PROBE, MacroStep, RunReport, Verdict, check_operator, run_check
 from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
 from storlab.terms import (
     App,
@@ -33,7 +33,6 @@ from storlab.terms import (
 )
 from storlab.theorems import (
     delta_forward,
-    sigma_hat_subst,
     verify_theorem1_instance,
     verify_theorem2_instance,
     verify_theorem3,
@@ -47,6 +46,7 @@ from theory import (
     head_step,
     p_violation,
     satisfies_P,
+    sigma_hat_subst,
     sigma_subst,
     verify_lemma1_along,
 )
@@ -270,6 +270,21 @@ def test_theorem1_instances():
 
     report = verify_theorem1_instance(env1["T2"], env1["S1"], 4)
     assert report.verdict == Verdict.PASS
+
+
+def test_theorem1_drives_the_operator_with_the_delayed_numeral(monkeypatch):
+    # theorem 1 builds each level's numeral directly: sigma-hat's image of X[n]
+    starts = []
+
+    def recording(term, limits=DEFAULT_LIMITS):
+        starts.append(term)
+        return head_reduce(term, limits)
+
+    monkeypatch.setattr(theorems, "head_reduce", recording)
+    env1, s2 = prelude("S1"), prelude("S2")["S2"]
+    verify_theorem1_instance(env1["T1"], s2, 3)
+    assert starts == [app(env1["T1"], sigma_hat_subst(Const(Family.UPPER, n), s2), Var(PROBE))
+                      for n in range(4)]
 
 
 def test_theorem1_vacuous_when_lower_fails():
