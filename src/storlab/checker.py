@@ -23,9 +23,9 @@ from .reduction import (
     HnfDecomposition,
     Limits,
     Verdict,
-    beta_equiv,
     decompose_hnf,
     head_reduce,
+    is_numeral,
 )
 from .syntax import pretty, printer
 from .terms import App, Const, Family, Term, Var, app, is_closed_pure, mk_church
@@ -224,7 +224,7 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
             tau = decomposed.args[0]
             if not is_closed_pure(tau):
                 return report(Verdict.FAIL, TAU_NOT_CLOSED, tau)
-            equal = beta_equiv(tau, mk_church(n), limits)
+            equal = is_numeral(tau, n, limits)
             if equal is None:
                 return report(Verdict.FUEL, STAGE_NORM, tau)
             if not equal:

@@ -255,10 +255,16 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
 
 
 def _bound(text: str) -> int:
-    """argparse type of --n-max and --k-max: a level bound is never negative."""
+    """argparse type of --n-max and --k-max: a level bound is never negative.
+    int() refuses more digits than sys.get_int_max_str_digits(); such a
+    bound is reported by its length, not echoed."""
     try:
         value = int(text)
     except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isascii() and digits.isdigit():  # refused for its length alone
+            raise argparse.ArgumentTypeError(f"number too long: {len(digits)} digits") from None
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")

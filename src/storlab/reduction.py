@@ -1,10 +1,13 @@
-"""Head reduction, normal-order normalization, and the successor test.
+"""Head reduction, normal-order normalization, beta-equivalence and the
+successor test.
 
 Head reduction contracts only the head redex: in a term of the form
 lam-prefix over (h) a1 ... ak, the redex (h) a1 with h an abstraction.
 Symbolic constants in head position are inert here; the checker layer owns
 their meaning.  All loops are fuel-bounded and exhaustion is reported as
-FuelExhausted, never as a negative answer.
+FuelExhausted, never as a negative answer.  normalize gives the named
+normal form; beta-equivalence compares name-free normal forms, which a
+closure machine builds without substituting (_nf_tokens).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .terms import (
     Const,
     Lam,
     Term,
-    alpha_eq,
+    Var,
     app,
     church_value,
     is_closed_pure,
@@ -273,22 +276,99 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
             frames[-1][4].append(hnf)  # into the parent frame's done list
 
 
-def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
-    """True/False by comparing normal forms, None when fuel runs out first.
+def _nf_tokens(term: Term, fuel: int) -> list[tuple] | None:
+    """term's normal form as a flat, name-free token list, or None when more
+    than `fuel` beta-steps would be needed.  Two terms that have normal
+    forms are beta-equal exactly when their lists are equal.
 
-    When u is a literal numeral, already normal, t's normal form is read as
-    a numeral instead: it is alpha-equivalent to u exactly when it is that
-    numeral.
+    The reduction is normal order, as in normalize, with closures in place
+    of substitution.  A closure is a term and an environment, a linked
+    (name, value, parent) tuple looked up innermost first; a value is a
+    closure, or the de Bruijn level of a lambda crossed with no argument.  A
+    head abstraction with an argument on the stack binds its binder to it,
+    or drops it when the binder is not free in the body; either way it is
+    one beta-step, so the steps and the fuel cut-off are exactly normalize's.
+
+    Each head normal form gives one token, (prefix length, head, item
+    count), followed by the tokens of its items in pre-order.  The head is
+    a level, a free name (str), or (family, level, payload length) for a
+    constant; its items are a constant's payload, then the arguments.  An
+    explicit stack holds the items still to do with their depth, so there
+    is no recursion, and comparing two flat lists needs none either.
     """
-    n = church_value(u)
-    try:
-        tn = normalize(t, limits)
-        if n is not None:
-            return church_value(tn) == n
-        un = normalize(u, limits)
-    except FuelExhausted:
+    tokens: list[tuple] = []
+    steps = 0
+    todo: list[tuple[Term, Any, int]] = [(term, None, 0)]
+    while todo:
+        t, env, depth = todo.pop()
+        prefix = 0
+        args: list[tuple[Term, Any]] = []  # closures, the first argument last
+        while True:
+            kind = type(t)
+            if kind is App:
+                args.append((t.arg, env))
+                t = t.fn
+            elif kind is Lam:
+                if args:
+                    if steps == fuel:
+                        return None
+                    steps += 1
+                    value = args.pop()
+                else:
+                    value = depth
+                    depth += 1
+                    prefix += 1
+                if t.binder in t.body._fv:
+                    env = (t.binder, value, env)
+                t = t.body
+            elif kind is Var:
+                name, scope = t.name, env
+                while scope is not None and scope[0] != name:
+                    scope = scope[2]
+                if scope is None:
+                    head = name
+                    break
+                value = scope[1]
+                if type(value) is int:
+                    head = value
+                    break
+                t, env = value
+            else:
+                head = (t.family, t.level, len(t.payload))
+                args += [(p, env) for p in reversed(t.payload)]
+                break
+        tokens.append((prefix, head, len(args)))
+        todo += [(a, e, depth) for a, e in args]
+    return tokens
+
+
+def is_numeral(t: Term, n: int, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+    """Is t beta-equal to the numeral #n?  None when fuel runs out first.
+
+    t's normal-form tokens are compared with #n's, built from n: \\f x. at
+    levels 0 and 1, then f applied n times, then x.
+    """
+    if n < 0:
+        raise ValueError("Church numerals are non-negative")
+    tokens = _nf_tokens(t, limits.norm_fuel)
+    if tokens is None:
         return None
-    return alpha_eq(tn, un)
+    if n == 0:
+        return tokens == [(2, 1, 0)]
+    return tokens == [(2, 0, 1)] + [(0, 0, 1)] * (n - 1) + [(0, 1, 0)]
+
+
+def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+    """True/False by comparing normal forms up to alpha, None when fuel runs
+    out first.  A literal numeral u is compared as one (is_numeral)."""
+    n = church_value(u)
+    if n is not None:
+        return is_numeral(t, n, limits)
+    tokens = _nf_tokens(t, limits.norm_fuel)
+    if tokens is None:
+        return None
+    other = _nf_tokens(u, limits.norm_fuel)
+    return None if other is None else tokens == other
 
 
 # check_successor's answer at one k: as a level verdict, and as a word
@@ -325,8 +405,6 @@ def check_successor(successor: Term, k_max: int,
         raise ValueError("k_max must be non-negative")
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
-    results = tuple(
-        beta_equiv(App(successor, mk_church(k)), mk_church(k + 1), limits)
-        for k in range(k_max + 1)
-    )
+    results = tuple(is_numeral(App(successor, mk_church(k)), k + 1, limits)
+                    for k in range(k_max + 1))
     return SuccessorReport(successor, k_max, results)

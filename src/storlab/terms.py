@@ -381,5 +381,29 @@ def iter_consts(term: Term) -> Iterator[Const]:
 
 
 def is_closed_pure(term: Term) -> bool:
-    """No free names and no symbolic constants anywhere."""
-    return not free_names(term) and next(iter_consts(term), None) is None
+    """No free names and no symbolic constants anywhere.
+
+    The walk keeps the ids of the applications it has visited, so a subterm
+    shared within the term is looked at once: a term costs its DAG, not its
+    tree.  Only applications are recorded, which keeps the set about half
+    the size of the DAG; a shared abstraction is passed again down to its
+    first application.
+    """
+    if free_names(term):
+        return False
+    seen: set[int] = set()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Const:
+            return False
+        if kind is App:
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            stack.append(t.fn)
+            stack.append(t.arg)
+        elif kind is Lam:
+            stack.append(t.body)
+    return True

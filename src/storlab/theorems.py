@@ -26,9 +26,9 @@ from .reduction import (
     FuelExhausted,
     Limits,
     Verdict,
-    beta_equiv,
     decompose_hnf,
     head_reduce,
+    is_numeral,
 )
 from .terms import (
     App,
@@ -217,7 +217,7 @@ def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
     if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
         return Verdict.FAIL, None
     t = v.args[0]
-    equal = beta_equiv(t, mk_church(n), limits)
+    equal = is_numeral(t, n, limits)
     if equal is None:
         return Verdict.UNKNOWN, None
     matches = alpha_eq(t, upper.tau) if upper.tau is not None else None

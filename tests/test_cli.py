@@ -280,6 +280,19 @@ def test_negative_bound_exits_3(capsys, argv):
     assert "must be a non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize("flag, command", [("--n-max", "check-storage"),
+                                           ("--k-max", "check-successor")])
+def test_overlong_bound_exits_3_without_its_digits(capsys, flag, command):
+    # int() refuses more than 4300 digits; the bound is reported by its length
+    with pytest.raises(SystemExit) as info:
+        main([command, "S1", flag, "9" * 5000])
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: number too long: 5000 digits" in captured.err
+    assert "9" * 50 not in captured.err
+
+
 # Flags every subcommand used to accept and ignore; each is now rejected.
 _IGNORED_BEFORE = {
     ("parse", "T1"): ["--n-max", "--head-fuel", "--macro-fuel", "--norm-fuel", "--trace"],

@@ -26,6 +26,7 @@ from storlab.reduction import (
     check_successor,
     decompose_hnf,
     head_reduce,
+    is_numeral,
     normalize,
 )
 from storlab.terms import (
@@ -524,13 +525,13 @@ def test_beta_equiv_numeral_shapes():
 def test_beta_equiv_does_not_normalize_a_literal_numeral(monkeypatch):
     import storlab.reduction as reduction
 
-    normalized = []
+    normalized, machine = [], reduction._nf_tokens
 
-    def counting(term, limits=DEFAULT_LIMITS):
+    def counting(term, fuel):
         normalized.append(term)
-        return normalize(term, limits)
+        return machine(term, fuel)
 
-    monkeypatch.setattr(reduction, "normalize", counting)
+    monkeypatch.setattr(reduction, "_nf_tokens", counting)
     assert check_successor(SUCCESSORS[0], 40).verdict == Verdict.PASS
     assert len(normalized) == 41
     assert all(church_value(t) is None for t in normalized)
@@ -578,4 +579,85 @@ def test_beta_equiv_matches_oracle(seed):
 
 def test_beta_cases_reach_every_answer():
     answers = {oracle_beta_equiv(*beta_case(seed), Limits(norm_fuel=3)) for seed in range(200)}
+    assert answers == {True, False, None}
+
+
+# -- beta_equiv and is_numeral decide on name-free normal forms (the closure
+#    machine, reduction._nf_tokens); checked against normalizing both sides
+#    by name and comparing them with alpha_eq (oracles.py) --
+
+
+def test_machine_named_cases():
+    # shadowing: the inner x is the one in scope
+    assert beta_equiv(Lam("x", Lam("x", Var("x"))), Lam("a", Lam("b", Var("b")))) is True
+    assert beta_equiv(Lam("x", Lam("x", Var("x"))), Lam("a", Lam("b", Var("a")))) is False
+    assert is_numeral(Lam("x", Lam("x", Var("x"))), 0) is True
+    # capture: the free y stays free under the binder y
+    captured = app(Lam("x", Lam("y", Var("x"))), Var("y"))
+    assert beta_equiv(captured, Lam("y'", Var("y"))) is True
+    assert beta_equiv(captured, Lam("y", Var("y"))) is False
+    # a binder that is not free drops its argument, in one step
+    dropped = App(Lam("x", Var("y")), OMEGA)
+    assert beta_equiv(dropped, Var("y"), Limits(norm_fuel=1)) is True
+    # constants with open payloads: bound and free payload names both count
+    stored = Lam("p", Const(Family.LOWER, 1, (Var("p"), Var("q"))))
+    assert beta_equiv(stored, Lam("r", Const(Family.LOWER, 1, (App(IDENTITY, Var("r")),
+                                                              Var("q"))))) is True
+    assert beta_equiv(stored, Lam("q", Const(Family.LOWER, 1, (Var("q"), Var("q"))))) is False
+    assert beta_equiv(stored, Lam("p", Const(Family.UPPER, 1, (Var("p"), Var("q"))))) is False
+    assert beta_equiv(stored, Lam("p", Const(Family.LOWER, 2, (Var("p"), Var("q"))))) is False
+    assert beta_equiv(app(Const(Family.UPPER, 0, (Var("p"), Var("q"))), Var("p")),
+                      app(Const(Family.UPPER, 0, (Var("p"), Var("q"), Var("p"))))) is False
+    assert is_numeral(OMEGA, 2, Limits(norm_fuel=50)) is None
+    with pytest.raises(ValueError):
+        is_numeral(mk_church(1), -1)
+
+
+def test_is_numeral_deep_numeral_without_recursion():
+    env = prelude()
+    assert is_numeral(App(env["S1"], mk_church(5000)), 5001) is True
+    assert is_numeral(App(env["S2"], mk_church(5000)), 5000) is False
+    assert beta_equiv(mk_church(5000), App(IDENTITY, mk_church(5000))) is True
+
+
+def machine_case(seed):
+    """A term from one of the generators, plain or under a head redex, and a
+    term to compare it with: one generated alike, or the first under a
+    redex that drops its argument, so that some pairs are beta-equal."""
+    r = rng(seed)
+    gen = GENERATORS[seed % len(GENERATORS)]
+    t = with_head_redex(r, gen) if r.random() < 0.5 else gen(r, 4)
+    # "s" is a binder name, never free at the top of a generated term
+    u = App(Lam("s", t), gen(r, 2)) if r.random() < 0.3 else gen(r, 4)
+    return t, u
+
+
+def fuels_out(term, limits):
+    try:
+        normalize(term, limits)
+    except FuelExhausted:
+        return True
+    return False
+
+
+@hyp.settings(max_examples=150)
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_machine_matches_oracle_at_every_fuel(seed):
+    t, u = machine_case(seed)
+    k = seed % 3
+    for fuel in range(1, 41):
+        limits = Limits(norm_fuel=fuel)
+        assert beta_equiv(t, u, limits) == oracle_beta_equiv(t, u, limits)
+        numeral = is_numeral(t, k, limits)
+        assert numeral == oracle_beta_equiv(t, mk_church(k), limits)
+        # None at exactly the fuels where normalize runs out
+        assert (numeral is None) == fuels_out(t, limits)
+    # at the default fuel, where a term that normalizes does so quickly
+    if not fuels_out(t, Limits(norm_fuel=2000)) and not fuels_out(u, Limits(norm_fuel=2000)):
+        assert beta_equiv(t, u) == oracle_beta_equiv(t, u)
+        assert is_numeral(t, k) == oracle_beta_equiv(t, mk_church(k))
+
+
+def test_machine_cases_reach_every_answer():
+    answers = {beta_equiv(*machine_case(seed), Limits(norm_fuel=3)) for seed in range(200)}
     assert answers == {True, False, None}

@@ -176,6 +176,16 @@ def test_is_closed_pure_examples():
     assert not is_closed_pure(Lam("f", App(Var("f"), Var("y"))))
 
 
+def test_is_closed_pure_visits_shared_nodes_once():
+    # 2**64 leaves as a tree, 64 applications as a DAG
+    closed, stored = Lam("x", Var("x")), App(Lam("x", Var("x")), Const(Family.LOWER, 0))
+    for _ in range(64):
+        closed, stored = App(closed, closed), App(stored, stored)
+    assert is_closed_pure(closed)
+    assert not is_closed_pure(stored)
+    assert not is_closed_pure(App(closed, Const(Family.UPPER, 1)))
+
+
 def test_const_validation():
     with pytest.raises(ValueError):
         Const(Family.LOWER, -1)

@@ -410,7 +410,7 @@ def test_theorem3_degenerate_bound():
 def test_theorem3_reads_tau_from_the_upper_verdict(monkeypatch):
     # a run succeeds only on a tau beta-equal to #n, so no tau is normalized again
     calls = []
-    monkeypatch.setattr(theorems, "beta_equiv", lambda *args: calls.append(args))
+    monkeypatch.setattr(theorems, "is_numeral", lambda *args: calls.append(args))
     assert verify_theorem3(6).upper_tau_ok is True
     assert calls == []
 
