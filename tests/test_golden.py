@@ -112,6 +112,17 @@ CASES = {
     "check_storage_fail_trace": ["check-storage", "I", "--n-max", "1", "--trace"],
     "check_storage_fail_json_trace": ["check-storage", "I", "--n-max", "1", "--json",
                                       "--trace"],
+    # a run's other failure reasons: tau beta-unequal to #n, a head normal
+    # form under a lambda, the probe applied to two arguments
+    "check_storage_tau_not_n": ["check-storage", "\\n f. f #0", "--n-max", "1"],
+    "check_storage_tau_not_n_json": ["check-storage", "\\n f. f #0", "--n-max", "1",
+                                     "--json"],
+    "check_storage_prefix": ["check-storage", "\\n f. \\y. y", "--n-max", "0"],
+    "check_storage_prefix_json": ["check-storage", "\\n f. \\y. y", "--n-max", "0",
+                                  "--json"],
+    "check_storage_f_arity": ["check-storage", "\\n f. f #0 #0", "--n-max", "0"],
+    "check_storage_f_arity_json": ["check-storage", "\\n f. f #0 #0", "--n-max", "0",
+                                   "--json"],
     # parse errors: exit 3 and a message with line and column on stderr
     "parse_unclosed": ["parse", "(p"],
     "parse_lambda_argument": ["parse", "f \\x. x"],
