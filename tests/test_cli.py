@@ -258,6 +258,25 @@ def test_open_successor_rejected(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["check-storage", "\\n f. f x[0]"],
+     "storlab: operator '\\\\n f. f x[0]' contains symbolic constants\n"),
+    (["check-s-storage", "T1", "--succ", "x[0]"],
+     "storlab: successor 'x[0]' contains symbolic constants\n"),
+])
+def test_closed_term_with_a_constant_rejected(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
+def test_non_numeric_bound_exits_3(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check-storage", "T1", "--n-max", "abc"])
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --n-max: must be a non-negative integer, got 'abc'" in captured.err
+
+
 def test_literal_successor_accepted(capsys):
     code, _, _ = run(capsys, "check-s-storage", "T1", "--succ",
                      "\\n f x. f (n f x)", "--n-max", "2")

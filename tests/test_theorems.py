@@ -18,8 +18,27 @@ from oracles import (
     oracle_upper_tau_ok,
 )
 from storlab import prelude, theorems
-from storlab.checker import PROBE, MacroStep, RunReport, Verdict, check_operator, run_check
-from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
+from storlab.checker import (
+    PROBE,
+    TAU_NOT_N,
+    MacroStep,
+    OperatorSummary,
+    RunReport,
+    Verdict,
+    check_operator,
+    run_check,
+)
+from storlab.cli import main
+from storlab.reduction import (
+    DEFAULT_LIMITS,
+    EXIT_FUEL,
+    EXIT_REFUTED,
+    STAGE_HEAD,
+    FuelExhausted,
+    Limits,
+    beta_equiv,
+    head_reduce,
+)
 from storlab.terms import (
     App,
     Const,
@@ -390,6 +409,109 @@ def test_theorem2_equivalence_through_shared_failure():
     assert report.verdict == Verdict.PASS
     assert report.checks[0].tau_match is True
     assert all(c.tau_match is None for c in report.checks[1:])
+
+
+# -- the judges' refuting and undecided rows.  Theorems 1 and 2 hold, so no
+#    real operator reaches them: the runs, or the judges' own reductions,
+#    are replaced by hand-built ones --
+
+def fake_sweeps(monkeypatch, lower, upper):
+    """Make theorems.check_operator return runs with these verdicts, level
+    by level: a Success carries #n as its tau, a Fail TauNotN with #(n+1)."""
+    def runs(family, successor, verdicts):
+        for n, verdict in enumerate(verdicts):
+            if verdict == Verdict.SUCCESS:
+                yield RunReport(family, n, verdict, successor, None, mk_church(n))
+            else:
+                yield RunReport(family, n, verdict, successor, TAU_NOT_N, mk_church(n + 1))
+
+    def fake(operator, family, n_max, successor=None, limits=DEFAULT_LIMITS):
+        verdicts = lower if family is Family.LOWER else upper
+        assert len(verdicts) == n_max + 1
+        return OperatorSummary(runs(family, successor, verdicts))
+
+    monkeypatch.setattr(theorems, "check_operator", fake)
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_theorem1_refutes_a_level_whose_upper_run_fails(capsys, monkeypatch):
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 2, [Verdict.SUCCESS, Verdict.FAIL])
+    monkeypatch.setattr(theorems, "_hat_check", lambda *args: (Verdict.PASS, True))
+    report = verify_theorem1_instance(prelude()["T1"], S1, 1)
+    assert [c.status for c in report.checks] == [Verdict.PASS, Verdict.FAIL]
+    assert report.checks[1].hat_status is None
+    assert report.verdict == Verdict.REFUTED
+    assert run_cli(capsys, "theorem1", "T1", "--n-max", "1") == (EXIT_REFUTED, (
+        "n=0: lower=Success upper=Success sigma-hat=Pass  -> Pass\n"
+        "n=1: lower=Success upper=Fail  -> Fail\n"
+        "verdict: Refuted\n"))
+
+
+@pytest.mark.parametrize("lower, upper", [(Verdict.SUCCESS, Verdict.FAIL),
+                                          (Verdict.FAIL, Verdict.SUCCESS)])
+def test_theorem2_refutes_a_level_whose_verdicts_differ(capsys, monkeypatch, lower, upper):
+    fake_sweeps(monkeypatch, [Verdict.FAIL, lower], [Verdict.FAIL, upper])
+    report = verify_theorem2_instance(prelude()["T1"], 1)
+    assert [c.status for c in report.checks] == [Verdict.PASS, Verdict.FAIL]
+    assert (report.checks[1].tau_match, report.checks[1].delta_match) == (None, None)
+    assert run_cli(capsys, "theorem2", "T1", "--n-max", "1") == (EXIT_REFUTED, (
+        "n=0: lower=Fail upper[S1]=Fail  -> Pass\n"
+        f"n=1: lower={lower} upper[S1]={upper}  -> Fail\n"
+        "verdict: Refuted\n"))
+
+
+@pytest.mark.parametrize("hnf", [
+    Var("g"),  # a foreign head
+    app(Var(PROBE), mk_church(0), mk_church(0)),  # the probe with two arguments
+    Lam("y", app(Var(PROBE), mk_church(0))),  # under a lambda
+])
+def test_sigma_hat_fails_when_the_delayed_numeral_does_not_reach_f_t(capsys, monkeypatch,
+                                                                     hnf):
+    # the runs still head-reduce through checker.head_reduce, which stays real
+    monkeypatch.setattr(theorems, "head_reduce", lambda term, limits: (hnf, 0))
+    report = verify_theorem1_instance(prelude()["T1"], S1, 1)
+    assert [(c.status, c.hat_status, c.hat_matches_tau) for c in report.checks] == \
+        [(Verdict.FAIL, Verdict.FAIL, None)] * 2
+    assert run_cli(capsys, "theorem1", "T1", "--n-max", "1") == (EXIT_REFUTED, (
+        "n=0: lower=Success upper=Success sigma-hat=Fail  -> Fail\n"
+        "n=1: lower=Success upper=Success sigma-hat=Fail  -> Fail\n"
+        "verdict: Refuted\n"))
+
+
+@pytest.mark.parametrize("equal, status, matches, code", [
+    (None, Verdict.UNKNOWN, None, EXIT_FUEL),
+    (False, Verdict.FAIL, True, EXIT_REFUTED),  # t is still alpha-equal to the upper tau
+])
+def test_sigma_hat_follows_the_numeral_check(capsys, monkeypatch, equal, status, matches,
+                                             code):
+    # the runs' own tau checks go through checker.is_numeral, which stays real
+    monkeypatch.setattr(theorems, "is_numeral", lambda t, n, limits: equal)
+    report = verify_theorem1_instance(prelude()["T1"], S1, 0)
+    (level,) = report.checks
+    assert (level.lower.verdict, level.upper.verdict) == (Verdict.SUCCESS, Verdict.SUCCESS)
+    assert (level.status, level.hat_status, level.hat_matches_tau) == (status, status, matches)
+    assert run_cli(capsys, "theorem1", "T1", "--n-max", "0") == (code, (
+        f"n=0: lower=Success upper=Success sigma-hat={status}  -> {status}\n"
+        f"verdict: {Verdict.fold([status])}\n"))
+
+
+def test_delta_correspondence_is_unknown_when_head_fuel_runs_out(capsys, monkeypatch):
+    def starved(term, limits):
+        raise FuelExhausted(STAGE_HEAD, term, limits.head_fuel)
+
+    monkeypatch.setattr(theorems, "head_reduce", starved)
+    report = verify_theorem2_instance(prelude()["T1"], 1)
+    assert [(c.status, c.tau_match, c.delta_match) for c in report.checks] == \
+        [(Verdict.UNKNOWN, True, None)] * 2
+    assert report.verdict == Verdict.FUEL
+    assert run_cli(capsys, "theorem2", "T1", "--n-max", "1") == (EXIT_FUEL, (
+        "n=0: lower=Success upper[S1]=Success tau-match=True delta-match=None  -> Unknown\n"
+        "n=1: lower=Success upper[S1]=Success tau-match=True delta-match=None  -> Unknown\n"
+        "verdict: FuelExhausted\n"))
 
 
 def test_theorem3_reproduction():
