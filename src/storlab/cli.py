@@ -27,7 +27,7 @@ from .reduction import (
     normalize,
 )
 from .syntax import ParseError, load_defs, parse, pretty
-from .terms import Family, Term, free_names, iter_consts
+from .terms import Family, Term, free_names, is_closed_pure
 from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
 EXIT_USAGE = 3
@@ -138,7 +138,7 @@ def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
         loose = sorted(free_names(term))
         if loose:
             raise UsageError(f"{what} {ref!r} has unbound names: {', '.join(loose)}")
-        if any(True for _ in iter_consts(term)):
+        if not is_closed_pure(term):
             raise UsageError(f"{what} {ref!r} contains symbolic constants")
     return term
 

@@ -24,7 +24,6 @@ from .terms import (
     Term,
     Var,
     app,
-    church_value,
     is_closed_pure,
     mk_church,
     substitute_many,
@@ -242,38 +241,33 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
 
     Normal order is head reduction to a head normal form, then the
     normalization of its items left to right: a head constant's payload,
-    then the arguments.  Each frame on the stack is a head normal form (the
-    item itself when it took no step, else None), its parts and the normal
-    forms of its items done so far; `term` is the next item.
+    then the arguments.  Each frame on the stack is a head normal form's
+    parts and the normal forms of its items done so far; `term` is the next
+    item.
     """
     steps = 0
-    frames: list[tuple[Term | None, list[str], Term, list[Term], list[Term]]] = []
+    frames: list[tuple[list[str], Term, list[Term], list[Term]]] = []
     while True:
-        prefix, head, args, taken = _run_head(term, steps, limits.norm_fuel)
+        prefix, head, args, steps = _run_head(term, steps, limits.norm_fuel)
         args.reverse()
         if isinstance(head, Lam):
-            if taken > steps:
-                term = _wrap(prefix, head, args)
+            term = _wrap(prefix, head, args)
             # put the item back into its context, innermost frame first
-            for _, fprefix, fhead, items, done in reversed(frames):
+            for fprefix, fhead, items, done in reversed(frames):
                 term = _rebuild(fprefix, fhead, done + [term] + items[len(done) + 1:])
-            raise FuelExhausted(STAGE_NORM, term, taken)
+            raise FuelExhausted(STAGE_NORM, term, steps)
         items = [*head.payload, *args] if isinstance(head, Const) else args
-        frames.append((term if taken == steps else None, prefix, head, items, []))
-        steps = taken
+        frames.append((prefix, head, items, []))
         while True:
-            hnf, prefix, head, items, done = frames[-1]
+            prefix, head, items, done = frames[-1]
             if len(done) < len(items):
                 term = items[len(done)]
                 break
             frames.pop()
-            # an item that took no step and whose items all came back as
-            # they were is kept, shared
-            if hnf is None or any(d is not i for d, i in zip(done, items)):
-                hnf = _rebuild(prefix, head, done)
+            hnf = _rebuild(prefix, head, done)
             if not frames:
                 return hnf
-            frames[-1][4].append(hnf)  # into the parent frame's done list
+            frames[-1][3].append(hnf)  # into the parent frame's done list
 
 
 def _nf_tokens(term: Term, fuel: int) -> list[tuple] | None:
@@ -360,10 +354,7 @@ def is_numeral(t: Term, n: int, limits: Limits = DEFAULT_LIMITS) -> bool | None:
 
 def beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool | None:
     """True/False by comparing normal forms up to alpha, None when fuel runs
-    out first.  A literal numeral u is compared as one (is_numeral)."""
-    n = church_value(u)
-    if n is not None:
-        return is_numeral(t, n, limits)
+    out first."""
     tokens = _nf_tokens(t, limits.norm_fuel)
     if tokens is None:
         return None
