@@ -9,10 +9,10 @@ Grammar:
     konst := ("x" | "X") "[" nat (";" term ("," term)*)? "]"
     ident := letter (letter | digit | "_" | "'")*
 
-"#" followed by a digit is a Church numeral literal; "#" followed by
-anything else opens a line comment.  Identifiers resolve to the innermost
-lambda binder, then to a binding from the environment (spliced verbatim),
-and otherwise stand for a free variable.
+"#" followed by a digit is a Church numeral literal, at most MAX_NUMERAL;
+"#" followed by anything else opens a line comment.  Identifiers resolve to
+the innermost lambda binder, then to a binding from the environment
+(spliced verbatim), and otherwise stand for a free variable.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .terms import App, Const, Family, Lam, Term, Var, church_value, mk_church
+
+
+# A "#" literal builds one node per unit, about 56 MB of heap at the bound;
+# a level in x[...] or X[...] builds none and has no bound.
+MAX_NUMERAL = 1_000_000
 
 
 class ParseError(Exception):
@@ -92,13 +97,18 @@ class _Parser:
 
     def number(self, tok: Token) -> int:
         """The value of a level or of a numeral literal, whose "#" is dropped.
-        int() refuses more digits than sys.get_int_max_str_digits()."""
+        int() refuses more digits than sys.get_int_max_str_digits(); a
+        numeral literal above MAX_NUMERAL is refused too."""
         digits = tok.value.lstrip("#")
         try:
-            return int(digits)
+            value = int(digits)
         except ValueError:
             raise ParseError(f"number too long: {len(digits)} digits",
                              self.text, tok.pos) from None
+        if tok.kind == "church" and value > MAX_NUMERAL:
+            raise ParseError(f"numeral literal above the bound #{MAX_NUMERAL}",
+                             self.text, tok.pos)
+        return value
 
     def term(self) -> Term:
         """Parse the term at the cursor, up to the first token that cannot

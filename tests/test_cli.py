@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from genterms import any_term, rng
-from storlab import cli, prelude
+from storlab import cli, prelude, syntax
 from storlab.checker import OperatorSummary, check_operator, to_json
 from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, CorpusReport, TermReport, main
 from storlab.reduction import (
@@ -231,6 +231,17 @@ def test_overlong_number_is_a_parse_error(capsys, source):
     code, out, err = run(capsys, "parse", source)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("storlab: parse error: number too long: 5000 digits")
+
+
+def test_numeral_above_the_bound_is_a_parse_error(capsys, monkeypatch):
+    # refused before a node is built: #100000000 would take about 5.6 GB
+    built = []
+    monkeypatch.setattr(syntax, "mk_church", built.append)
+    code, out, err = run(capsys, "parse", "#100000000")
+    assert (code, out, built) == (EXIT_USAGE, "", [])
+    assert err == ("storlab: parse error: numeral literal above the bound #1000000"
+                   " (line 1, column 1)\n")
+    assert "100000000" not in err
 
 
 def test_defs_file_not_utf8_is_usage_error(capsys, tmp_path):

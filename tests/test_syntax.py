@@ -43,6 +43,17 @@ def test_parse_numeral_sugar():
     assert parse("#0") == mk_church(0)
 
 
+def test_numeral_literals_are_bounded(monkeypatch):
+    # each unit of a literal is a node; the bound is read when the literal is
+    monkeypatch.setattr(syntax, "MAX_NUMERAL", 5)
+    assert parse("#5") == mk_church(5)
+    with pytest.raises(ParseError, match=r"^numeral literal above the bound #5 "
+                                         r"\(line 1, column 5\)$") as info:
+        parse("\\y. #6 y")
+    assert info.value.pos == 4
+    assert parse("x[6]") == Const(Family.LOWER, 6)  # a level builds no node
+
+
 def test_parse_constants():
     assert parse("x[2]") == Const(Family.LOWER, 2)
     assert parse("X[2; a, b, c]") == Const(Family.UPPER, 2, (Var("a"), Var("b"), Var("c")))
