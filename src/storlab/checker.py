@@ -246,21 +246,6 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
     return report(Verdict.FUEL, STAGE_MACRO)
 
 
-class _RunDicts:
-    """The dicts of some runs, each built when an iteration reaches it, so
-    that a writer can drop one before it builds the next."""
-
-    def __init__(self, reports: list[RunReport], trace: bool):
-        self.reports = reports
-        self.trace = trace
-
-    def __iter__(self) -> Iterator[dict[str, Any]]:
-        return (r.to_dict(self.trace) for r in self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-
 class OperatorSummary:
     """The runs of one operator over the levels 0..n_max, and their verdict.
 
@@ -303,8 +288,8 @@ class OperatorSummary:
         return None
 
     def to_dict(self, trace: bool = False) -> dict[str, Any]:
-        """The summary; its runs are a _RunDicts, which to_json writes as
-        the list of the runs' dicts."""
+        """The summary; its runs are a generator of the runs' dicts, each
+        built when the writer reaches it, which to_json writes as a list."""
         first = self.reports[0]
         out: dict[str, Any] = {"family": first.family.value}
         if first.successor is not None:
@@ -313,7 +298,7 @@ class OperatorSummary:
         out["verdict"] = self.verdict
         if self.at is not None:
             out["at"] = self.at
-        out["runs"] = _RunDicts(self.reports, trace)
+        out["runs"] = (report.to_dict(trace) for report in self.reports)
         return out
 
     def lines(self, trace: bool = False) -> Iterator[str]:

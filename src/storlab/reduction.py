@@ -152,7 +152,7 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
             while type(body) is Lam and len(binders) < most:
                 binders.append(body.binder)
                 body = body.body
-            reduced = _contract(binders, body, args) if len(binders) > 1 else None
+            reduced = _contract(binders, body, args)
             if reduced is None:
                 binders, body = binders[:1], head.body
                 reduced = _contract(binders, body, args)

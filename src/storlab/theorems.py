@@ -220,8 +220,8 @@ def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
     equal = is_numeral(t, n, limits)
     if equal is None:
         return Verdict.UNKNOWN, None
-    matches = alpha_eq(t, upper.tau) if upper.tau is not None else None
-    return (Verdict.PASS if equal else Verdict.FAIL), matches
+    # the upper run succeeded, so it carries its tau
+    return (Verdict.PASS if equal else Verdict.FAIL), alpha_eq(t, upper.tau)
 
 
 def verify_theorem2_instance(operator: Term, n_max: int,

@@ -20,6 +20,7 @@ from storlab.terms import (
     Var,
     app,
     free_names,
+    fresh_name,
     mk_church,
 )
 
@@ -124,3 +125,73 @@ def substitution_for(r: random.Random, term: Term) -> dict[str, Term]:
     """
     candidates = sorted(free_names(term) & set(FREEPOOL))
     return {name: pure_term(r, 2, ()) for name in candidates if r.random() < 0.7}
+
+
+def closed_term(r: random.Random, depth: int = 2) -> Term:
+    """A closed constant-free term: a pure_term under a binder for each of
+    its free names."""
+    term = pure_term(r, depth)
+    for name in sorted(free_names(term)):
+        term = Lam(name, term)
+    return term
+
+
+def with_redexes(r: random.Random, term: Term) -> Term:
+    """term with 1-3 redexes put in at random subterm positions.
+
+    The subterm s at a position becomes (\\v. s) w, (\\v. v) s or
+    (\\v v'. v) s w, with v and v' names the term does not use and w a
+    closed_term, so each contracts back to s and adds no free name or
+    constant.  A shared subterm is one position per occurrence, and only
+    the chosen occurrence changes.
+    """
+    for _ in range(r.randint(1, 3)):
+        names = _names(term)
+        v = fresh_name("v", names)
+        v2 = fresh_name("w", names)
+        form = r.randrange(3)
+
+        def redex(s: Term) -> Term:
+            if form == 0:
+                return App(Lam(v, s), closed_term(r))
+            if form == 1:
+                return App(Lam(v, Var(v)), s)
+            return app(Lam(v, Lam(v2, Var(v))), s, closed_term(r))
+
+        term = _replace(term, r.randrange(_size(term)), redex)
+    return term
+
+
+def _names(term: Term) -> set[str]:
+    """Every variable and binder name in term, payloads included."""
+    match term:
+        case Var(name):
+            return {name}
+        case Lam(binder, body):
+            return {binder} | _names(body)
+        case App(fn, arg):
+            return _names(fn) | _names(arg)
+        case Const(payload=payload):
+            return set().union(*map(_names, payload))
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _size(term: Term) -> int:
+    """The number of subterm positions in term, a constant counting as one."""
+    if isinstance(term, Lam):
+        return 1 + _size(term.body)
+    if isinstance(term, App):
+        return 1 + _size(term.fn) + _size(term.arg)
+    return 1
+
+
+def _replace(term: Term, k: int, make) -> Term:
+    """term with its k-th subterm in pre-order, s, replaced by make(s)."""
+    if k == 0:
+        return make(term)
+    if isinstance(term, Lam):
+        return Lam(term.binder, _replace(term.body, k - 1, make))
+    left = _size(term.fn)
+    if k <= left:
+        return App(_replace(term.fn, k - 1, make), term.arg)
+    return App(term.fn, _replace(term.arg, k - 1 - left, make))

@@ -13,8 +13,8 @@ theorems._delta_correspondence shares across the trace.
 beta_equiv is the original that normalizes both sides and compares them by
 alpha-equivalence.  Theorem 3's upper tau check normalizes every upper tau a
 second time, as the theorem did before it read the runs' verdict.  The
-prelude parses every builtin source on each call, with S bound to the
-successor.  spine unwinds an application for these oracles and for the
+prelude parses both builtin definition files on each call, with S bound to
+the successor.  spine unwinds an application for these oracles and for the
 lemma checks in theory.py.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from storlab.builtins import _CORE_SOURCES, _OPERATOR_SOURCES
+from storlab.builtins import _CORE_DEFS, _OPERATOR_DEFS
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -32,7 +32,7 @@ from storlab.reduction import (
     head_reduce,
     normalize,
 )
-from storlab.syntax import ParseError, Token, parse, tokenize
+from storlab.syntax import ParseError, Token, tokenize
 from storlab.terms import (
     App,
     Const,
@@ -371,11 +371,10 @@ def oracle_parse_defs(text: str, env: Mapping[str, Term] | None = None) -> dict[
 
 
 def oracle_prelude(successor: str | Term = "S1") -> dict[str, Term]:
-    """builtins.prelude as it was before: every builtin source parsed on each
-    call, the operators with S bound to the successor in the env."""
-    env: dict[str, Term] = {}
-    for name, source in _CORE_SOURCES:
-        env[name] = parse(source, env)
+    """builtins.prelude as it was before: both builtin definition files
+    parsed on each call, the operators with S bound to the successor in the
+    env."""
+    env = oracle_parse_defs(_CORE_DEFS)
     if isinstance(successor, str):
         if successor not in env:
             raise ValueError(f"unknown successor {successor!r}")
@@ -384,6 +383,5 @@ def oracle_prelude(successor: str | Term = "S1") -> dict[str, Term]:
         if not is_closed_pure(successor):
             raise ValueError("successor must be a closed constant-free term")
         env["S"] = successor
-    for name, source in _OPERATOR_SOURCES:
-        env[name] = parse(source, env)
+    env.update(oracle_parse_defs(_OPERATOR_DEFS, env))
     return env

@@ -6,6 +6,7 @@ import storlab
 from storlab import prelude
 from storlab.checker import (
     FINAL,
+    FOREIGN_HEAD,
     MALFORMED_HEAD,
     TAU_NOT_CLOSED,
     WRONG_LEVEL,
@@ -18,7 +19,7 @@ from storlab.checker import (
     x_transform,
 )
 from storlab.reduction import Limits, beta_equiv, decompose_hnf, head_reduce
-from storlab.syntax import parse
+from storlab.syntax import parse, pretty
 from storlab.terms import (
     App,
     Const,
@@ -211,6 +212,23 @@ def test_run_check_validation():
         run_check(env["T1"], Family.UPPER, 1, Var("y"))
 
 
+@pytest.mark.parametrize("source, family, successor, v", [
+    ("\\n f. g f", Family.LOWER, None, "g f"),
+    ("\\n f. X[0] f f", Family.LOWER, None, "X[0] f f"),
+    ("\\n f. x[0] f f", Family.UPPER, "S1", "x[0] f f"),
+])
+def test_run_check_stops_at_a_foreign_head(source, family, successor, v):
+    # operands that check_operator rejects, so only a broken invariant gets
+    # here: a free head or a constant of the other family must not pass
+    term, succ = parse(source), prelude()[successor] if successor else None
+    report = run_check(term, family, 0, succ, checked=True)
+    assert (report.verdict, report.reason, report.tau) == (Verdict.FAIL, FOREIGN_HEAD, None)
+    [step] = report.trace
+    assert pretty(step.v) == v and step.transform is None
+    with pytest.raises(ValueError):
+        run_check(term, family, 0, succ)
+
+
 def test_trace_replays():
     env = prelude()
     for family, succ in ((Family.LOWER, None), (Family.UPPER, env["S1"])):
@@ -344,7 +362,7 @@ def test_summary_dict_envelope():
     d = check_operator(env["T1"], Family.UPPER, 1, env["S1"]).to_dict(trace=True)
     assert list(d)[:4] == ["family", "successor", "n_max", "verdict"]
     assert d["family"] == "X"
-    assert len(d["runs"]) == 2
+    assert len(list(d["runs"])) == 2
 
 
 def test_verdict_fold_and_exit_codes():

@@ -191,6 +191,8 @@ def test_const_validation():
         Const(Family.LOWER, -1)
     with pytest.raises(ValueError):
         Const(Family.UPPER, 1, (Var("a"),))
+    with pytest.raises(ValueError):
+        mk_church(-1)
     assert Const(Family.UPPER, 3).is_seed
     assert not Const(Family.UPPER, 3, (Var("a"), Var("b"))).is_seed
 
