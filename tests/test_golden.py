@@ -123,6 +123,12 @@ CASES = {
     "check_storage_f_arity": ["check-storage", "\\n f. f #0 #0", "--n-max", "0"],
     "check_storage_f_arity_json": ["check-storage", "\\n f. f #0 #0", "--n-max", "0",
                                    "--json"],
+    # the seed-zero transform hands over a bare f with no arguments, so two
+    # steps take 0 beta-steps and each v is its u
+    "check_storage_zero_step_trace": ["check-storage", "\\n f. n f f", "--n-max", "1",
+                                      "--trace"],
+    "check_storage_zero_step_json_trace": ["check-storage", "\\n f. n f f", "--n-max", "1",
+                                           "--json", "--trace"],
     # parse errors: exit 3 and a message with line and column on stderr
     "parse_unclosed": ["parse", "(p"],
     "parse_lambda_argument": ["parse", "f \\x. x"],
