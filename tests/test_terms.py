@@ -381,6 +381,28 @@ def test_node_fields_and_match_args_unchanged():
     assert Const.__match_args__ == ("family", "level", "payload")
 
 
+def test_nodes_are_immutable_and_take_keywords():
+    p, q = Var(name="p"), Var("q")
+    nodes = {
+        Var(name="x"): ("name",),
+        Lam(binder="x", body=p): ("binder", "body"),
+        App(fn=p, arg=q): ("fn", "arg"),
+        Const(family=Family.UPPER, level=1, payload=(p, q)): ("family", "level", "payload"),
+    }
+    assert list(nodes) == [Var("x"), Lam("x", p), App(p, q), Const(Family.UPPER, 1, (p, q))]
+    for node, fields in nodes.items():
+        for name in (*fields, "_fv"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, q)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert Const(family=Family.LOWER, level=2).payload == ()
+    with pytest.raises(ValueError):
+        Const(family=Family.LOWER, level=-1)
+    with pytest.raises(ValueError):
+        Const(family=Family.LOWER, level=0, payload=(p,))
+
+
 def test_filled_slot_keeps_value_semantics():
     def build():
         return Lam("x", App(Var("x"), Const(Family.LOWER, 1, (Var("p"), Var("q")))))
