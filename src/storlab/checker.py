@@ -28,7 +28,7 @@ from .reduction import (
     is_numeral,
 )
 from .syntax import pretty, printer
-from .terms import App, Const, Family, Term, Var, app, is_closed_pure, mk_church
+from .terms import App, Const, Family, Term, Var, is_closed_pure, mk_church
 
 SEED_ZERO = "SeedZero"
 SEED_SUCC = "SeedSucc"
@@ -45,6 +45,7 @@ TAU_NOT_CLOSED = "TauNotClosed"
 TAU_NOT_N = "TauNotN"
 
 PROBE = "f"  # an operator is closed, so the probe is fresh whatever its name
+_ZERO = mk_church(0)
 
 
 class TransformError(Exception):
@@ -63,8 +64,9 @@ def _head_const(v: HnfDecomposition, family: Family) -> Const:
     return head
 
 
-def x_transform(v: HnfDecomposition, n: int) -> Term:
-    """One lower-family move.
+def x_transform(v: HnfDecomposition, n: int) -> list[Term]:
+    """One lower-family move: the next term as a list, its head first, then
+    its arguments.
 
     Seed at level k+1 takes arguments a b c...: the next term is
     (a) x[k; a, b, c...] c...; seed at level 0 gives (b) c....  A stored
@@ -83,13 +85,12 @@ def x_transform(v: HnfDecomposition, n: int) -> Term:
         a, b = head.payload[0], head.payload[1]
         cs = list(v.args)
     if head.level == 0:
-        return app(b, *cs)
-    stored = Const(Family.LOWER, head.level - 1, (a, b, *cs))
-    return app(App(a, stored), *cs)
+        return [b, *cs]
+    return [a, Const(Family.LOWER, head.level - 1, (a, b, *cs)), *cs]
 
 
-def X_transform(v: HnfDecomposition, successor: Term, n: int) -> Term:
-    """One upper-family move.
+def X_transform(v: HnfDecomposition, successor: Term, n: int) -> list[Term]:
+    """One upper-family move, as a list like x_transform's.
 
     Level k+1 yields ((S) X[k; u, v, w...]) u v w... and level 0 yields
     (#0) u v w..., always from the current arguments, of which there must
@@ -101,9 +102,8 @@ def X_transform(v: HnfDecomposition, successor: Term, n: int) -> Term:
     if len(v.args) < 2:
         raise TransformError(MALFORMED_HEAD, "constant applied to fewer than two arguments")
     if head.level == 0:
-        return app(mk_church(0), *v.args)
-    stored = Const(Family.UPPER, head.level - 1, tuple(v.args))
-    return app(App(successor, stored), *v.args)
+        return [_ZERO, *v.args]
+    return [successor, Const(Family.UPPER, head.level - 1, tuple(v.args)), *v.args]
 
 
 def _step_kind(head: Const) -> str:
@@ -112,15 +112,47 @@ def _step_kind(head: Const) -> str:
     return STORED_ZERO if head.level == 0 else STORED_SUCC
 
 
-@dataclass(slots=True)
 class MacroStep:
     """One recorded macro step: u head-reduces to v in beta_steps, then
-    transform names what the run did with v (None when the run stopped)."""
+    transform names what the run did with v (None when the run stopped).
 
-    u: Term
-    v: Term
-    beta_steps: int
-    transform: str | None
+    u may be given as a list, its head first, then its arguments: the term
+    is then built the first time u is read, and kept, so that every read
+    gives the same nodes.
+    """
+
+    __slots__ = ("_u", "v", "beta_steps", "transform")
+
+    def __init__(self, u: Term | list[Term], v: Term, beta_steps: int,
+                 transform: str | None):
+        self._u = u
+        self.v = v
+        self.beta_steps = beta_steps
+        self.transform = transform
+
+    @property
+    def u(self) -> Term:
+        u = self._u
+        if type(u) is list:
+            term = u[0]
+            for arg in u[1:]:
+                term = App(term, arg)
+            self._u = u = term
+        return u
+
+    def _fields(self) -> tuple:
+        return self.u, self.v, self.beta_steps, self.transform
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MacroStep:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # equal by value, and mutable
+
+    def __repr__(self) -> str:
+        u, v, beta_steps, transform = self._fields()
+        return f"MacroStep(u={u!r}, v={v!r}, beta_steps={beta_steps!r}, transform={transform!r})"
 
 
 @dataclass(slots=True)
@@ -204,10 +236,10 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         return report(verdict, reason)
 
     trace: list[MacroStep] = []
-    u = app(term, Const(family, n), Var(PROBE))
+    u = [term, Const(family, n), Var(PROBE)]  # the head, then its arguments
     for _ in range(limits.macro_fuel):
         try:
-            v, beta_steps = head_reduce(u, limits)
+            v, beta_steps = head_reduce(u[0], limits, u[1:])
         except FuelExhausted as exc:
             v, beta_steps = exc.partial, exc.steps
             return stop(Verdict.FUEL, STAGE_HEAD)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .syntax import pretty
 from .terms import (
@@ -118,9 +118,11 @@ class FuelExhausted(Exception):
         yield f"fuel exhausted after {self.steps} steps: {pretty(self.partial)}"
 
 
-def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[Term], int]:
-    """Head-reduce term until it is a head normal form or `steps` reaches
-    `fuel`, returning (prefix binders, head, argument stack, steps).
+def _run_head(term: Term, args: list[Term], steps: int,
+              fuel: int) -> tuple[list[str], Term, list[Term], int]:
+    """Head-reduce term applied to the arguments on the stack `args` until it
+    is a head normal form or `steps` reaches `fuel`, returning (prefix
+    binders, head, argument stack, steps).
 
     The argument stack holds the head's arguments with the first one last.
     A head abstraction contracts as many of its prefix binders as there are
@@ -132,7 +134,6 @@ def _run_head(term: Term, steps: int, fuel: int) -> tuple[list[str], Term, list[
     head is a Lam exactly when fuel ran out before the head normal form.
     """
     prefix: list[str] = []
-    args: list[Term] = []
     head = term
     while True:
         kind = type(head)
@@ -198,18 +199,20 @@ def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:
     return term
 
 
-def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS) -> tuple[Term, int]:
-    """Head-reduce to head normal form, returning (result, beta steps)."""
-    prefix, head, args, steps = _run_head(term, 0, limits.head_fuel)
-    if steps:
-        term = _wrap(prefix, head, args[::-1])
+def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS,
+                args: Sequence[Term] = ()) -> tuple[Term, int]:
+    """Head-reduce (term) args... to head normal form, returning (result,
+    beta steps).  The arguments go straight onto the machine's stack, so
+    their application to term is not built first."""
+    prefix, head, stack, steps = _run_head(term, list(reversed(args)), 0, limits.head_fuel)
+    if steps or args:
+        term = _wrap(prefix, head, stack[::-1])
     if isinstance(head, Lam):
         raise FuelExhausted(STAGE_HEAD, term, steps)
     return term, steps
 
 
-@dataclass(frozen=True)
-class HnfDecomposition:
+class HnfDecomposition(NamedTuple):
     """A head normal form split as prefix binders, head, arguments.
 
     The head is always a variable or a symbolic constant.
@@ -221,7 +224,7 @@ class HnfDecomposition:
 
 
 def decompose_hnf(term: Term) -> HnfDecomposition:
-    prefix, head, args, _ = _run_head(term, 0, 0)
+    prefix, head, args, _ = _run_head(term, [], 0, 0)
     if isinstance(head, Lam):
         raise ValueError("term still has a head redex")
     return HnfDecomposition(tuple(prefix), head, tuple(reversed(args)))
@@ -248,7 +251,7 @@ def normalize(term: Term, limits: Limits = DEFAULT_LIMITS) -> Term:
     steps = 0
     frames: list[tuple[list[str], Term, list[Term], list[Term]]] = []
     while True:
-        prefix, head, args, steps = _run_head(term, steps, limits.norm_fuel)
+        prefix, head, args, steps = _run_head(term, [], steps, limits.norm_fuel)
         args.reverse()
         if isinstance(head, Lam):
             term = _wrap(prefix, head, args)

@@ -12,7 +12,6 @@ when family, level, and payloads match up to alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
@@ -76,7 +75,8 @@ def _hash(self: Term) -> int:
 
 
 def _repr(self: Term) -> str:
-    """The dataclass repr, built on an explicit stack of terms and text."""
+    """The constructor call with keywords, built on an explicit stack of terms
+    and text."""
     out: list[str] = []
     stack: list = [self]
     while stack:
@@ -99,69 +99,84 @@ def _repr(self: Term) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True, slots=True)
+# The nodes are immutable: __init__ fills the slots through _set, and
+# assigning or deleting an attribute afterwards raises AttributeError.
+
+_set = object.__setattr__
+
+
+def _immutable(self: Term, name: str, *_value: object) -> None:
+    raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
+
+
 class Var:
-    name: str
-    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "_fv")
+    __match_args__ = ("name",)
     __eq__ = _eq
     __hash__ = _hash
     __repr__ = _repr
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        fv = _SINGLETONS.get(self.name)
+    def __init__(self, name: str) -> None:
+        fv = _SINGLETONS.get(name)
         if fv is None:
-            fv = _SINGLETONS[self.name] = frozenset((self.name,))
-        object.__setattr__(self, "_fv", fv)
+            fv = _SINGLETONS[name] = frozenset((name,))
+        _set(self, "name", name)
+        _set(self, "_fv", fv)
 
 
-@dataclass(frozen=True, slots=True)
 class Lam:
-    binder: str
-    body: "Term"
-    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("binder", "body", "_fv")
+    __match_args__ = ("binder", "body")
     __eq__ = _eq
     __hash__ = _hash
     __repr__ = _repr
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        fv = self.body._fv
-        if self.binder in fv:
-            fv = fv - {self.binder} or _EMPTY
-        object.__setattr__(self, "_fv", fv)
+    def __init__(self, binder: str, body: Term) -> None:
+        fv = body._fv
+        if binder in fv:
+            fv = fv - {binder} or _EMPTY
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        _set(self, "_fv", fv)
 
 
-@dataclass(frozen=True, slots=True)
 class App:
-    fn: "Term"
-    arg: "Term"
-    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("fn", "arg", "_fv")
+    __match_args__ = ("fn", "arg")
     __eq__ = _eq
     __hash__ = _hash
     __repr__ = _repr
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_fv", _join(self.fn._fv, self.arg._fv))
+    def __init__(self, fn: Term, arg: Term) -> None:
+        a, b = fn._fv, arg._fv
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "_fv", a if b <= a else b if a <= b else a | b)  # _join(a, b)
 
 
-@dataclass(frozen=True, slots=True)
 class Const:
-    family: Family
-    level: int
-    payload: tuple["Term", ...] = ()
-    _fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("family", "level", "payload", "_fv")
+    __match_args__ = ("family", "level", "payload")
     __eq__ = _eq
     __hash__ = _hash
     __repr__ = _repr
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
+    def __init__(self, family: Family, level: int, payload: tuple[Term, ...] = ()) -> None:
+        if level < 0:
             raise ValueError("constant level must be non-negative")
-        if len(self.payload) == 1:
+        if len(payload) == 1:
             raise ValueError("a stored constant carries at least two payload terms")
         fv = _EMPTY
-        for p in self.payload:
+        for p in payload:
             fv = _join(fv, p._fv)
-        object.__setattr__(self, "_fv", fv)
+        _set(self, "family", family)
+        _set(self, "level", level)
+        _set(self, "payload", payload)
+        _set(self, "_fv", fv)
 
     @property
     def is_seed(self) -> bool:
@@ -306,6 +321,8 @@ def substitute_many(term: Term, mapping: dict[str, Term]) -> Term | None:
     m = mapping
     if term._fv.isdisjoint(m):
         return term
+    if type(term) is Var:
+        return m[term.name]
     # with one name, the free names of its replacement, which a binder must avoid
     avoid = next(iter(m.values()))._fv if len(m) == 1 else None
     done: list[Term] = []

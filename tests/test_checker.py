@@ -1,6 +1,8 @@
 """The two characterization machines and their reports."""
 
+import hypothesis as hyp
 import pytest
+from hypothesis import strategies as st
 
 import storlab
 from storlab import prelude
@@ -44,12 +46,12 @@ def hnf(term):
 def test_x_transform_seed():
     got = x_transform(hnf(app(Const(Family.LOWER, 2), A, B, C)), 2)
     stored = Const(Family.LOWER, 1, (A, B, C))
-    assert got == app(App(A, stored), C)
+    assert got == [A, stored, C]
 
 
 def test_x_transform_seed_level_zero():
     got = x_transform(hnf(app(Const(Family.LOWER, 0), A, B, C)), 0)
-    assert got == App(B, C)
+    assert got == [B, C]
 
 
 def test_x_transform_stored_replays_payload():
@@ -57,25 +59,25 @@ def test_x_transform_stored_replays_payload():
     d1, d2 = Var("d1"), Var("d2")
     got = x_transform(hnf(app(head, d1, d2)), 1)
     stored = Const(Family.LOWER, 0, (A, B, d1, d2))
-    assert got == app(App(A, stored), d1, d2)
+    assert got == [A, stored, d1, d2]
 
 
 def test_x_transform_stored_accepts_no_arguments():
     head = Const(Family.LOWER, 0, (A, B))
-    assert x_transform(hnf(head), 0) == B
+    assert x_transform(hnf(head), 0) == [B]
 
 
 def test_X_transform_seed():
     s2 = prelude()["S2"]
     got = X_transform(hnf(app(Const(Family.UPPER, 1), A, B, C)), s2, 1)
     stored = Const(Family.UPPER, 0, (A, B, C))
-    assert got == app(App(s2, stored), A, B, C)
+    assert got == [s2, stored, A, B, C]
 
 
 def test_X_transform_seed_level_zero():
     s2 = prelude()["S2"]
     got = X_transform(hnf(app(Const(Family.UPPER, 0), A, B, C)), s2, 0)
-    assert got == app(mk_church(0), A, B, C)
+    assert got == [mk_church(0), A, B, C]
 
 
 def test_X_transform_stored_uses_current_arguments():
@@ -84,7 +86,7 @@ def test_X_transform_stored_uses_current_arguments():
     u, v, w = Var("u"), Var("v"), Var("w")
     got = X_transform(hnf(app(head, u, v, w)), s2, 1)
     stored = Const(Family.UPPER, 0, (u, v, w))
-    assert got == app(App(s2, stored), u, v, w)
+    assert got == [s2, stored, u, v, w]
 
 
 def test_transform_errors():
@@ -229,21 +231,23 @@ def test_run_check_stops_at_a_foreign_head(source, family, successor, v):
         run_check(term, family, 0, succ)
 
 
-def test_trace_replays():
-    env = prelude()
-    for family, succ in ((Family.LOWER, None), (Family.UPPER, env["S1"])):
-        report = run_check(env["T2"], family, 3, succ)
-        assert report.verdict == Verdict.SUCCESS
-        for i, step in enumerate(report.trace):
-            assert head_reduce(step.u) == (step.v, step.beta_steps)
-            if step.transform == FINAL:
-                continue
-            d = decompose_hnf(step.v)
-            if family is Family.LOWER:
-                expected = x_transform(d, 3)
-            else:
-                expected = X_transform(d, succ, 3)
-            assert report.trace[i + 1].u == expected
+@hyp.given(st.sampled_from(("T1", "T2", "T3")), st.sampled_from(tuple(Family)),
+           st.sampled_from(("S1", "S2")), st.integers(0, 6))
+def test_trace_replays(operator, family, successor, n):
+    env = prelude(successor)
+    succ = env[successor] if family is Family.UPPER else None
+    report = run_check(env[operator], family, n, succ)
+    for i, step in enumerate(report.trace):
+        assert step.u is step.u  # built once, when first read
+        assert head_reduce(step.u) == (step.v, step.beta_steps)
+        if step.transform in (None, FINAL):
+            continue
+        d = decompose_hnf(step.v)
+        if family is Family.LOWER:
+            expected = x_transform(d, n)
+        else:
+            expected = X_transform(d, succ, n)
+        assert report.trace[i + 1].u == app(*expected)
 
 
 def test_upper_levels_strictly_decrease():
@@ -269,19 +273,26 @@ def test_check_operator_storage():
 
 def test_check_operator_builds_few_nodes(monkeypatch):
     # a head abstraction's binders are contracted together, so the terms
-    # between them are never built: 2109 App and 766 Lam one binder at a time
+    # between them are never built: 2109 App and 766 Lam one binder at a time;
+    # and a step's u is built only when it is read
     env = prelude("S2")
     built = {App: 0, Lam: 0}
     for kind in built:
-        def counting(node, kind=kind, original=kind.__post_init__):
+        def counting(node, *fields, kind=kind, original=kind.__init__):
             built[kind] += 1
-            original(node)
+            original(node, *fields)
 
-        monkeypatch.setattr(kind, "__post_init__", counting)
+        monkeypatch.setattr(kind, "__init__", counting)
     summary = check_operator(env["T1"], Family.UPPER, 12, env["S2"])
     assert summary.verdict == Verdict.ALL_PASS
-    assert sum(len(report.trace) for report in summary.reports) == 104
-    assert built[App] <= 1300 and built[Lam] <= 250  # 1077 and 178
+    steps = [step for report in summary.reports for step in report.trace]
+    assert len(steps) == 104
+    assert built[App] <= 530 and built[Lam] <= 80  # 520 and 78
+    before = dict(built)
+    for step in steps:
+        step.u, step.v
+    # the Apps of each u as built before its reduction, built later; no Lam
+    assert built[App] == 897 and built[Lam] == before[Lam]
 
 
 def test_check_operator_first_failure():

@@ -14,7 +14,13 @@ from genterms import (
     substitution_for,
     with_head_redex,
 )
-from oracles import oracle_beta_equiv, oracle_head_reduce, oracle_head_step, substitute_many
+from oracles import (
+    oracle_beta_equiv,
+    oracle_head_reduce,
+    oracle_head_step,
+    spine,
+    substitute_many,
+)
 from storlab import prelude
 from storlab.checker import run_check
 from storlab.reduction import (
@@ -434,6 +440,24 @@ def test_head_reduce_fuel_matches_oracle(seed):
         limits = Limits(head_fuel=fuel)
         # names included: the result, or the stage, steps and partial term
         assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_head_reduce_of_a_spine_matches_the_application(seed):
+    # a generated term, with or without a head redex, applied to 0-2 more
+    # terms, cut at a random point of its spine into a head and arguments
+    r = rng(seed)
+    gen = GENERATORS[seed % len(GENERATORS)]
+    term = with_head_redex(r, gen) if r.random() < 0.5 else gen(r, 4)
+    term = app(term, *(gen(r, 2) for _ in range(r.randint(0, 2))))
+    head, args = spine(term)
+    cut = r.randint(0, len(args))
+    head, args = app(head, *args[:cut]), args[cut:]
+    for fuel in (*range(1, 41), 500):
+        limits = Limits(head_fuel=fuel)
+        # the result, or the stage, steps and partial term
+        assert (outcome(lambda t, lim: head_reduce(t, lim, args), head, limits)
+                == outcome(head_reduce, term, limits))
 
 
 # -- a head abstraction's binders contracted at once, or one at a time where

@@ -386,11 +386,12 @@ def mutated_runs(seed):
     field = "u" if side is lower else "v"
     if kind == 1:
         steps.pop()
-    elif kind in (2, 3) and i != j:
-        steps[i] = dataclasses.replace(steps[i], **{field: getattr(steps[j], field)})
     else:
-        changed = App(getattr(steps[i], field), Var("p"))
-        steps[i] = dataclasses.replace(steps[i], **{field: changed})
+        changed = (getattr(steps[j], field) if kind in (2, 3) and i != j
+                   else App(getattr(steps[i], field), Var("p")))
+        step = steps[i]
+        fields = {"u": step.u, "v": step.v, field: changed}
+        steps[i] = MacroStep(fields["u"], fields["v"], step.beta_steps, step.transform)
     side = dataclasses.replace(side, trace=steps)
     return (side, upper, False) if field == "u" else (lower, side, False)
 
