@@ -12,6 +12,7 @@ from storlab.checker import (
     MALFORMED_HEAD,
     TAU_NOT_CLOSED,
     WRONG_LEVEL,
+    MacroStep,
     TransformError,
     Verdict,
     X_transform,
@@ -229,6 +230,17 @@ def test_run_check_stops_at_a_foreign_head(source, family, successor, v):
     assert pretty(step.v) == v and step.transform is None
     with pytest.raises(ValueError):
         run_check(term, family, 0, succ)
+
+
+def test_macro_step_takes_a_spine_and_compares_by_value():
+    v = App(A, B)
+    lazy = MacroStep([A, B, C], v, 1, FINAL)
+    built = MacroStep(app(A, B, C), v, 1, FINAL)
+    assert lazy == built and repr(lazy) == repr(built)
+    assert lazy.u is lazy.u
+    assert lazy != MacroStep(app(A, C, B), v, 1, FINAL)
+    assert lazy != MacroStep(app(A, B, C), v, 2, FINAL)
+    assert lazy != MacroStep(app(A, B, C), v, 1, None)
 
 
 @hyp.given(st.sampled_from(("T1", "T2", "T3")), st.sampled_from(tuple(Family)),
