@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Iterable, Iterator
 
 from .reduction import (
@@ -134,10 +135,7 @@ class MacroStep:
     def u(self) -> Term:
         u = self._u
         if type(u) is list:
-            term = u[0]
-            for arg in u[1:]:
-                term = App(term, arg)
-            self._u = u = term
+            self._u = u = reduce(App, u)
         return u
 
     def _fields(self) -> tuple:
