@@ -12,6 +12,7 @@ from storlab.terms import (
     Const,
     Family,
     Lam,
+    Term,
     Var,
     alpha_eq,
     app,
@@ -25,6 +26,7 @@ from storlab.terms import (
     substitute,
     substitute_many,
 )
+from storlab.syntax import pretty
 
 names = st.sampled_from(("p", "q", "r", "s", "t"))
 leaves = st.one_of(
@@ -391,11 +393,22 @@ def test_nodes_are_immutable_and_take_keywords():
     }
     assert list(nodes) == [Var("x"), Lam("x", p), App(p, q), Const(Family.UPPER, 1, (p, q))]
     for node, fields in nodes.items():
+        assert isinstance(node, Term)
         for name in (*fields, "_fv"):
             with pytest.raises(AttributeError):
                 setattr(node, name, q)
             with pytest.raises(AttributeError):
                 delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+    with pytest.raises(TypeError):
+        Term()
+    # anything that is not a term is refused, or is unequal to every term
+    for walk in (free_names, pretty):
+        with pytest.raises(TypeError):
+            walk(object())
+    assert (Var("x") == object()) is False
+    assert alpha_eq(Var("x"), object()) is False
     assert Const(family=Family.LOWER, level=2).payload == ()
     with pytest.raises(ValueError):
         Const(family=Family.LOWER, level=-1)
