@@ -241,6 +241,8 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         except FuelExhausted as exc:
             v, beta_steps = exc.partial, exc.steps
             return stop(Verdict.FUEL, STAGE_HEAD)
+        if beta_steps == 0:
+            u = v  # the state is already in head normal form: keep one copy
         decomposed = decompose_hnf(v)
         if decomposed.prefix:
             return stop(Verdict.FAIL, PREFIX_NOT_EMPTY)

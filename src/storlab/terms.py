@@ -13,7 +13,7 @@ when family, level, and payloads match up to alpha.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 
 class Family(Enum):
@@ -62,60 +62,63 @@ def _shape(term: Term) -> Iterator[object]:
             stack.extend(reversed(t.payload))
 
 
-def _eq(self: Term, other: object) -> bool:
-    if type(other) not in _KINDS:
-        return NotImplemented
-    # a node's part fixes how many children follow it, so two shapes that
-    # agree as far as both go are the same length
-    return self is other or all(a == b for a, b in zip(_shape(self), _shape(other)))
-
-
-def _hash(self: Term) -> int:
-    return hash(tuple(_shape(self)))
-
-
-def _repr(self: Term) -> str:
-    """The constructor call with keywords, built on an explicit stack of terms
-    and text."""
-    out: list[str] = []
-    stack: list = [self]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is str:
-            out.append(t)
-        elif kind is Var:
-            out.append(f"Var(name={t.name!r})")
-        elif kind is App:
-            out.append("App(fn=")
-            stack += [")", t.arg, ", arg=", t.fn]
-        elif kind is Lam:
-            out.append(f"Lam(binder={t.binder!r}, body=")
-            stack += [")", t.body]
-        else:
-            out.append(f"Const(family={t.family!r}, level={t.level!r}, payload=(")
-            items = [x for p in reversed(t.payload) for x in (p, ", ")]
-            stack += ["))", *items[:-1]]
-    return "".join(out)
-
-
 # The nodes are immutable: __init__ fills the slots through _set, and
 # assigning or deleting an attribute afterwards raises AttributeError.
 
 _set = object.__setattr__
 
 
-def _immutable(self: Term, name: str, *_value: object) -> None:
-    raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
+class Term:
+    """The base of the four node kinds: the free-name slot, ==, hash, repr
+    and immutability.  It is not built itself."""
+
+    __slots__ = ("_fv",)
+
+    def __init__(self) -> None:
+        raise TypeError("build a Var, Lam, App or Const, not a Term")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Term):
+            return NotImplemented
+        # a node's part fixes how many children follow it, so two shapes that
+        # agree as far as both go are the same length
+        return self is other or all(a == b for a, b in zip(_shape(self), _shape(other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
+    def __repr__(self) -> str:
+        """The constructor call with keywords, built on an explicit stack of
+        terms and text."""
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            kind = type(t)
+            if kind is str:
+                out.append(t)
+            elif kind is Var:
+                out.append(f"Var(name={t.name!r})")
+            elif kind is App:
+                out.append("App(fn=")
+                stack += [")", t.arg, ", arg=", t.fn]
+            elif kind is Lam:
+                out.append(f"Lam(binder={t.binder!r}, body=")
+                stack += [")", t.body]
+            else:
+                out.append(f"Const(family={t.family!r}, level={t.level!r}, payload=(")
+                items = [x for p in reversed(t.payload) for x in (p, ", ")]
+                stack += ["))", *items[:-1]]
+        return "".join(out)
+
+    def __setattr__(self, name: str, *_value: object) -> None:
+        raise AttributeError(f"cannot assign or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
 
 
-class Var:
-    __slots__ = ("name", "_fv")
-    __match_args__ = ("name",)
-    __eq__ = _eq
-    __hash__ = _hash
-    __repr__ = _repr
-    __setattr__ = __delattr__ = _immutable
+class Var(Term):
+    __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str) -> None:
         fv = _SINGLETONS.get(name)
@@ -125,13 +128,8 @@ class Var:
         _set(self, "_fv", fv)
 
 
-class Lam:
-    __slots__ = ("binder", "body", "_fv")
-    __match_args__ = ("binder", "body")
-    __eq__ = _eq
-    __hash__ = _hash
-    __repr__ = _repr
-    __setattr__ = __delattr__ = _immutable
+class Lam(Term):
+    __slots__ = __match_args__ = ("binder", "body")
 
     def __init__(self, binder: str, body: Term) -> None:
         fv = body._fv
@@ -142,13 +140,8 @@ class Lam:
         _set(self, "_fv", fv)
 
 
-class App:
-    __slots__ = ("fn", "arg", "_fv")
-    __match_args__ = ("fn", "arg")
-    __eq__ = _eq
-    __hash__ = _hash
-    __repr__ = _repr
-    __setattr__ = __delattr__ = _immutable
+class App(Term):
+    __slots__ = __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: Term, arg: Term) -> None:
         a, b = fn._fv, arg._fv
@@ -157,13 +150,8 @@ class App:
         _set(self, "_fv", a if b <= a else b if a <= b else a | b)  # _join(a, b)
 
 
-class Const:
-    __slots__ = ("family", "level", "payload", "_fv")
-    __match_args__ = ("family", "level", "payload")
-    __eq__ = _eq
-    __hash__ = _hash
-    __repr__ = _repr
-    __setattr__ = __delattr__ = _immutable
+class Const(Term):
+    __slots__ = __match_args__ = ("family", "level", "payload")
 
     def __init__(self, family: Family, level: int, payload: tuple[Term, ...] = ()) -> None:
         if level < 0:
@@ -181,10 +169,6 @@ class Const:
     @property
     def is_seed(self) -> bool:
         return not self.payload
-
-
-Term = Union[Var, Lam, App, Const]
-_KINDS = (Var, Lam, App, Const)
 
 
 def app(fn: Term, *args: Term) -> Term:

@@ -307,6 +307,17 @@ def test_check_operator_builds_few_nodes(monkeypatch):
     assert built[App] == 897 and built[Lam] == before[Lam]
 
 
+def test_a_zero_step_macro_step_keeps_one_state():
+    # a state that takes no beta-step is its own head normal form: the step
+    # keeps v as its u, so reading u builds nothing
+    runs = [run_check(parse(r"\n f. n f f"), Family.LOWER, 1)]
+    runs += check_operator(prelude()["T2"], Family.LOWER, 12).reports
+    zero = [step for report in runs for step in report.trace if step.beta_steps == 0]
+    assert len(zero) == 1 + 13
+    for step in zero:
+        assert step.u is step.v
+
+
 def test_check_operator_first_failure():
     env = prelude("S2")
     summary = check_operator(env["T3"], Family.LOWER, 4)
