@@ -310,9 +310,9 @@ def test_check_operator_builds_few_nodes(monkeypatch):
 def test_a_zero_step_macro_step_keeps_one_state():
     # a state that takes no beta-step is its own head normal form: the step
     # keeps v as its u, so reading u builds nothing
-    runs = [run_check(parse(r"\n f. n f f"), Family.LOWER, 1)]
-    runs += check_operator(prelude()["T2"], Family.LOWER, 12).reports
-    zero = [step for report in runs for step in report.trace if step.beta_steps == 0]
+    reports = [run_check(parse(r"\n f. n f f"), Family.LOWER, 1)]
+    reports += check_operator(prelude()["T2"], Family.LOWER, 12).reports
+    zero = [step for report in reports for step in report.trace if step.beta_steps == 0]
     assert len(zero) == 1 + 13
     for step in zero:
         assert step.u is step.v
