@@ -30,8 +30,18 @@ from .syntax import ParseError, load_defs, parse, pretty
 from .terms import Family, Term, free_names, is_closed_pure
 from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
+EXIT_PASS = 0
+EXIT_REFUTED = 1
+EXIT_FUEL = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+
+
+def _exit_code(verdict: Verdict) -> int:
+    """The exit code of a command whose overall verdict this is."""
+    if verdict in (Verdict.PASS, Verdict.ALL_PASS):
+        return EXIT_PASS
+    return EXIT_FUEL if verdict is Verdict.FUEL else EXIT_REFUTED
 
 
 class Report(Protocol):
@@ -151,7 +161,7 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     else:
         for line in report.lines(trace):
             print(line)
-    return report.verdict.exit_code
+    return _exit_code(report.verdict)
 
 
 def _write_json(payload: dict[str, Any]) -> None:

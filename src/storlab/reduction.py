@@ -29,10 +29,6 @@ from .terms import (
     substitute_many,
 )
 
-EXIT_PASS = 0
-EXIT_REFUTED = 1
-EXIT_FUEL = 2
-
 
 class Verdict(str, Enum):
     """Every verdict storlab reports; the value is the string printed and
@@ -56,13 +52,6 @@ class Verdict(str, Enum):
     # a plain (str, Enum) member would print as "Verdict.PASS"
     __str__ = str.__str__
     __format__ = str.__format__
-
-    @property
-    def exit_code(self) -> int:
-        """The CLI exit code of a command whose overall verdict this is."""
-        if self in (Verdict.PASS, Verdict.ALL_PASS):
-            return EXIT_PASS
-        return EXIT_FUEL if self is Verdict.FUEL else EXIT_REFUTED
 
     @staticmethod
     def fold(levels: Iterable[Verdict]) -> Verdict:

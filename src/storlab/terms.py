@@ -13,6 +13,7 @@ when family, level, and payloads match up to alpha.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from typing import Iterable, Iterator
 
 
@@ -173,9 +174,7 @@ class Const(Term):
 
 def app(fn: Term, *args: Term) -> Term:
     """Left-associated application of fn to args."""
-    for a in args:
-        fn = App(fn, a)
-    return fn
+    return reduce(App, args, fn)
 
 
 def app_power(fn: Term, n: int, seed: Term) -> Term:

@@ -1,0 +1,39 @@
+"""Concrete inputs for sampling the paper's definition of a storage operator.
+
+T is a storage operator when, for every numeral n, there is one closed tau_n
+beta-equal to #n such that (T) t f head-reduces to (f) tau_n for every t
+beta-equal to #n.  The checker decides this symbolically, by runs on a seed
+constant; here the definition is applied as written, to a few t per n.
+"""
+
+from __future__ import annotations
+
+from storlab.checker import PROBE
+from storlab.reduction import decompose_hnf, head_reduce
+from storlab.syntax import parse
+from storlab.terms import App, Lam, Term, Var, app, app_power, mk_church
+
+ADD = parse(r"\a b f x. a f (b f x)")  # Church addition
+
+
+def numeral_inputs(n: int, env: dict[str, Term]) -> dict[str, Term]:
+    """Terms beta-equal to #n, by name; env gives the successors S1 and S2."""
+    church, zero = mk_church(n), mk_church(0)
+    return {
+        "#n": church,
+        "S1^n #0": app_power(env["S1"], n, zero),
+        "S2^n #0": app_power(env["S2"], n, zero),
+        r"(\k. k) #n": App(Lam("k", Var("k")), church),
+        "ADD #n #0": app(ADD, church, zero),
+        "ADD #0 #n": app(ADD, zero, church),
+    }
+
+
+def stored(operator: Term, t: Term) -> Term | None:
+    """The tau of (operator) t f's head normal form (f) tau, or None when
+    that head normal form has another shape."""
+    v, _ = head_reduce(operator, args=(t, Var(PROBE)))
+    prefix, head, args = decompose_hnf(v)
+    if prefix or head != Var(PROBE) or len(args) != 1:
+        return None
+    return args[0]

@@ -10,6 +10,7 @@ import contextlib
 import functools
 import io
 
+from definitions import numeral_inputs, stored
 from genterms import any_term, lower_term, p_term, pure_term, rng, \
     substitution_for, with_head_redex
 from oracles import substitute_many
@@ -21,15 +22,15 @@ from storlab.checker import (
     check_operator,
     run_check,
 )
-from storlab.cli import main
+from storlab.cli import EXIT_FUEL, main
 from storlab.reduction import (
-    EXIT_FUEL,
     FuelExhausted,
     Limits,
     beta_equiv,
     check_successor,
     decompose_hnf,
     head_reduce,
+    is_numeral,
     normalize,
 )
 from storlab.syntax import parse, pretty
@@ -39,6 +40,7 @@ from storlab.terms import (
     Var,
     alpha_eq,
     app_power,
+    is_closed_pure,
     iter_consts,
     mk_church,
 )
@@ -219,3 +221,18 @@ def test_fuel_honesty():
     assert code == EXIT_FUEL
     assert "FuelExhausted" in buffer.getvalue()
     assert "Fail" not in buffer.getvalue()
+
+
+@criterion(8, "theorem 3's witness: T3 stores two numerals apart")
+def test_t3_witness():
+    # T3 (with S2) is no storage operator by the definition itself: at levels
+    # 1-3, #n and (S1)^n #0 are both beta-equal to #n, yet T3 stores them as
+    # two closed numerals that are not alpha-equal, so no single tau_n exists
+    env = prelude("S2")
+    for n in range(4):
+        inputs = numeral_inputs(n, env)
+        taus = [stored(env["T3"], inputs[label]) for label in ("#n", "S1^n #0")]
+        for tau in taus:
+            assert tau is not None and is_closed_pure(tau)
+            assert is_numeral(tau, n) is True
+        assert alpha_eq(*taus) is (n == 0), n

@@ -98,16 +98,17 @@ def test_transform_errors():
         (lambda: X_transform(hnf(app(Const(Family.UPPER, 1), A)), s1, 1), MALFORMED_HEAD),
         (lambda: X_transform(hnf(Const(Family.UPPER, 0, (A, B))), s1, 0), MALFORMED_HEAD),
         (lambda: X_transform(hnf(app(Const(Family.UPPER, 2), A, B)), s1, 0), WRONG_LEVEL),
+        # a free head, or a constant of the other family, is no transform's to move
+        (lambda: x_transform(hnf(app(Var("f"), A, B)), 0), FOREIGN_HEAD),
+        (lambda: x_transform(hnf(app(Const(Family.UPPER, 1), A, B)), 1), FOREIGN_HEAD),
+        (lambda: X_transform(hnf(app(Var("g"), A, B)), s1, 0), FOREIGN_HEAD),
+        (lambda: X_transform(hnf(app(Const(Family.LOWER, 1), A, B)), s1, 1), FOREIGN_HEAD),
     ]
     for transform, reason in cases:
         with pytest.raises(TransformError) as info:
             transform()
         assert info.value.reason == reason
-
-    with pytest.raises(ValueError):
-        x_transform(hnf(app(Var("f"), A, B)), 0)
-    with pytest.raises(ValueError):
-        x_transform(hnf(app(Const(Family.UPPER, 1), A, B)), 1)
+        assert isinstance(info.value, ValueError)
 
 
 def test_run_check_storage_success():
@@ -232,15 +233,14 @@ def test_run_check_stops_at_a_foreign_head(source, family, successor, v):
         run_check(term, family, 0, succ)
 
 
-def test_macro_step_takes_a_spine_and_compares_by_value():
+def test_macro_step_takes_a_spine_and_builds_it_once():
     v = App(A, B)
     lazy = MacroStep([A, B, C], v, 1, FINAL)
     built = MacroStep(app(A, B, C), v, 1, FINAL)
-    assert lazy == built and repr(lazy) == repr(built)
+    assert lazy.u == app(A, B, C) and lazy.u != app(A, C, B)
     assert lazy.u is lazy.u
-    assert lazy != MacroStep(app(A, C, B), v, 1, FINAL)
-    assert lazy != MacroStep(app(A, B, C), v, 2, FINAL)
-    assert lazy != MacroStep(app(A, B, C), v, 1, None)
+    assert repr(lazy) == repr(built) == (
+        f"MacroStep(u={app(A, B, C)!r}, v={v!r}, beta_steps=1, transform='Final')")
 
 
 @hyp.given(st.sampled_from(("T1", "T2", "T3")), st.sampled_from(tuple(Family)),
@@ -405,7 +405,7 @@ def test_verdict_fold_and_exit_codes():
     assert V.fold([V.PASS, V.VACUOUS]) == V.PASS
     assert V.fold([V.UNKNOWN, V.FAIL]) == V.REFUTED
     assert V.fold([V.PASS, V.FUEL]) == V.FUEL
-    assert [v.exit_code for v in V] == [1, 1, 2, 0, 1, 0, 1, 1, 1]
+    assert not hasattr(V.PASS, "exit_code")  # storlab.cli owns the exit codes
     assert f"{V.ALL_PASS:<9}|{V.FUEL}" == "AllPass  |FuelExhausted"
     assert to_json({"verdict": V.REFUTED}) == '{\n  "verdict": "Refuted"\n}'
     # one vocabulary: the package, the checker and the reducer share the class

@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 from genterms import any_term, rng
 from storlab import cli, prelude, syntax
 from storlab.checker import OperatorSummary, check_operator, to_json
-from storlab.cli import EXIT_INTERNAL, EXIT_USAGE, CorpusReport, TermReport, main
-from storlab.reduction import (
+from storlab.cli import (
     EXIT_FUEL,
+    EXIT_INTERNAL,
     EXIT_PASS,
     EXIT_REFUTED,
-    FuelExhausted,
-    Verdict,
-    check_successor,
+    EXIT_USAGE,
+    CorpusReport,
+    TermReport,
+    main,
 )
+from storlab.reduction import FuelExhausted, Verdict, check_successor
 from storlab.syntax import parse, pretty
 from storlab.terms import Family
 from storlab.theorems import (
@@ -492,7 +494,7 @@ def emitted(report, trace):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli._emit(report, argparse.Namespace(json=True, trace=trace))
-    assert code == report.verdict.exit_code
+    assert code == cli._exit_code(report.verdict)
     return out.getvalue()
 
 
@@ -606,6 +608,20 @@ def exit_code(argv):
 def test_exit_code_is_always_documented(seed):
     argv = cli_case(seed)
     assert exit_code(argv) in (0, 1, 2, 3, 4), argv
+
+
+def test_every_verdict_maps_to_its_documented_exit_code():
+    # the module docstring's codes: 0 the property holds, 1 it was refuted,
+    # 2 fuel ran out; a command's verdict is never an input or internal error
+    documented = {
+        Verdict.SUCCESS: EXIT_REFUTED, Verdict.FAIL: EXIT_REFUTED, Verdict.FUEL: EXIT_FUEL,
+        Verdict.ALL_PASS: EXIT_PASS, Verdict.FIRST_FAILURE: EXIT_REFUTED,
+        Verdict.PASS: EXIT_PASS, Verdict.REFUTED: EXIT_REFUTED,
+        Verdict.VACUOUS: EXIT_REFUTED, Verdict.UNKNOWN: EXIT_REFUTED,
+    }
+    assert set(documented) == set(Verdict)
+    assert {verdict: cli._exit_code(verdict) for verdict in Verdict} == documented
+    assert (EXIT_PASS, EXIT_REFUTED, EXIT_FUEL, EXIT_USAGE, EXIT_INTERNAL) == (0, 1, 2, 3, 4)
 
 
 def test_generated_command_lines_reach_every_outcome():

@@ -1,0 +1,31 @@
+"""The lower family's verdicts against the definition, on concrete numerals."""
+
+import hypothesis as hyp
+from hypothesis import strategies as st
+
+from definitions import numeral_inputs, stored
+from storlab import prelude
+from storlab.checker import Verdict, run_check
+from storlab.terms import Family, alpha_eq
+
+# T1 and T2 under both successors' preludes, T3 under S2's, as the paper builds it
+OPERATORS = (("T1", "S1"), ("T1", "S2"), ("T2", "S1"), ("T2", "S2"), ("T3", "S2"))
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4))
+@hyp.example(("T3", "S2"), 1)  # the first level at which T3's lower run fails
+def test_lower_success_stores_every_sampled_numeral(operator, n):
+    """A lower run's Success at level n says that (T) t f head-reduces to
+    (f) tau for every t beta-equal to #n, with the run's tau.  Each input
+    here is such a t, so one that reaches another tau refutes the Success.
+    Sampling can refute a Success this way, but it cannot prove one: the
+    definition quantifies over every t beta-equal to #n."""
+    name, instance = operator
+    env = prelude(instance)
+    report = run_check(env[name], Family.LOWER, n)
+    if report.verdict != Verdict.SUCCESS:
+        return
+    for label, t in numeral_inputs(n, env).items():
+        tau = stored(env[name], t)
+        assert tau is not None and alpha_eq(tau, report.tau), (name, instance, n, label)

@@ -28,11 +28,9 @@ from storlab.checker import (
     check_operator,
     run_check,
 )
-from storlab.cli import main
+from storlab.cli import EXIT_FUEL, EXIT_REFUTED, main
 from storlab.reduction import (
     DEFAULT_LIMITS,
-    EXIT_FUEL,
-    EXIT_REFUTED,
     STAGE_HEAD,
     FuelExhausted,
     Limits,
