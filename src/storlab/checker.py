@@ -291,12 +291,7 @@ class OperatorSummary:
 
     @property
     def verdict(self) -> Verdict:
-        for report in self.reports:
-            if report.verdict == Verdict.FAIL:
-                return Verdict.FIRST_FAILURE
-            if report.verdict == Verdict.FUEL:
-                return Verdict.FUEL
-        return Verdict.ALL_PASS
+        return Verdict.sweep(report.verdict for report in self.reports)
 
     @property
     def at(self) -> int | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from .builtins import prelude
-from .checker import OperatorSummary, check_operator, to_json
+from .checker import check_operator, to_json
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -237,8 +237,8 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
     """The whole battery on builtins, each row against its expected outcome.
 
     Theorem 2 runs every level of an operator's storage sweep and of its
-    sweep with S1, so the storage and s-storage S1 rows take their verdicts
-    from its runs rather than running them again.
+    sweep with S1, so the storage and s-storage S1 rows sweep its levels'
+    run verdicts (Verdict.sweep) rather than running them again.
     """
     env1 = prelude("S1")
     env2 = prelude("S2")
@@ -248,8 +248,8 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
     for name, env in (("T1", env1), ("T2", env1), ("T3", env2)):
         report = verify_theorem2_instance(env[name], n_max, limits)
         theorem2[name] = report.verdict
-        swept[name, "x"] = OperatorSummary(c.lower for c in report.checks).verdict
-        swept[name, "S1"] = OperatorSummary(c.upper for c in report.checks).verdict
+        swept[name, "x"] = Verdict.sweep(c.lower for c in report.checks)
+        swept[name, "S1"] = Verdict.sweep(c.upper for c in report.checks)
 
     rows = [(f"successor {name}", Verdict.PASS, check_successor(env1[name], 10, limits).verdict)
             for name in ("S1", "S2")]

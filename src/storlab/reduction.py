@@ -64,6 +64,17 @@ class Verdict(str, Enum):
             return Verdict.FUEL
         return Verdict.PASS
 
+    @staticmethod
+    def sweep(runs: Iterable[Verdict]) -> Verdict:
+        """A sweep's verdict from its runs' verdicts, in level order: the first
+        that is not SUCCESS decides, FAIL as FIRST_FAILURE and FUEL as FUEL."""
+        for verdict in runs:
+            if verdict == Verdict.FAIL:
+                return Verdict.FIRST_FAILURE
+            if verdict == Verdict.FUEL:
+                return Verdict.FUEL
+        return Verdict.ALL_PASS
+
 
 STAGE_HEAD = "Head"
 STAGE_MACRO = "Macro"

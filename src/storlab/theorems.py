@@ -118,28 +118,19 @@ def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
 
 @dataclass(frozen=True)
 class LevelCheck:
-    """One level of theorem 1 or 2: the lower and upper runs at n and the
-    status their comparison earns.  Theorem 1 fills hat_status and
-    hat_matches_tau (the delayed-numeral check), theorem 2 fills tau_match
-    and delta_match."""
+    """One level of theorem 1 or 2: the lower and upper runs' verdicts at n
+    and the status their comparison earns.  Theorem 1 fills sigma_hat and its
+    match (the delayed-numeral check), theorem 2 tau_match and delta_match.
+    The fields are the level's JSON keys, in order; a None is left out."""
 
     n: int
-    lower: RunReport
-    upper: RunReport
+    lower: Verdict
+    upper: Verdict
     status: Verdict
-    hat_status: Verdict | None = None
-    hat_matches_tau: bool | None = None
+    sigma_hat: Verdict | None = None
+    sigma_hat_matches_tau: bool | None = None
     tau_match: bool | None = None
     delta_match: bool | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"n": self.n, "lower": self.lower.verdict,
-                               "upper": self.upper.verdict, "status": self.status}
-        optional = {"sigma_hat": self.hat_status,
-                    "sigma_hat_matches_tau": self.hat_matches_tau,
-                    "tau_match": self.tau_match, "delta_match": self.delta_match}
-        out.update((key, value) for key, value in optional.items() if value is not None)
-        return out
 
 
 @dataclass(frozen=True)
@@ -155,20 +146,20 @@ class LevelReport:
         return Verdict.fold(c.status for c in self.checks)
 
     def to_dict(self, trace: bool = False) -> dict[str, Any]:
-        return {"check": self.check, "n_max": self.n_max,
-                "verdict": self.verdict,
-                "checks": [c.to_dict() for c in self.checks]}
+        levels = [{k: v for k, v in vars(c).items() if v is not None} for c in self.checks]
+        return {"check": self.check, "n_max": self.n_max, "verdict": self.verdict,
+                "checks": levels}
 
     def lines(self, trace: bool = False) -> Iterator[str]:
         upper = "upper" if self.check == "theorem1" else "upper[S1]"  # theorem 2 runs S1
         for check in self.checks:
             detail = ""
-            if check.hat_status is not None:
-                detail += f" sigma-hat={check.hat_status}"
+            if check.sigma_hat is not None:
+                detail += f" sigma-hat={check.sigma_hat}"
             if check.tau_match is not None:
                 detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
-            yield (f"n={check.n}: lower={check.lower.verdict}"
-                   f" {upper}={check.upper.verdict}{detail}  -> {check.status}")
+            yield (f"n={check.n}: lower={check.lower}"
+                   f" {upper}={check.upper}{detail}  -> {check.status}")
         yield f"verdict: {self.verdict}"
 
 
@@ -191,13 +182,13 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     """
     def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
         if lower.verdict == Verdict.FAIL:
-            return LevelCheck(n, lower, upper, Verdict.VACUOUS)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.VACUOUS)
         if Verdict.FUEL in (lower.verdict, upper.verdict):
-            return LevelCheck(n, lower, upper, Verdict.UNKNOWN)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
         if upper.verdict == Verdict.FAIL:
-            return LevelCheck(n, lower, upper, Verdict.FAIL)
-        hat_status, hat_matches = _hat_check(operator, successor, upper, n, limits)
-        return LevelCheck(n, lower, upper, hat_status, hat_status, hat_matches)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.FAIL)
+        sigma_hat, matches = _hat_check(operator, successor, upper, n, limits)
+        return LevelCheck(n, lower.verdict, upper.verdict, sigma_hat, sigma_hat, matches)
 
     return _levels("theorem1", operator, successor, n_max, limits, judge)
 
@@ -236,11 +227,11 @@ def verify_theorem2_instance(operator: Term, n_max: int,
     """
     def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
         if Verdict.FUEL in (lower.verdict, upper.verdict):
-            return LevelCheck(n, lower, upper, Verdict.UNKNOWN)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
         if lower.verdict != upper.verdict:
-            return LevelCheck(n, lower, upper, Verdict.FAIL)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.FAIL)
         if lower.verdict != Verdict.SUCCESS:
-            return LevelCheck(n, lower, upper, Verdict.PASS)
+            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.PASS)
         assert lower.tau is not None and upper.tau is not None
         tau_match = alpha_eq(lower.tau, upper.tau)
         delta_match = _delta_correspondence(lower, upper, limits)
@@ -248,7 +239,7 @@ def verify_theorem2_instance(operator: Term, n_max: int,
             status = Verdict.UNKNOWN
         else:
             status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
-        return LevelCheck(n, lower, upper, status,
+        return LevelCheck(n, lower.verdict, upper.verdict, status,
                           tau_match=tau_match, delta_match=delta_match)
 
     return _levels("theorem2", operator, _CORE["S1"], n_max, limits, judge)

@@ -405,6 +405,10 @@ def test_verdict_fold_and_exit_codes():
     assert V.fold([V.PASS, V.VACUOUS]) == V.PASS
     assert V.fold([V.UNKNOWN, V.FAIL]) == V.REFUTED
     assert V.fold([V.PASS, V.FUEL]) == V.FUEL
+    # a sweep's first run that is not a success decides; a later one never does
+    assert V.sweep([]) == V.sweep([V.SUCCESS] * 3) == V.ALL_PASS
+    assert V.sweep([V.SUCCESS, V.FAIL, V.FUEL]) == V.FIRST_FAILURE
+    assert V.sweep([V.SUCCESS, V.FUEL, V.FAIL]) == V.FUEL
     assert not hasattr(V.PASS, "exit_code")  # storlab.cli owns the exit codes
     assert f"{V.ALL_PASS:<9}|{V.FUEL}" == "AllPass  |FuelExhausted"
     assert to_json({"verdict": V.REFUTED}) == '{\n  "verdict": "Refuted"\n}'

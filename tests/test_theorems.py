@@ -282,8 +282,8 @@ def test_theorem1_instances():
     report = verify_theorem1_instance(env1["T1"], env2["S2"], 4)
     assert report.verdict == Verdict.PASS
     assert all(c.status == Verdict.PASS for c in report.checks)
-    assert all(c.hat_status == Verdict.PASS for c in report.checks)
-    assert all(c.hat_matches_tau for c in report.checks)
+    assert all(c.sigma_hat == Verdict.PASS for c in report.checks)
+    assert all(c.sigma_hat_matches_tau for c in report.checks)
 
     report = verify_theorem1_instance(env1["T2"], env1["S1"], 4)
     assert report.verdict == Verdict.PASS
@@ -327,6 +327,30 @@ def test_theorem1_dict_shape():
     assert d["check"] == "theorem1"
     assert list(d) == ["check", "n_max", "verdict", "checks"]
     assert len(d["checks"]) == 2
+
+
+def test_a_level_holds_only_what_it_reports():
+    # each field is a JSON value: no level keeps its runs or their traces
+    env = prelude()
+    for report in (verify_theorem1_instance(env["T1"], env["S2"], 2),
+                   verify_theorem2_instance(env["T2"], 2)):
+        for level in report.checks:
+            for f in dataclasses.fields(level):
+                value = getattr(level, f.name)
+                assert value is None or isinstance(value, (int, Verdict, bool)), (f.name, value)
+
+
+@pytest.mark.parametrize("limits", [DEFAULT_LIMITS, Limits(head_fuel=10), Limits(macro_fuel=1)],
+                         ids=["default", "head_fuel=10", "macro_fuel=1"])
+@pytest.mark.parametrize("name", ["T1", "T2", "I"])
+def test_theorem2_levels_sweep_to_the_summaries_verdicts(name, limits):
+    # corpus takes its storage and s-storage S1 rows from theorem 2's levels
+    env = prelude()
+    report = verify_theorem2_instance(env[name], 3, limits)
+    assert Verdict.sweep(c.lower for c in report.checks) == \
+        check_operator(env[name], Family.LOWER, 3, limits=limits).verdict
+    assert Verdict.sweep(c.upper for c in report.checks) == \
+        check_operator(env[name], Family.UPPER, 3, env["S1"], limits).verdict
 
 
 def test_theorem2_instances():
@@ -442,7 +466,7 @@ def test_theorem1_refutes_a_level_whose_upper_run_fails(capsys, monkeypatch):
     monkeypatch.setattr(theorems, "_hat_check", lambda *args: (Verdict.PASS, True))
     report = verify_theorem1_instance(prelude()["T1"], S1, 1)
     assert [c.status for c in report.checks] == [Verdict.PASS, Verdict.FAIL]
-    assert report.checks[1].hat_status is None
+    assert report.checks[1].sigma_hat is None
     assert report.verdict == Verdict.REFUTED
     assert run_cli(capsys, "theorem1", "T1", "--n-max", "1") == (EXIT_REFUTED, (
         "n=0: lower=Success upper=Success sigma-hat=Pass  -> Pass\n"
@@ -473,7 +497,7 @@ def test_sigma_hat_fails_when_the_delayed_numeral_does_not_reach_f_t(capsys, mon
     # the runs still head-reduce through checker.head_reduce, which stays real
     monkeypatch.setattr(theorems, "head_reduce", lambda term, limits: (hnf, 0))
     report = verify_theorem1_instance(prelude()["T1"], S1, 1)
-    assert [(c.status, c.hat_status, c.hat_matches_tau) for c in report.checks] == \
+    assert [(c.status, c.sigma_hat, c.sigma_hat_matches_tau) for c in report.checks] == \
         [(Verdict.FAIL, Verdict.FAIL, None)] * 2
     assert run_cli(capsys, "theorem1", "T1", "--n-max", "1") == (EXIT_REFUTED, (
         "n=0: lower=Success upper=Success sigma-hat=Fail  -> Fail\n"
@@ -491,8 +515,9 @@ def test_sigma_hat_follows_the_numeral_check(capsys, monkeypatch, equal, status,
     monkeypatch.setattr(theorems, "is_numeral", lambda t, n, limits: equal)
     report = verify_theorem1_instance(prelude()["T1"], S1, 0)
     (level,) = report.checks
-    assert (level.lower.verdict, level.upper.verdict) == (Verdict.SUCCESS, Verdict.SUCCESS)
-    assert (level.status, level.hat_status, level.hat_matches_tau) == (status, status, matches)
+    assert (level.lower, level.upper) == (Verdict.SUCCESS, Verdict.SUCCESS)
+    assert (level.status, level.sigma_hat, level.sigma_hat_matches_tau) == \
+        (status, status, matches)
     assert run_cli(capsys, "theorem1", "T1", "--n-max", "0") == (code, (
         f"n=0: lower=Success upper=Success sigma-hat={status}  -> {status}\n"
         f"verdict: {Verdict.fold([status])}\n"))
@@ -555,7 +580,7 @@ def test_verifiers_reject_a_negative_bound():
     for report in (verify_theorem1_instance(env["I"], env["S1"], 0),
                    verify_theorem2_instance(env["I"], 0)):
         (level,) = report.checks
-        assert (level.lower.verdict, level.upper.verdict) == (Verdict.FAIL, Verdict.FAIL)
+        assert (level.lower, level.upper) == (Verdict.FAIL, Verdict.FAIL)
     for verify in (lambda: verify_theorem1_instance(env["I"], env["S1"], -1),
                    lambda: verify_theorem2_instance(env["I"], -1),
                    lambda: verify_theorem3(-1)):
