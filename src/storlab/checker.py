@@ -271,11 +271,13 @@ class OperatorSummary:
     it is first reached, so that iterating, and so lines(), yields a level as
     soon as its run returns.  The verdict and `at` read every run, and so
     does `reports`.  The family, the successor and n_max are the runs' own.
+    With trace, to_dict and lines show each run's macro steps.
     """
 
-    def __init__(self, runs: Iterable[RunReport]):
+    def __init__(self, runs: Iterable[RunReport], trace: bool = False):
         self._taken: list[RunReport] = []
         self._pending = iter(runs)
+        self.trace = trace
 
     def __iter__(self) -> Iterator[RunReport]:
         """Every run in level order, each run when first reached."""
@@ -300,7 +302,7 @@ class OperatorSummary:
                 return report.n
         return None
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         """The summary; its runs are a generator of the runs' dicts, each
         built when the writer reaches it, which to_json writes as a list."""
         first = self.reports[0]
@@ -311,12 +313,12 @@ class OperatorSummary:
         out["verdict"] = self.verdict
         if self.at is not None:
             out["at"] = self.at
-        out["runs"] = (report.to_dict(trace) for report in self.reports)
+        out["runs"] = (report.to_dict(self.trace) for report in self.reports)
         return out
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         for report in self:
-            yield from report.lines(trace)
+            yield from report.lines(self.trace)
         tail = f"verdict: {self.verdict}"
         if self.at is not None:
             tail += f" (n={self.at})"
@@ -324,16 +326,16 @@ class OperatorSummary:
 
 
 def check_operator(term: Term, family: Family, n_max: int,
-                   successor: Term | None = None,
-                   limits: Limits = DEFAULT_LIMITS) -> OperatorSummary:
+                   successor: Term | None = None, limits: Limits = DEFAULT_LIMITS,
+                   trace: bool = False) -> OperatorSummary:
     """The summary of the levels 0..n_max, each run by run_check when the
     summary first reaches it.  n_max and the operands are checked here, once,
-    before any run."""
+    before any run.  With trace, the summary shows each run's macro steps."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     _check_operands(term, family, successor)
-    return OperatorSummary(run_check(term, family, n, successor, limits, checked=True)
-                           for n in range(n_max + 1))
+    return OperatorSummary((run_check(term, family, n, successor, limits, checked=True)
+                            for n in range(n_max + 1)), trace)
 
 
 def to_json(payload: Any) -> str:

@@ -46,12 +46,12 @@ def _exit_code(verdict: Verdict) -> int:
 
 class Report(Protocol):
     """What every command returns: its verdict, which picks the exit code,
-    and its JSON and text forms.  Only an operator summary reads trace."""
+    and its JSON and text forms."""
 
     @property
     def verdict(self) -> Verdict: ...
-    def to_dict(self, trace: bool = False) -> dict[str, Any]: ...
-    def lines(self, trace: bool = False) -> Iterator[str]: ...
+    def to_dict(self) -> dict[str, Any]: ...
+    def lines(self) -> Iterator[str]: ...
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ class TermReport:
     beta_steps: int | None = None
     verdict = Verdict.PASS
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"term": pretty(self.term)}
         if self.beta_steps is not None:
             out["beta_steps"] = self.beta_steps
         return out
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         yield pretty(self.term)
 
 
@@ -92,13 +92,13 @@ class CorpusReport:
     def verdict(self) -> Verdict:
         return Verdict.fold(_row_status(expected, actual) for _, expected, actual in self.rows)
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         return {"check": "corpus", "n_max": self.n_max, "verdict": self.verdict,
                 "rows": [{"claim": claim, "expected": expected,
                           "actual": actual, "ok": actual == expected}
                          for claim, expected, actual in self.rows]}
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         width = max(len(claim) for claim, _, _ in self.rows)
         for claim, expected, actual in self.rows:
             mark = _ROW_MARK[_row_status(expected, actual)]
@@ -124,7 +124,7 @@ def _build_env(args: argparse.Namespace) -> tuple[dict[str, Term], Term]:
     env = prelude("S1")
     built_with = env["S"]
     _load_defs(args, env)
-    successor = _resolve(args.succ, env, closed=True, what="successor")
+    successor = _resolve(args.succ, env, "successor")
     if successor is not built_with:
         env = _load_defs(args, prelude(successor))
     return env, successor
@@ -139,12 +139,12 @@ def _load_defs(args: argparse.Namespace, env: dict[str, Term]) -> dict[str, Term
     return env
 
 
-def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
-             what: str = "term") -> Term:
+def _resolve(ref: str, env: dict[str, Term], what: str | None = None) -> Term:
+    """The term ref names in env, else ref parsed; with what, it must be closed and pure."""
     term = env.get(ref)
     if term is None:
         term = parse(ref, env)
-    if closed:
+    if what is not None:
         loose = sorted(free_names(term))
         if loose:
             raise UsageError(f"{what} {ref!r} has unbound names: {', '.join(loose)}")
@@ -153,13 +153,19 @@ def _resolve(ref: str, env: dict[str, Term], closed: bool = False,
     return term
 
 
+def _operand(args: argparse.Namespace, what: str | None = None) -> tuple[Term, Term]:
+    """The TERM operand, resolved as _resolve does with what, and the
+    successor, both in the environment that --defs and --succ build."""
+    env, successor = _build_env(args)
+    return _resolve(args.term, env, what), successor
+
+
 def _emit(report: Report, args: argparse.Namespace) -> int:
     """Print the report as JSON or as text lines; its verdict is the exit code."""
-    trace = getattr(args, "trace", False)
     if args.json:
-        _write_json(report.to_dict(trace))
+        _write_json(report.to_dict())
     else:
-        for line in report.lines(trace):
+        for line in report.lines():
             print(line)
     return _exit_code(report.verdict)
 
@@ -187,46 +193,36 @@ def _write_json(payload: dict[str, Any]) -> None:
 
 
 def cmd_parse(args: argparse.Namespace, limits: Limits) -> Report:
-    env, _ = _build_env(args)
-    return TermReport(_resolve(args.term, env))
+    return TermReport(_operand(args)[0])
 
 
 def cmd_reduce(args: argparse.Namespace, limits: Limits) -> Report:
-    env, _ = _build_env(args)
-    return TermReport(*head_reduce(_resolve(args.term, env), limits))
+    return TermReport(*head_reduce(_operand(args)[0], limits))
 
 
 def cmd_normalize(args: argparse.Namespace, limits: Limits) -> Report:
-    env, _ = _build_env(args)
-    return TermReport(normalize(_resolve(args.term, env), limits))
+    return TermReport(normalize(_operand(args)[0], limits))
 
 
 def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> Report:
-    env, _ = _build_env(args)
-    term = _resolve(args.term, env, closed=True, what="successor")
-    return check_successor(term, args.k_max, limits)
+    return check_successor(_operand(args, "successor")[0], args.k_max, limits)
 
 
 def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> Report:
     """check-storage and check-s-storage; the subcommand sets args.family.
     check-storage still reads --succ, for the prelude's S only."""
-    env, successor = _build_env(args)
-    term = _resolve(args.term, env, closed=True, what="operator")
+    term, successor = _operand(args, "operator")
     if args.family is Family.LOWER:
         successor = None
-    return check_operator(term, args.family, args.n_max, successor, limits)
+    return check_operator(term, args.family, args.n_max, successor, limits, args.trace)
 
 
 def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> Report:
-    env, successor = _build_env(args)
-    term = _resolve(args.term, env, closed=True, what="operator")
-    return verify_theorem1_instance(term, successor, args.n_max, limits)
+    return verify_theorem1_instance(*_operand(args, "operator"), args.n_max, limits)
 
 
 def cmd_theorem2(args: argparse.Namespace, limits: Limits) -> Report:
-    env, _ = _build_env(args)
-    term = _resolve(args.term, env, closed=True, what="operator")
-    return verify_theorem2_instance(term, args.n_max, limits)
+    return verify_theorem2_instance(_operand(args, "operator")[0], args.n_max, limits)
 
 
 def cmd_theorem3(args: argparse.Namespace, limits: Limits) -> Report:

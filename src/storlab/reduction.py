@@ -110,11 +110,11 @@ class FuelExhausted(Exception):
         self.partial = partial
         self.steps = steps
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         return {"verdict": self.verdict, "stage": self.stage,
                 "beta_steps": self.steps, "partial": pretty(self.partial)}
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         yield f"fuel exhausted after {self.steps} steps: {pretty(self.partial)}"
 
 
@@ -382,11 +382,11 @@ class SuccessorReport:
     def verdict(self) -> Verdict:
         return Verdict.fold(_SUCCESSOR_ANSWERS[r][0] for r in self.results)
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         return {"check": "successor", "term": pretty(self.term), "k_max": self.k_max,
                 "verdict": self.verdict, "results": list(self.results)}
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         for k, result in enumerate(self.results):
             yield f"k={k}: {_SUCCESSOR_ANSWERS[result][1]}"
         yield f"verdict: {self.verdict}"

@@ -145,12 +145,12 @@ class LevelReport:
     def verdict(self) -> Verdict:
         return Verdict.fold(c.status for c in self.checks)
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         levels = [{k: v for k, v in vars(c).items() if v is not None} for c in self.checks]
         return {"check": self.check, "n_max": self.n_max, "verdict": self.verdict,
                 "checks": levels}
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         upper = "upper" if self.check == "theorem1" else "upper[S1]"  # theorem 2 runs S1
         for check in self.checks:
             detail = ""
@@ -164,11 +164,11 @@ class LevelReport:
 
 
 def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Limits,
-            judge: Callable[[int, RunReport, RunReport], LevelCheck]) -> LevelReport:
-    """Per level n: the lower run, the upper run with successor, then judge."""
+            judge: Callable[[RunReport, RunReport], LevelCheck]) -> LevelReport:
+    """Per level: the lower run, the upper run with successor, then judge."""
     lower = check_operator(operator, Family.LOWER, n_max, limits=limits)
     upper = check_operator(operator, Family.UPPER, n_max, successor, limits)
-    return LevelReport(check, n_max, tuple(map(judge, range(n_max + 1), lower, upper)))
+    return LevelReport(check, n_max, tuple(map(judge, lower, upper)))
 
 
 def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
@@ -180,24 +180,24 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     Levels where the lower run fails are vacuous.  Fuel exhaustion on either
     side leaves the level undecided rather than refuted.
     """
-    def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
+    def judge(lower: RunReport, upper: RunReport) -> LevelCheck:
         if lower.verdict == Verdict.FAIL:
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.VACUOUS)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.VACUOUS)
         if Verdict.FUEL in (lower.verdict, upper.verdict):
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
         if upper.verdict == Verdict.FAIL:
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.FAIL)
-        sigma_hat, matches = _hat_check(operator, successor, upper, n, limits)
-        return LevelCheck(n, lower.verdict, upper.verdict, sigma_hat, sigma_hat, matches)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.FAIL)
+        sigma_hat, matches = _hat_check(operator, successor, upper, limits)
+        return LevelCheck(lower.n, lower.verdict, upper.verdict, sigma_hat, sigma_hat, matches)
 
     return _levels("theorem1", operator, successor, n_max, limits, judge)
 
 
-def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
+def _hat_check(operator: Term, successor: Term, upper: RunReport,
                limits: Limits) -> tuple[Verdict, bool | None]:
     # the delayed numeral (S^)^n 0^, with S^ = (\x. S) y and 0^ = (\x. #0) y,
     # is not normal: each unfolds by one head step, (S^)t > (S)t and 0^ > #0
-    numeral = app_power(App(Lam("x", successor), Var("y")), n,
+    numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
                         App(Lam("x", mk_church(0)), Var("y")))
     start = app(operator, numeral, Var(PROBE))
     try:
@@ -208,7 +208,7 @@ def _hat_check(operator: Term, successor: Term, upper: RunReport, n: int,
     if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
         return Verdict.FAIL, None
     t = v.args[0]
-    equal = is_numeral(t, n, limits)
+    equal = is_numeral(t, upper.n, limits)
     if equal is None:
         return Verdict.UNKNOWN, None
     # the upper run succeeded, so it carries its tau
@@ -225,13 +225,13 @@ def verify_theorem2_instance(operator: Term, n_max: int,
     head normal form.  The projection absorbs the one extra (S1) contraction
     the upper machine performs per constant step.
     """
-    def judge(n: int, lower: RunReport, upper: RunReport) -> LevelCheck:
+    def judge(lower: RunReport, upper: RunReport) -> LevelCheck:
         if Verdict.FUEL in (lower.verdict, upper.verdict):
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
         if lower.verdict != upper.verdict:
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.FAIL)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.FAIL)
         if lower.verdict != Verdict.SUCCESS:
-            return LevelCheck(n, lower.verdict, upper.verdict, Verdict.PASS)
+            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.PASS)
         assert lower.tau is not None and upper.tau is not None
         tau_match = alpha_eq(lower.tau, upper.tau)
         delta_match = _delta_correspondence(lower, upper, limits)
@@ -239,7 +239,7 @@ def verify_theorem2_instance(operator: Term, n_max: int,
             status = Verdict.UNKNOWN
         else:
             status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
-        return LevelCheck(n, lower.verdict, upper.verdict, status,
+        return LevelCheck(lower.n, lower.verdict, upper.verdict, status,
                           tau_match=tau_match, delta_match=delta_match)
 
     return _levels("theorem2", operator, _CORE["S1"], n_max, limits, judge)
@@ -290,7 +290,7 @@ class Theorem3Report:
                           and self.lower_at == 1 and self.lower_failures_ok)
         return Verdict.PASS if self.upper_tau_ok and lower_good else Verdict.REFUTED
 
-    def to_dict(self, trace: bool = False) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         return {"check": "theorem3", "n_max": self.n_max,
                 "verdict": self.verdict,
                 "checks": [{"family": "X", "verdict": self.upper_verdict,
@@ -299,7 +299,7 @@ class Theorem3Report:
                             "first_failure": self.lower_at,
                             "failures_as_expected": self.lower_failures_ok}]}
 
-    def lines(self, trace: bool = False) -> Iterator[str]:
+    def lines(self) -> Iterator[str]:
         yield (f"X-family with S2: {self.upper_verdict}"
                f" (tau beta-equivalent: {self.upper_tau_ok})")
         line = f"x-family: {self.lower_verdict}"

@@ -374,9 +374,9 @@ def test_report_json_golden_bytes():
 
 def test_json_is_byte_stable():
     env = prelude()
-    summary = check_operator(env["T1"], Family.LOWER, 2)
-    first = to_json(summary.to_dict(trace=True))
-    second = to_json(check_operator(env["T1"], Family.LOWER, 2).to_dict(trace=True))
+    summary = check_operator(env["T1"], Family.LOWER, 2, trace=True)
+    first = to_json(summary.to_dict())
+    second = to_json(check_operator(env["T1"], Family.LOWER, 2, trace=True).to_dict())
     assert first == second
 
 
@@ -389,11 +389,13 @@ def test_trace_serialization_can_be_suppressed():
     assert "steps" not in without
     summary = check_operator(env["T1"], Family.LOWER, 1).to_dict()
     assert all("steps" not in run for run in summary["runs"])
+    traced = check_operator(env["T1"], Family.LOWER, 1, trace=True).to_dict()
+    assert all("steps" in run for run in traced["runs"])
 
 
 def test_summary_dict_envelope():
     env = prelude()
-    d = check_operator(env["T1"], Family.UPPER, 1, env["S1"]).to_dict(trace=True)
+    d = check_operator(env["T1"], Family.UPPER, 1, env["S1"], trace=True).to_dict()
     assert list(d)[:4] == ["family", "successor", "n_max", "verdict"]
     assert d["family"] == "X"
     assert len(list(d["runs"])) == 2

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import gc
+import inspect
 import io
 import json
 import re
@@ -469,15 +470,15 @@ def test_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch):
 # -- JSON is written a piece at a time, text a level at a time --
 
 
-def report_cases():
+def report_cases(trace=False):
     """One report of every type, the summaries with and without a successor
-    and both lazy and built on runs already made."""
+    and both lazy and built on runs already made, with trace or without."""
     env, env2 = prelude(), prelude("S2")
     return [
-        check_operator(env["T1"], Family.LOWER, 2),
-        check_operator(env2["T3"], Family.LOWER, 2),
-        check_operator(env["T2"], Family.UPPER, 2, env["S1"]),
-        OperatorSummary(list(check_operator(env2["T1"], Family.UPPER, 1, env2["S2"]))),
+        check_operator(env["T1"], Family.LOWER, 2, trace=trace),
+        check_operator(env2["T3"], Family.LOWER, 2, trace=trace),
+        check_operator(env["T2"], Family.UPPER, 2, env["S1"], trace=trace),
+        OperatorSummary(list(check_operator(env2["T1"], Family.UPPER, 1, env2["S2"])), trace),
         verify_theorem1_instance(env2["T2"], env2["S2"], 1),
         verify_theorem2_instance(env["T1"], 1),
         verify_theorem3(1),
@@ -490,23 +491,32 @@ def report_cases():
     ]
 
 
-def emitted(report, trace):
+def emitted(report):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli._emit(report, argparse.Namespace(json=True, trace=trace))
+        code = cli._emit(report, argparse.Namespace(json=True))
     assert code == cli._exit_code(report.verdict)
     return out.getvalue()
 
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_streamed_json_is_the_whole_document(trace):
-    for report in report_cases():
-        assert emitted(report, trace) == to_json(report.to_dict(trace)) + "\n", report
+    for report in report_cases(trace):
+        assert emitted(report) == to_json(report.to_dict()) + "\n", report
     for payload in ({}, {"a": []}, {"a": {}, "b": [1, {"c": [2, []]}, "d"], "e": None}):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._write_json(payload)
         assert out.getvalue() == to_json(payload) + "\n"
+
+
+def test_report_members_take_no_argument():
+    """A command's report is printed as it is: whether runs show their macro
+    steps is chosen where the summary is built, so to_dict and lines of the
+    protocol and of every command report type take no parameter but self."""
+    for kind in {type(report) for report in report_cases()} | {cli.Report}:
+        for member in (kind.to_dict, kind.lines):
+            assert list(inspect.signature(member).parameters) == ["self"], member
 
 
 def test_json_trace_heap_stays_near_its_output():
