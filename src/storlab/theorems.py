@@ -266,22 +266,27 @@ def _delta_correspondence(lower: RunReport, upper: RunReport,
 class Theorem3Report:
     """The separating example: T3 with S2 passes the upper check at every
     level while the lower check fails from level 1 on, each escaping witness
-    still carrying a level-0 stored constant."""
+    still carrying a level-0 stored constant.  An answer that fuel left
+    undecided is None, serialized null and printed unknown."""
 
     n_max: int
     upper_verdict: Verdict
     lower_verdict: Verdict
     lower_at: int | None
-    lower_failures_ok: bool
+    lower_failures_ok: bool | None
 
     @property
-    def upper_tau_ok(self) -> bool:
-        """Every upper tau is beta-equal to its numeral: a run succeeds only then."""
+    def upper_tau_ok(self) -> bool | None:
+        """Every upper tau is beta-equal to its numeral: a run succeeds only
+        then.  None when the upper sweep ran out of fuel first."""
+        if self.upper_verdict == Verdict.FUEL:
+            return None
         return self.upper_verdict == Verdict.ALL_PASS
 
     @property
     def verdict(self) -> Verdict:
-        if Verdict.FUEL in (self.upper_verdict, self.lower_verdict):
+        if (self.lower_verdict == Verdict.FUEL
+                or None in (self.upper_tau_ok, self.lower_failures_ok)):
             return Verdict.FUEL
         if self.n_max == 0:
             lower_good = self.lower_verdict == Verdict.ALL_PASS
@@ -301,10 +306,11 @@ class Theorem3Report:
 
     def lines(self) -> Iterator[str]:
         yield (f"X-family with S2: {self.upper_verdict}"
-               f" (tau beta-equivalent: {self.upper_tau_ok})")
+               f" (tau beta-equivalent: {_answer(self.upper_tau_ok)})")
         line = f"x-family: {self.lower_verdict}"
         if self.lower_at is not None:
-            line += f" (n={self.lower_at}, failures as expected: {self.lower_failures_ok})"
+            line += (f" (n={self.lower_at},"
+                     f" failures as expected: {_answer(self.lower_failures_ok)})")
         yield line
         yield f"verdict: {self.verdict}"
 
@@ -317,14 +323,20 @@ def verify_theorem3(n_max: int, limits: Limits = DEFAULT_LIMITS) -> Theorem3Repo
     upper_verdict = check_operator(t3, Family.UPPER, n_max, successor=s2, limits=limits).verdict
     lower = check_operator(t3, Family.LOWER, n_max, limits=limits)
 
-    def stored_zero(c: Const) -> bool:
-        return not c.is_seed and c.level == 0
+    def failed_as_expected(r: RunReport) -> bool | None:
+        """Failed on a tau holding a stored lower constant at level 0; None: no fuel."""
+        if r.verdict == Verdict.FUEL:
+            return None
+        return (r.verdict == Verdict.FAIL and r.reason == TAU_NOT_CLOSED
+                and r.tau is not None
+                and any(c.family is Family.LOWER and not c.is_seed and c.level == 0
+                        for c in iter_consts(r.tau)))
 
-    failures_ok = all(
-        r.verdict == Verdict.FAIL and r.reason == TAU_NOT_CLOSED
-        and r.tau is not None
-        and any(stored_zero(c) for c in iter_consts(r.tau)
-                if c.family is Family.LOWER)
-        for r in lower.reports[1:]
-    )
+    # any level failing otherwise refutes; else a level that starved leaves it unknown
+    answers = set(map(failed_as_expected, lower.reports[1:]))
+    failures_ok = False if False in answers else None if None in answers else True
     return Theorem3Report(n_max, upper_verdict, lower.verdict, lower.at, failures_ok)
+
+
+def _answer(known: bool | None) -> bool | str:
+    return "unknown" if known is None else known

@@ -28,6 +28,7 @@ from storlab.reduction import (
     STAGE_HEAD,
     FuelExhausted,
     Limits,
+    Verdict,
     beta_equiv,
     head_reduce,
     normalize,
@@ -175,10 +176,17 @@ def oracle_beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool
     return alpha_eq(tn, un)
 
 
-def oracle_upper_tau_ok(upper, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Every run of upper has a tau beta-equal to the numeral of its level."""
-    return all(r.tau is not None and beta_equiv(r.tau, mk_church(r.n), limits) is True
-               for r in upper)
+def oracle_upper_tau_ok(upper, limits: Limits = DEFAULT_LIMITS) -> bool | None:
+    """Every run of upper has a tau beta-equal to the numeral of its level:
+    False when some run's tau is not, else None when a run ran out of fuel
+    before its tau or its comparison was decided."""
+    def answer(r) -> bool | None:
+        if r.tau is None:
+            return None if r.verdict == Verdict.FUEL else False
+        return beta_equiv(r.tau, mk_church(r.n), limits)
+
+    answers = set(map(answer, upper))
+    return False if False in answers else None if None in answers else True
 
 
 def _reject_family(t: Term, family: Family, who: str) -> None:

@@ -538,6 +538,21 @@ def test_delta_correspondence_is_unknown_when_head_fuel_runs_out(capsys, monkeyp
         "verdict: FuelExhausted\n"))
 
 
+@pytest.mark.parametrize("lower, failures_ok, verdict", [
+    ([Verdict.SUCCESS, Verdict.FUEL, Verdict.FUEL], None, Verdict.FUEL),
+    # a level that fails otherwise than expected decides, whatever starved
+    ([Verdict.SUCCESS, Verdict.FUEL, Verdict.FAIL], False, Verdict.FUEL),
+    ([Verdict.SUCCESS, Verdict.FAIL, Verdict.FUEL], False, Verdict.REFUTED),
+])
+def test_theorem3_failures_are_unknown_only_when_none_is_wrong(monkeypatch, lower, failures_ok,
+                                                               verdict):
+    # the fake lower runs fail with TauNotN, not with theorem 3's TauNotClosed
+    fake_sweeps(monkeypatch, lower, [Verdict.SUCCESS] * 3)
+    report = verify_theorem3(2)
+    assert (report.upper_tau_ok, report.lower_failures_ok) == (True, failures_ok)
+    assert report.verdict == verdict
+
+
 def test_theorem3_reproduction():
     report = verify_theorem3(3)
     assert report.verdict == Verdict.PASS
@@ -571,7 +586,7 @@ def test_theorem3_upper_tau_matches_oracle():
         ok = verify_theorem3(4, limits).upper_tau_ok
         assert ok == oracle_upper_tau_ok(upper, limits), limits
         seen.add(ok)
-    assert seen == {True, False}
+    assert seen == {True, None}
 
 
 def test_verifiers_reject_a_negative_bound():
