@@ -4,10 +4,15 @@ T is a storage operator when, for every numeral n, there is one closed tau_n
 beta-equal to #n such that (T) t f head-reduces to (f) tau_n for every t
 beta-equal to #n.  The checker decides this symbolically, by runs on a seed
 constant; here the definition is applied as written, to a few t per n.
+delayed_numeral gives the upper family's inputs, which drive an operator
+through the successor S one head step at a time.
 """
 
 from __future__ import annotations
 
+import random
+
+from genterms import closed_term
 from storlab.checker import PROBE
 from storlab.reduction import decompose_hnf, head_reduce
 from storlab.syntax import parse
@@ -27,6 +32,28 @@ def numeral_inputs(n: int, env: dict[str, Term]) -> dict[str, Term]:
         "ADD #n #0": app(ADD, church, zero),
         "ADD #0 #n": app(ADD, zero, church),
     }
+
+
+def delayed_numeral(n: int, successor: Term, r: random.Random) -> Term:
+    """A closed term that head-reduces to (S) t with t such a term for n - 1,
+    or at n = 0 to #0: (S)^n #0 with each S, each #0 and each (S) t wrapped
+    in 0-2 nested head-expansions, (\\v. s) w, (\\v. v) s or (\\v w. v) s w',
+    with w and w' closed."""
+    def delayed(s: Term) -> Term:
+        for _ in range(r.randint(0, 2)):
+            form = r.randrange(3)
+            if form == 0:
+                s = App(Lam("v", s), closed_term(r))
+            elif form == 1:
+                s = App(Lam("v", Var("v")), s)
+            else:
+                s = app(Lam("v", Lam("w", Var("v"))), s, closed_term(r))
+        return s
+
+    t = delayed(mk_church(0))
+    for _ in range(n):
+        t = delayed(App(delayed(successor), t))
+    return t
 
 
 def stored(operator: Term, t: Term) -> Term | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from storlab.syntax import parse
 from storlab.terms import (
     App,
     Const,
@@ -22,6 +23,7 @@ from storlab.terms import (
     free_names,
     fresh_name,
     mk_church,
+    substitute,
 )
 
 BINDERS = ("s", "t", "g", "h")
@@ -195,3 +197,24 @@ def _replace(term: Term, k: int, make) -> Term:
     if k <= left:
         return App(_replace(term.fn, k - 1, make), term.arg)
     return App(term.fn, _replace(term.arg, k - 1 - left, make))
+
+
+# The shapes of the builtins T1 and T2 over a free step A and a free zero Z
+SHAPES = (r"\n. n (\x y. x (\z. y (A z))) (\f. f Z)", r"\n f. n (\x y. x (A y)) f Z")
+SUCCESSORS = (r"\n f x. f (n f x)", r"\n f x. n f (f x)", r"\n f. (\g x. g (n g x)) f",
+              r"\n f x. (\y. f y) (n f x)")
+NEAR_MISSES = (r"\z. z", r"\n f x. f (f (n f x))", r"\n f x. n f x")
+ZEROS = ("#0", r"(\k. k) #0", "#1")
+
+
+def builtin_shaped(r: random.Random) -> tuple[Term, str, str]:
+    """An operator in T1's or T2's shape with A a step drawn from SUCCESSORS
+    and NEAR_MISSES, given redexes 40% of the time, and Z a zero drawn from
+    ZEROS; returned with the step's and the zero's source text.  A and Z are
+    closed, so putting them in captures no name."""
+    step, zero = r.choice(SUCCESSORS + NEAR_MISSES), r.choice(ZEROS)
+    a = parse(step)
+    if r.random() < 0.4:
+        a = with_redexes(r, a)
+    shape = parse(r.choice(SHAPES))
+    return substitute(substitute(shape, "A", a), "Z", parse(zero)), step, zero

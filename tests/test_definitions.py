@@ -1,11 +1,16 @@
-"""The lower family's verdicts against the definition, on concrete numerals."""
+"""The two families' verdicts against concrete numerals: the lower family's
+against the definition of a storage operator, the upper family's against
+its symbolic characterization."""
+
+import random
 
 import hypothesis as hyp
 from hypothesis import strategies as st
 
-from definitions import numeral_inputs, stored
+from definitions import delayed_numeral, numeral_inputs, stored
 from storlab import prelude
 from storlab.checker import Verdict, run_check
+from storlab.syntax import pretty
 from storlab.terms import Family, alpha_eq
 
 # T1 and T2 under both successors' preludes, T3 under S2's, as the paper builds it
@@ -29,3 +34,24 @@ def test_lower_success_stores_every_sampled_numeral(operator, n):
     for label, t in numeral_inputs(n, env).items():
         tau = stored(env[name], t)
         assert tau is not None and alpha_eq(tau, report.tau), (name, instance, n, label)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4), st.randoms(use_true_random=False))
+@hyp.example(("T3", "S2"), 4, random.Random(0))  # T3 stores with S2 only
+def test_upper_success_stores_every_sampled_delayed_numeral(operator, n, r):
+    """An upper run's Success at level n, with the successor S, says that
+    (T) t f head-reduces to (f) tau, with the run's tau, for every t that
+    head-reduces to (S) t' with t' such a term for n - 1, or at n = 0 to #0.
+    The inputs are delayed numerals of that kind.  This property follows
+    from the symbolic characterization that the upper runs implement, not
+    from the paper's definition of an S-storage operator: the repository
+    holds only the paper's abstract, which does not state that definition."""
+    name, instance = operator
+    env = prelude(instance)
+    report = run_check(env[name], Family.UPPER, n, env[instance])
+    if report.verdict != Verdict.SUCCESS:
+        return
+    t = delayed_numeral(n, env[instance], r)
+    tau = stored(env[name], t)
+    assert tau is not None and alpha_eq(tau, report.tau), (name, instance, n, pretty(t))

@@ -3,7 +3,8 @@
 A head normal form's prefix, head and arity are invariant under beta, and
 the redexes genterms.with_redexes puts in add no free name or constant, so a
 variant of an operator must get the original's verdict and reason at every
-level, and a variant of a successor must still realize the successor.
+level, and a variant of a successor must still realize the successor.  Last,
+operators generated in the builtins' shapes, with other steps and zeros.
 """
 
 import functools
@@ -11,7 +12,7 @@ import functools
 import hypothesis as hyp
 from hypothesis import strategies as st
 
-from genterms import rng, with_redexes
+from genterms import NEAR_MISSES, builtin_shaped, rng, with_redexes
 from storlab import prelude
 from storlab.checker import Verdict, check_operator
 from storlab.reduction import check_successor
@@ -74,3 +75,27 @@ def test_theorem1_passes_with_a_successor_variant(seed):
     for name in ("T1", "T2"):
         report = verify_theorem1_instance(env[name], successor, N_MAX)
         assert [c.status for c in report.checks] == [Verdict.PASS] * (N_MAX + 1), name
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(SEEDS)
+def test_builtin_shaped_lower_verdict_follows_its_step_and_zero(seed):
+    """tau is the step applied n times to the zero: a zero #1 fails level 0,
+    a step that is no successor fails level 1, and otherwise every level
+    stores its numeral."""
+    operator, step, zero = builtin_shaped(rng(seed))
+    summary = check_operator(operator, Family.LOWER, 3)
+    if zero == "#1":
+        expected = (Verdict.FIRST_FAILURE, 0)
+    elif step in NEAR_MISSES:
+        expected = (Verdict.FIRST_FAILURE, 1)
+    else:
+        expected = (Verdict.ALL_PASS, None)
+    assert (summary.verdict, summary.at) == expected, (step, zero)
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(SEEDS)
+def test_theorem2_passes_on_builtin_shaped_operators(seed):
+    operator, step, zero = builtin_shaped(rng(seed))
+    assert verify_theorem2_instance(operator, 3).verdict == Verdict.PASS, (step, zero)
