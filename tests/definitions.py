@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from genterms import closed_term
+from genterms import head_expansion
 from storlab.checker import PROBE
 from storlab.reduction import decompose_hnf, head_reduce
 from storlab.syntax import parse
@@ -37,17 +37,10 @@ def numeral_inputs(n: int, env: dict[str, Term]) -> dict[str, Term]:
 def delayed_numeral(n: int, successor: Term, r: random.Random) -> Term:
     """A closed term that head-reduces to (S) t with t such a term for n - 1,
     or at n = 0 to #0: (S)^n #0 with each S, each #0 and each (S) t wrapped
-    in 0-2 nested head-expansions, (\\v. s) w, (\\v. v) s or (\\v w. v) s w',
-    with w and w' closed."""
+    in 0-2 nested head-expansions (genterms.head_expansion)."""
     def delayed(s: Term) -> Term:
         for _ in range(r.randint(0, 2)):
-            form = r.randrange(3)
-            if form == 0:
-                s = App(Lam("v", s), closed_term(r))
-            elif form == 1:
-                s = App(Lam("v", Var("v")), s)
-            else:
-                s = app(Lam("v", Lam("w", Var("v"))), s, closed_term(r))
+            s = head_expansion(r, r.randrange(3), s)
         return s
 
     t = delayed(mk_church(0))

@@ -152,16 +152,20 @@ def with_redexes(r: random.Random, term: Term) -> Term:
         v = fresh_name("v", names)
         v2 = fresh_name("w", names)
         form = r.randrange(3)
-
-        def redex(s: Term) -> Term:
-            if form == 0:
-                return App(Lam(v, s), closed_term(r))
-            if form == 1:
-                return App(Lam(v, Var(v)), s)
-            return app(Lam(v, Lam(v2, Var(v))), s, closed_term(r))
-
-        term = _replace(term, r.randrange(_size(term)), redex)
+        term = _replace(term, r.randrange(_size(term)),
+                        lambda s: head_expansion(r, form, s, v, v2))
     return term
+
+
+def head_expansion(r: random.Random, form: int, s: Term, v: str = "v",
+                   w: str = "w") -> Term:
+    """s in the redex numbered form, which contracts back to s: (\\v. s) c,
+    (\\v. v) s or (\\v w. v) s c, with c a closed_term.  v must not be free in s."""
+    if form == 0:
+        return App(Lam(v, s), closed_term(r))
+    if form == 1:
+        return App(Lam(v, Var(v)), s)
+    return app(Lam(v, Lam(w, Var(v))), s, closed_term(r))
 
 
 def _names(term: Term) -> set[str]:
