@@ -214,7 +214,18 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         raise ValueError("n must be non-negative")
     if not checked:
         _check_operands(term, family, successor)
+    return _run([term, Const(family, n), Var(PROBE)], family, n, successor, limits)
 
+
+def _run(u: list[Term], family: Family, n: int, successor: Term | None,
+         limits: Limits) -> RunReport:
+    """The macro loop from the state u, given as a list, its head first.
+
+    Each head normal form either ends the run, at the probe applied to a
+    closed tau beta-equal to #n, or goes to the family's transform, which
+    fails any head that is not one of its constants.  So a state that holds
+    no constant ends the run at its first head normal form.
+    """
     def report(verdict: Verdict, reason: str | None = None,
                tau: Term | None = None) -> RunReport:
         return RunReport(family, n, verdict, successor, reason, tau, trace)
@@ -225,7 +236,6 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         return report(verdict, reason)
 
     trace: list[MacroStep] = []
-    u = [term, Const(family, n), Var(PROBE)]  # the head, then its arguments
     for _ in range(limits.macro_fuel):
         try:
             v, beta_steps = head_reduce(u[0], limits, u[1:])

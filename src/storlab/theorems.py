@@ -20,16 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .builtins import _CORE, prelude
-from .checker import PROBE, TAU_NOT_CLOSED, RunReport, check_operator
-from .reduction import (
-    DEFAULT_LIMITS,
-    FuelExhausted,
-    Limits,
-    Verdict,
-    decompose_hnf,
-    head_reduce,
-    is_numeral,
-)
+from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _run, check_operator
+from .reduction import DEFAULT_LIMITS, FuelExhausted, Limits, Verdict, head_reduce
 from .terms import (
     App,
     Const,
@@ -38,7 +30,6 @@ from .terms import (
     Term,
     Var,
     alpha_eq,
-    app,
     app_power,
     iter_consts,
     mk_church,
@@ -174,8 +165,8 @@ def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Lim
 def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
                              limits: Limits = DEFAULT_LIMITS) -> LevelReport:
     """Check that lower-run success forces upper-run success with the given
-    successor, and that the delayed numeral (S^)^n 0^ really drives the
-    operator to (f)t with t beta-equivalent to #n.
+    successor, and that the delayed numeral (S^)^n 0^ drives the operator,
+    on the upper run's machine, to (f)t with t closed and beta-equal to #n.
 
     Levels where the lower run fails are vacuous.  Fuel exhaustion on either
     side leaves the level undecided rather than refuted.
@@ -196,23 +187,16 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
 def _hat_check(operator: Term, successor: Term, upper: RunReport,
                limits: Limits) -> tuple[Verdict, bool | None]:
     # the delayed numeral (S^)^n 0^, with S^ = (\x. S) y and 0^ = (\x. #0) y,
-    # is not normal: each unfolds by one head step, (S^)t > (S)t and 0^ > #0
+    # is not normal: each unfolds by one head step, (S^)t > (S)t and 0^ > #0.
+    # It holds no constant, so the run ends at its first head normal form
     numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
                         App(Lam("x", mk_church(0)), Var("y")))
-    start = app(operator, numeral, Var(PROBE))
-    try:
-        hnf, _ = head_reduce(start, limits)
-    except FuelExhausted:
-        return Verdict.UNKNOWN, None
-    v = decompose_hnf(hnf)
-    if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
-        return Verdict.FAIL, None
-    t = v.args[0]
-    equal = is_numeral(t, upper.n, limits)
-    if equal is None:
+    run = _run([operator, numeral, Var(PROBE)], Family.UPPER, upper.n, successor, limits)
+    if run.verdict == Verdict.FUEL:
         return Verdict.UNKNOWN, None
     # the upper run succeeded, so it carries its tau
-    return (Verdict.PASS if equal else Verdict.FAIL), alpha_eq(t, upper.tau)
+    matches = None if run.tau is None else alpha_eq(run.tau, upper.tau)
+    return (Verdict.PASS if run.verdict == Verdict.SUCCESS else Verdict.FAIL), matches
 
 
 def verify_theorem2_instance(operator: Term, n_max: int,

@@ -9,7 +9,9 @@ the rejected family, the repr the dataclasses generated, and the parser as
 four methods that call one another.  They recurse once per level of depth,
 so they are for small generated terms only.  The delta correspondence maps
 each state of a lower trace on its own, without the memo that
-theorems._delta_correspondence shares across the trace.
+theorems._delta_correspondence shares across the trace.  Theorem 1's
+sigma-hat check head-reduces (T) (S^)^n 0^ f once and tests the probe and
+the numeral by hand, without the run's closedness test on t.
 beta_equiv is the original that normalizes both sides and compares them by
 alpha-equivalence.  Theorem 3's upper tau check normalizes every upper tau a
 second time, as the theorem did before it read the runs' verdict.  The
@@ -23,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from storlab.builtins import _CORE_DEFS, _OPERATOR_DEFS
+from storlab.checker import PROBE
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -30,7 +33,9 @@ from storlab.reduction import (
     Limits,
     Verdict,
     beta_equiv,
+    decompose_hnf,
     head_reduce,
+    is_numeral,
     normalize,
 )
 from storlab.syntax import ParseError, Token, tokenize
@@ -187,6 +192,26 @@ def oracle_upper_tau_ok(upper, limits: Limits = DEFAULT_LIMITS) -> bool | None:
 
     answers = set(map(answer, upper))
     return False if False in answers else None if None in answers else True
+
+
+def oracle_hat_check(operator: Term, successor: Term, upper,
+                     limits: Limits = DEFAULT_LIMITS) -> tuple[Verdict, bool | None]:
+    """theorems._hat_check as its own head reduction: (sigma_hat,
+    sigma_hat_matches_tau) for the level of the successful upper run."""
+    numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
+                        App(Lam("x", mk_church(0)), Var("y")))
+    try:
+        hnf, _ = head_reduce(app(operator, numeral, Var(PROBE)), limits)
+    except FuelExhausted:
+        return Verdict.UNKNOWN, None
+    v = decompose_hnf(hnf)
+    if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
+        return Verdict.FAIL, None
+    t = v.args[0]
+    equal = is_numeral(t, upper.n, limits)
+    if equal is None:
+        return Verdict.UNKNOWN, None
+    return (Verdict.PASS if equal else Verdict.FAIL), alpha_eq(t, upper.tau)
 
 
 def _reject_family(t: Term, family: Family, who: str) -> None:

@@ -9,15 +9,26 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from genterms import BINDERS, any_term, lower_term, p_term, rng, with_head_redex
+from genterms import (
+    BINDERS,
+    SUCCESSORS,
+    any_term,
+    builtin_shaped,
+    lower_term,
+    p_term,
+    rng,
+    with_head_redex,
+    with_redexes,
+)
 from oracles import (
     oracle_delta_correspondence,
     oracle_delta_forward,
+    oracle_hat_check,
     oracle_sigma_hat_subst,
     oracle_sigma_subst,
     oracle_upper_tau_ok,
 )
-from storlab import prelude, theorems
+from storlab import checker, prelude, theorems
 from storlab.checker import (
     PROBE,
     TAU_NOT_N,
@@ -29,6 +40,7 @@ from storlab.checker import (
     run_check,
 )
 from storlab.cli import EXIT_FUEL, EXIT_REFUTED, main
+from storlab.syntax import parse
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -290,14 +302,16 @@ def test_theorem1_instances():
 
 
 def test_theorem1_drives_the_operator_with_the_delayed_numeral(monkeypatch):
-    # theorem 1 builds each level's numeral directly: sigma-hat's image of X[n]
+    # theorem 1 builds each level's numeral directly: sigma-hat's image of X[n].
+    # The sweeps are faked, so each state reduced is a sigma-hat run's start
     starts = []
 
-    def recording(term, limits=DEFAULT_LIMITS):
-        starts.append(term)
-        return head_reduce(term, limits)
+    def recording(term, limits=DEFAULT_LIMITS, args=()):
+        starts.append(app(term, *args))
+        return head_reduce(term, limits, args)
 
-    monkeypatch.setattr(theorems, "head_reduce", recording)
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 4, [Verdict.SUCCESS] * 4)
+    monkeypatch.setattr(checker, "head_reduce", recording)
     env1, s2 = prelude("S1"), prelude("S2")["S2"]
     verify_theorem1_instance(env1["T1"], s2, 3)
     assert starts == [app(env1["T1"], sigma_hat_subst(Const(Family.UPPER, n), s2), Var(PROBE))
@@ -494,8 +508,9 @@ def test_theorem2_refutes_a_level_whose_verdicts_differ(capsys, monkeypatch, low
 ])
 def test_sigma_hat_fails_when_the_delayed_numeral_does_not_reach_f_t(capsys, monkeypatch,
                                                                      hnf):
-    # the runs still head-reduce through checker.head_reduce, which stays real
-    monkeypatch.setattr(theorems, "head_reduce", lambda term, limits: (hnf, 0))
+    # the sweeps are faked, so only the sigma-hat runs reach the stub
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 2, [Verdict.SUCCESS] * 2)
+    monkeypatch.setattr(checker, "head_reduce", lambda term, limits, args: (hnf, 0))
     report = verify_theorem1_instance(prelude()["T1"], S1, 1)
     assert [(c.status, c.sigma_hat, c.sigma_hat_matches_tau) for c in report.checks] == \
         [(Verdict.FAIL, Verdict.FAIL, None)] * 2
@@ -511,8 +526,9 @@ def test_sigma_hat_fails_when_the_delayed_numeral_does_not_reach_f_t(capsys, mon
 ])
 def test_sigma_hat_follows_the_numeral_check(capsys, monkeypatch, equal, status, matches,
                                              code):
-    # the runs' own tau checks go through checker.is_numeral, which stays real
-    monkeypatch.setattr(theorems, "is_numeral", lambda t, n, limits: equal)
+    # the sweeps are faked, so only the sigma-hat run's tau check reaches the stub
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS], [Verdict.SUCCESS])
+    monkeypatch.setattr(checker, "is_numeral", lambda t, n, limits: equal)
     report = verify_theorem1_instance(prelude()["T1"], S1, 0)
     (level,) = report.checks
     assert (level.lower, level.upper) == (Verdict.SUCCESS, Verdict.SUCCESS)
@@ -521,6 +537,41 @@ def test_sigma_hat_follows_the_numeral_check(capsys, monkeypatch, equal, status,
     assert run_cli(capsys, "theorem1", "T1", "--n-max", "0") == (code, (
         f"n=0: lower=Success upper=Success sigma-hat={status}  -> {status}\n"
         f"verdict: {Verdict.fold([status])}\n"))
+
+
+def test_sigma_hat_fails_on_an_open_tau(monkeypatch):
+    # the operator stores its input itself, here the delayed numeral, in which y
+    # is free: beta-equal to #n, but a run accepts only a closed tau
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 3, [Verdict.SUCCESS] * 3)
+    report = verify_theorem1_instance(parse(r"\n f. f n"), S1, 2)
+    assert [(c.status, c.sigma_hat, c.sigma_hat_matches_tau) for c in report.checks] == \
+        [(Verdict.FAIL, Verdict.FAIL, False)] * 3
+    assert report.verdict == Verdict.REFUTED
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(st.integers(0, 2**32 - 1), st.sampled_from(SUCCESSORS), st.integers(0, 4))
+def test_sigma_hat_matches_the_oracle(seed, successor, n_max):
+    """On a builtin, a builtin with redexes put in, or an operator in the
+    builtins' shapes, the sigma-hat check gives the hand-written check's
+    answer at every level it reaches: the two differ only on an open tau.
+    Theorem 1 passes with each successor."""
+    r = rng(seed)
+    kind = r.randrange(3)
+    if kind == 2:
+        operator = builtin_shaped(r)[0]
+    else:
+        operator = prelude(r.choice(("S1", "S2")))[r.choice(("T1", "T2", "T3"))]
+        if kind == 1:
+            operator = with_redexes(r, operator)
+    successor = parse(successor)
+    report = verify_theorem1_instance(operator, successor, n_max)
+    upper = check_operator(operator, Family.UPPER, n_max, successor)
+    for level, run in zip(report.checks, upper):
+        if level.sigma_hat is not None:
+            assert (level.sigma_hat, level.sigma_hat_matches_tau) == \
+                oracle_hat_check(operator, successor, run), level.n
+    assert report.verdict == Verdict.PASS
 
 
 def test_delta_correspondence_is_unknown_when_head_fuel_runs_out(capsys, monkeypatch):
@@ -569,9 +620,11 @@ def test_theorem3_degenerate_bound():
 
 
 def test_theorem3_reads_tau_from_the_upper_verdict(monkeypatch):
-    # a run succeeds only on a tau beta-equal to #n, so no tau is normalized again
+    # a run succeeds only on a tau beta-equal to #n, so no tau is normalized again:
+    # the sweeps are faked, so a tau check would be theorem 3's own
     calls = []
-    monkeypatch.setattr(theorems, "is_numeral", lambda *args: calls.append(args))
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 7, [Verdict.SUCCESS] * 7)
+    monkeypatch.setattr(checker, "is_numeral", lambda *args: calls.append(args))
     assert verify_theorem3(6).upper_tau_ok is True
     assert calls == []
 
