@@ -148,7 +148,8 @@ class LevelReport:
             if check.sigma_hat is not None:
                 detail += f" sigma-hat={check.sigma_hat}"
             if check.tau_match is not None:
-                detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
+                detail += (f" tau-match={check.tau_match}"
+                           f" delta-match={_answer(check.delta_match)}")
             yield (f"n={check.n}: lower={check.lower}"
                    f" {upper}={check.upper}{detail}  -> {check.status}")
         yield f"verdict: {self.verdict}"

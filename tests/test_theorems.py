@@ -584,8 +584,8 @@ def test_delta_correspondence_is_unknown_when_head_fuel_runs_out(capsys, monkeyp
         [(Verdict.UNKNOWN, True, None)] * 2
     assert report.verdict == Verdict.FUEL
     assert run_cli(capsys, "theorem2", "T1", "--n-max", "1") == (EXIT_FUEL, (
-        "n=0: lower=Success upper[S1]=Success tau-match=True delta-match=None  -> Unknown\n"
-        "n=1: lower=Success upper[S1]=Success tau-match=True delta-match=None  -> Unknown\n"
+        "n=0: lower=Success upper[S1]=Success tau-match=True delta-match=unknown  -> Unknown\n"
+        "n=1: lower=Success upper[S1]=Success tau-match=True delta-match=unknown  -> Unknown\n"
         "verdict: FuelExhausted\n"))
 
 
