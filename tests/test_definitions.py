@@ -8,6 +8,7 @@ import hypothesis as hyp
 from hypothesis import strategies as st
 
 from definitions import delayed_numeral, numeral_inputs, stored
+from genterms import with_redexes
 from storlab import prelude
 from storlab.checker import Verdict, run_check
 from storlab.syntax import pretty
@@ -18,22 +19,25 @@ OPERATORS = (("T1", "S1"), ("T1", "S2"), ("T2", "S1"), ("T2", "S2"), ("T3", "S2"
 
 
 @hyp.settings(max_examples=100, deadline=None)
-@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4))
-@hyp.example(("T3", "S2"), 1)  # the first level at which T3's lower run fails
-def test_lower_success_stores_every_sampled_numeral(operator, n):
+@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4), st.randoms(use_true_random=False))
+@hyp.example(("T3", "S2"), 1, random.Random(0))  # the first level at which T3's lower run fails
+def test_lower_success_stores_every_sampled_numeral(operator, n, r):
     """A lower run's Success at level n says that (T) t f head-reduces to
     (f) tau for every t beta-equal to #n, with the run's tau.  Each input
-    here is such a t, so one that reaches another tau refutes the Success.
-    Sampling can refute a Success this way, but it cannot prove one: the
-    definition quantifies over every t beta-equal to #n."""
+    here, and each with redexes put in, is such a t, so one that reaches
+    another tau refutes the Success.  Sampling can refute a Success this
+    way, but it cannot prove one: the definition quantifies over every t
+    beta-equal to #n."""
     name, instance = operator
     env = prelude(instance)
     report = run_check(env[name], Family.LOWER, n)
     if report.verdict != Verdict.SUCCESS:
         return
     for label, t in numeral_inputs(n, env).items():
-        tau = stored(env[name], t)
-        assert tau is not None and alpha_eq(tau, report.tau), (name, instance, n, label)
+        for u in (t, with_redexes(r, t)):
+            tau = stored(env[name], u)
+            assert tau is not None and alpha_eq(tau, report.tau), \
+                (name, instance, n, label, pretty(u))
 
 
 @hyp.settings(max_examples=100, deadline=None)

@@ -97,5 +97,13 @@ def test_builtin_shaped_lower_verdict_follows_its_step_and_zero(seed):
 @hyp.settings(max_examples=100, deadline=None)
 @hyp.given(SEEDS)
 def test_theorem2_passes_on_builtin_shaped_operators(seed):
+    """On the operators whose lower sweep is AllPass the pass is not vacuous:
+    both runs succeed at every level, with alpha-equal taus and traces that
+    delta_forward carries one onto the other."""
     operator, step, zero = builtin_shaped(rng(seed))
-    assert verify_theorem2_instance(operator, 3).verdict == Verdict.PASS, (step, zero)
+    report = verify_theorem2_instance(operator, 3)
+    assert report.verdict == Verdict.PASS, (step, zero)
+    if zero != "#1" and step not in NEAR_MISSES:
+        assert {(c.lower, c.upper, c.status, c.tau_match, c.delta_match)
+                for c in report.checks} == \
+            {(Verdict.SUCCESS, Verdict.SUCCESS, Verdict.PASS, True, True)}, (step, zero)

@@ -347,7 +347,11 @@ def outcome(normalizer, term, limits):
         return (exc.stage, exc.steps, exc.partial)
 
 
+# no deadline: it would time the oracle, which rebuilds the growing partial
+# term at each step (seed 234825: about 0.8 s, normalize 9 ms, Python 3.11)
+@hyp.settings(deadline=None)
 @hyp.given(st.integers(0, 2**32 - 1))
+@hyp.example(234825)
 def test_normalize_matches_oracle(seed):
     term = normalization_case(seed)
     limits = Limits(norm_fuel=500)

@@ -40,7 +40,6 @@ from storlab.checker import (
     run_check,
 )
 from storlab.cli import EXIT_FUEL, EXIT_REFUTED, main
-from storlab.syntax import parse
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -49,6 +48,7 @@ from storlab.reduction import (
     beta_equiv,
     head_reduce,
 )
+from storlab.syntax import parse
 from storlab.terms import (
     App,
     Const,
