@@ -21,15 +21,13 @@ from .reduction import (
     STAGE_MACRO,
     STAGE_NORM,
     FuelExhausted,
-    HnfDecomposition,
     Limits,
     Verdict,
-    decompose_hnf,
     head_reduce,
     is_numeral,
 )
 from .syntax import pretty, printer
-from .terms import App, Const, Family, Term, Var, is_closed_pure, mk_church
+from .terms import App, Const, Family, Lam, Term, Var, is_closed_pure, mk_church
 
 SEED_ZERO = "SeedZero"
 SEED_SUCC = "SeedSucc"
@@ -58,53 +56,52 @@ class TransformError(ValueError):
         self.reason = reason
 
 
-def _head_const(v: HnfDecomposition, family: Family) -> Const:
-    head = v.head
+def _head_const(head: Term, family: Family) -> Const:
     if not (isinstance(head, Const) and head.family is family):
         raise TransformError(FOREIGN_HEAD, f"head is not a {family.value}-family constant")
     return head
 
 
-def x_transform(v: HnfDecomposition, n: int) -> list[Term]:
-    """One lower-family move: the next term as a list, its head first, then
-    its arguments.
+def x_transform(head: Term, args: list[Term], n: int) -> list[Term]:
+    """One lower-family move from the head normal form (head) args...: the
+    next term as a list, its head first, then its arguments.
 
     Seed at level k+1 takes arguments a b c...: the next term is
     (a) x[k; a, b, c...] c...; seed at level 0 gives (b) c....  A stored
     constant replays its remembered a, b against the current arguments,
     which may be any number including none.
     """
-    head = _head_const(v, Family.LOWER)
+    head = _head_const(head, Family.LOWER)
     if head.is_seed:
         if head.level != n:
             raise TransformError(WRONG_LEVEL, f"seed at level {head.level}, expected {n}")
-        if len(v.args) < 2:
+        if len(args) < 2:
             raise TransformError(MALFORMED_HEAD,
                                  "seed constant applied to fewer than two arguments")
-        a, b, *cs = v.args
+        a, b, *cs = args
     else:
         a, b = head.payload[0], head.payload[1]
-        cs = list(v.args)
+        cs = args
     if head.level == 0:
         return [b, *cs]
     return [a, Const(Family.LOWER, head.level - 1, (a, b, *cs)), *cs]
 
 
-def X_transform(v: HnfDecomposition, successor: Term, n: int) -> list[Term]:
+def X_transform(head: Term, args: list[Term], successor: Term, n: int) -> list[Term]:
     """One upper-family move, as a list like x_transform's.
 
     Level k+1 yields ((S) X[k; u, v, w...]) u v w... and level 0 yields
     (#0) u v w..., always from the current arguments, of which there must
     be at least two.
     """
-    head = _head_const(v, Family.UPPER)
+    head = _head_const(head, Family.UPPER)
     if head.is_seed and head.level != n:
         raise TransformError(WRONG_LEVEL, f"seed at level {head.level}, expected {n}")
-    if len(v.args) < 2:
+    if len(args) < 2:
         raise TransformError(MALFORMED_HEAD, "constant applied to fewer than two arguments")
     if head.level == 0:
-        return [_ZERO, *v.args]
-    return [successor, Const(Family.UPPER, head.level - 1, tuple(v.args)), *v.args]
+        return [_ZERO, *args]
+    return [successor, Const(Family.UPPER, head.level - 1, tuple(args)), *args]
 
 
 def _step_kind(head: Const) -> str:
@@ -244,15 +241,18 @@ def _run(u: list[Term], family: Family, n: int, successor: Term | None,
             return stop(Verdict.FUEL, STAGE_HEAD)
         if beta_steps == 0:
             u = v  # the state is already in head normal form: keep one copy
-        decomposed = decompose_hnf(v)
-        if decomposed.prefix:
+        if type(v) is Lam:
             return stop(Verdict.FAIL, PREFIX_NOT_EMPTY)
-        head = decomposed.head
-        if isinstance(head, Var) and head.name == PROBE:
-            if len(decomposed.args) != 1:
+        head, args = v, []  # v's spine: its head, and its arguments first to last
+        while type(head) is App:
+            args.append(head.arg)
+            head = head.fn
+        args.reverse()
+        if type(head) is Var and head.name == PROBE:
+            if len(args) != 1:
                 return stop(Verdict.FAIL, F_WRONG_ARITY)
             trace.append(MacroStep(u, v, beta_steps, FINAL))
-            tau = decomposed.args[0]
+            tau = args[0]
             if not is_closed_pure(tau):
                 return report(Verdict.FAIL, TAU_NOT_CLOSED, tau)
             equal = is_numeral(tau, n, limits)
@@ -263,10 +263,10 @@ def _run(u: list[Term], family: Family, n: int, successor: Term | None,
             return report(Verdict.SUCCESS, None, tau)
         try:
             if family is Family.LOWER:
-                nxt = x_transform(decomposed, n)
+                nxt = x_transform(head, args, n)
             else:
                 assert successor is not None
-                nxt = X_transform(decomposed, successor, n)
+                nxt = X_transform(head, args, successor, n)
         except TransformError as exc:
             return stop(Verdict.FAIL, exc.reason)
         trace.append(MacroStep(u, v, beta_steps, _step_kind(head)))

@@ -3,7 +3,8 @@
 Exit codes are part of the interface: 0 means the checked property holds,
 1 means it was refuted, 2 means fuel ran out before a verdict, 3 means the
 invocation or its terms were bad, 4 means an internal error (any other
-exception, a RecursionError included) stopped the run before a verdict.
+exception, a RecursionError included) stopped the run before a verdict, or
+the output was closed before the whole report was written.
 `--json` swaps the human output for the serialized report; `--trace` adds
 the recorded macro steps to either form.
 """
@@ -366,6 +367,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:  # the reader went away: no report was delivered
+        print("storlab: output closed before the report was written", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # RecursionError included: a crash is no verdict
         print(f"storlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .syntax import pretty
 from .terms import (
@@ -210,24 +210,6 @@ def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS,
     if isinstance(head, Lam):
         raise FuelExhausted(STAGE_HEAD, term, steps)
     return term, steps
-
-
-class HnfDecomposition(NamedTuple):
-    """A head normal form split as prefix binders, head, arguments.
-
-    The head is always a variable or a symbolic constant.
-    """
-
-    prefix: tuple[str, ...]
-    head: Term
-    args: tuple[Term, ...]
-
-
-def decompose_hnf(term: Term) -> HnfDecomposition:
-    prefix, head, args, _ = _run_head(term, [], 0, 0)
-    if isinstance(head, Lam):
-        raise ValueError("term still has a head redex")
-    return HnfDecomposition(tuple(prefix), head, tuple(reversed(args)))
 
 
 def _rebuild(prefix: list[str], head: Term, items: list[Term]) -> Term:

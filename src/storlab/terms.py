@@ -366,44 +366,29 @@ def substitute_many(term: Term, mapping: dict[str, Term]) -> Term | None:
 
 
 def iter_consts(term: Term) -> Iterator[Const]:
-    """Every constant occurrence, payloads included, left to right."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append(t.arg)
-            stack.append(t.fn)
-        elif isinstance(t, Lam):
-            stack.append(t.body)
-        elif isinstance(t, Const):
-            yield t
-            stack.extend(reversed(t.payload))
-
-
-def is_closed_pure(term: Term) -> bool:
-    """No free names and no symbolic constants anywhere.
-
-    The walk keeps the ids of the applications it has visited, so a subterm
-    shared within the term is looked at once: a term costs its DAG, not its
-    tree.  Only applications are recorded, which keeps the set about half
-    the size of the DAG; a shared abstraction is passed again down to its
-    first application.
-    """
-    if free_names(term):
-        return False
+    """Every constant occurrence, payloads included, left to right, except
+    below an application already walked: the ids of the applications walked
+    are kept, so a shared subterm is walked once and a term costs its DAG,
+    not its tree.  Recording only applications keeps the set about half the
+    size of the DAG; a shared abstraction or constant is passed again."""
     seen: set[int] = set()
     stack = [term]
     while stack:
         t = stack.pop()
         kind = type(t)
-        if kind is Const:
-            return False
         if kind is App:
             if id(t) in seen:
                 continue
             seen.add(id(t))
-            stack.append(t.fn)
             stack.append(t.arg)
+            stack.append(t.fn)
         elif kind is Lam:
             stack.append(t.body)
-    return True
+        elif kind is Const:
+            yield t
+            stack.extend(reversed(t.payload))
+
+
+def is_closed_pure(term: Term) -> bool:
+    """No free names and no symbolic constants anywhere."""
+    return not free_names(term) and next(iter_consts(term), None) is None

@@ -14,7 +14,8 @@ import random
 
 from genterms import head_expansion
 from storlab.checker import PROBE
-from storlab.reduction import decompose_hnf, head_reduce
+from oracles import spine
+from storlab.reduction import head_reduce
 from storlab.syntax import parse
 from storlab.terms import App, Lam, Term, Var, app, app_power, mk_church
 
@@ -53,7 +54,7 @@ def stored(operator: Term, t: Term) -> Term | None:
     """The tau of (operator) t f's head normal form (f) tau, or None when
     that head normal form has another shape."""
     v, _ = head_reduce(operator, args=(t, Var(PROBE)))
-    prefix, head, args = decompose_hnf(v)
-    if prefix or head != Var(PROBE) or len(args) != 1:
+    head, args = spine(v)
+    if isinstance(v, Lam) or head != Var(PROBE) or len(args) != 1:
         return None
     return args[0]

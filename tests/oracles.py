@@ -33,7 +33,6 @@ from storlab.reduction import (
     Limits,
     Verdict,
     beta_equiv,
-    decompose_hnf,
     head_reduce,
     is_numeral,
     normalize,
@@ -204,10 +203,10 @@ def oracle_hat_check(operator: Term, successor: Term, upper,
         hnf, _ = head_reduce(app(operator, numeral, Var(PROBE)), limits)
     except FuelExhausted:
         return Verdict.UNKNOWN, None
-    v = decompose_hnf(hnf)
-    if v.prefix or v.head != Var(PROBE) or len(v.args) != 1:
+    head, args = spine(hnf)
+    if isinstance(hnf, Lam) or head != Var(PROBE) or len(args) != 1:
         return Verdict.FAIL, None
-    t = v.args[0]
+    t = args[0]
     equal = is_numeral(t, upper.n, limits)
     if equal is None:
         return Verdict.UNKNOWN, None

@@ -13,7 +13,7 @@ import io
 from definitions import numeral_inputs, stored
 from genterms import any_term, lower_term, p_term, pure_term, rng, \
     substitution_for, with_head_redex
-from oracles import substitute_many
+from oracles import spine, substitute_many
 from storlab import prelude
 from storlab.checker import (
     FINAL,
@@ -28,7 +28,6 @@ from storlab.reduction import (
     Limits,
     beta_equiv,
     check_successor,
-    decompose_hnf,
     head_reduce,
     is_numeral,
     normalize,
@@ -110,7 +109,7 @@ def test_s_storage_matrix():
         assert transforms[:-1] == expected
         assert alpha_eq(report.tau, app_power(s2, n, mk_church(0)))
         for k, step in enumerate(report.trace[:-1]):
-            args = decompose_hnf(step.v).args
+            args = spine(step.v)[1]
             assert alpha_eq(args[0], f_op)
             assert alpha_eq(args[1], app_power(f_op, k, Var("f")))
             assert args[2] == mk_church(0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import storlab
+from oracles import spine
 from storlab import prelude
 from storlab.checker import (
     FINAL,
@@ -21,7 +22,7 @@ from storlab.checker import (
     to_json,
     x_transform,
 )
-from storlab.reduction import Limits, beta_equiv, decompose_hnf, head_reduce
+from storlab.reduction import Limits, beta_equiv, head_reduce
 from storlab.syntax import parse, pretty
 from storlab.terms import (
     App,
@@ -40,44 +41,40 @@ from storlab.terms import (
 A, B, C = Var("a"), Var("b"), Var("c")
 
 
-def hnf(term):
-    return decompose_hnf(term)
-
-
 def test_x_transform_seed():
-    got = x_transform(hnf(app(Const(Family.LOWER, 2), A, B, C)), 2)
+    got = x_transform(*spine(app(Const(Family.LOWER, 2), A, B, C)), 2)
     stored = Const(Family.LOWER, 1, (A, B, C))
     assert got == [A, stored, C]
 
 
 def test_x_transform_seed_level_zero():
-    got = x_transform(hnf(app(Const(Family.LOWER, 0), A, B, C)), 0)
+    got = x_transform(*spine(app(Const(Family.LOWER, 0), A, B, C)), 0)
     assert got == [B, C]
 
 
 def test_x_transform_stored_replays_payload():
     head = Const(Family.LOWER, 1, (A, B, C))
     d1, d2 = Var("d1"), Var("d2")
-    got = x_transform(hnf(app(head, d1, d2)), 1)
+    got = x_transform(*spine(app(head, d1, d2)), 1)
     stored = Const(Family.LOWER, 0, (A, B, d1, d2))
     assert got == [A, stored, d1, d2]
 
 
 def test_x_transform_stored_accepts_no_arguments():
     head = Const(Family.LOWER, 0, (A, B))
-    assert x_transform(hnf(head), 0) == [B]
+    assert x_transform(*spine(head), 0) == [B]
 
 
 def test_X_transform_seed():
     s2 = prelude()["S2"]
-    got = X_transform(hnf(app(Const(Family.UPPER, 1), A, B, C)), s2, 1)
+    got = X_transform(*spine(app(Const(Family.UPPER, 1), A, B, C)), s2, 1)
     stored = Const(Family.UPPER, 0, (A, B, C))
     assert got == [s2, stored, A, B, C]
 
 
 def test_X_transform_seed_level_zero():
     s2 = prelude()["S2"]
-    got = X_transform(hnf(app(Const(Family.UPPER, 0), A, B, C)), s2, 0)
+    got = X_transform(*spine(app(Const(Family.UPPER, 0), A, B, C)), s2, 0)
     assert got == [mk_church(0), A, B, C]
 
 
@@ -85,7 +82,7 @@ def test_X_transform_stored_uses_current_arguments():
     s2 = prelude()["S2"]
     head = Const(Family.UPPER, 1, (A, B, C))
     u, v, w = Var("u"), Var("v"), Var("w")
-    got = X_transform(hnf(app(head, u, v, w)), s2, 1)
+    got = X_transform(*spine(app(head, u, v, w)), s2, 1)
     stored = Const(Family.UPPER, 0, (u, v, w))
     assert got == [s2, stored, u, v, w]
 
@@ -93,16 +90,16 @@ def test_X_transform_stored_uses_current_arguments():
 def test_transform_errors():
     s1 = prelude()["S1"]
     cases = [
-        (lambda: x_transform(hnf(app(Const(Family.LOWER, 2), A)), 2), MALFORMED_HEAD),
-        (lambda: x_transform(hnf(app(Const(Family.LOWER, 3), A, B)), 2), WRONG_LEVEL),
-        (lambda: X_transform(hnf(app(Const(Family.UPPER, 1), A)), s1, 1), MALFORMED_HEAD),
-        (lambda: X_transform(hnf(Const(Family.UPPER, 0, (A, B))), s1, 0), MALFORMED_HEAD),
-        (lambda: X_transform(hnf(app(Const(Family.UPPER, 2), A, B)), s1, 0), WRONG_LEVEL),
+        (lambda: x_transform(*spine(app(Const(Family.LOWER, 2), A)), 2), MALFORMED_HEAD),
+        (lambda: x_transform(*spine(app(Const(Family.LOWER, 3), A, B)), 2), WRONG_LEVEL),
+        (lambda: X_transform(*spine(app(Const(Family.UPPER, 1), A)), s1, 1), MALFORMED_HEAD),
+        (lambda: X_transform(*spine(Const(Family.UPPER, 0, (A, B))), s1, 0), MALFORMED_HEAD),
+        (lambda: X_transform(*spine(app(Const(Family.UPPER, 2), A, B)), s1, 0), WRONG_LEVEL),
         # a free head, or a constant of the other family, is no transform's to move
-        (lambda: x_transform(hnf(app(Var("f"), A, B)), 0), FOREIGN_HEAD),
-        (lambda: x_transform(hnf(app(Const(Family.UPPER, 1), A, B)), 1), FOREIGN_HEAD),
-        (lambda: X_transform(hnf(app(Var("g"), A, B)), s1, 0), FOREIGN_HEAD),
-        (lambda: X_transform(hnf(app(Const(Family.LOWER, 1), A, B)), s1, 1), FOREIGN_HEAD),
+        (lambda: x_transform(*spine(app(Var("f"), A, B)), 0), FOREIGN_HEAD),
+        (lambda: x_transform(*spine(app(Const(Family.UPPER, 1), A, B)), 1), FOREIGN_HEAD),
+        (lambda: X_transform(*spine(app(Var("g"), A, B)), s1, 0), FOREIGN_HEAD),
+        (lambda: X_transform(*spine(app(Const(Family.LOWER, 1), A, B)), s1, 1), FOREIGN_HEAD),
     ]
     for transform, reason in cases:
         with pytest.raises(TransformError) as info:
@@ -128,11 +125,11 @@ def test_run_check_upper_worked_chain():
     ]
     assert alpha_eq(report.tau, app_power(s2, 3, mk_church(0)))
     for k, step in enumerate(report.trace[:-1]):
-        d = decompose_hnf(step.v)
-        assert isinstance(d.head, Const) and d.head.level == 3 - k
-        assert alpha_eq(d.args[0], f_op)
-        assert alpha_eq(d.args[1], app_power(f_op, k, Var("f")))
-        assert d.args[2] == mk_church(0)
+        head, args = spine(step.v)
+        assert isinstance(head, Const) and head.level == 3 - k
+        assert alpha_eq(args[0], f_op)
+        assert alpha_eq(args[1], app_power(f_op, k, Var("f")))
+        assert args[2] == mk_church(0)
 
 
 def test_run_check_open_tau_failure():
@@ -254,11 +251,12 @@ def test_trace_replays(operator, family, successor, n):
         assert head_reduce(step.u) == (step.v, step.beta_steps)
         if step.transform in (None, FINAL):
             continue
-        d = decompose_hnf(step.v)
+        assert not isinstance(step.v, Lam)
+        head, args = spine(step.v)
         if family is Family.LOWER:
-            expected = x_transform(d, n)
+            expected = x_transform(head, args, n)
         else:
-            expected = X_transform(d, succ, n)
+            expected = X_transform(head, args, succ, n)
         assert report.trace[i + 1].u == app(*expected)
 
 
@@ -268,7 +266,7 @@ def test_upper_levels_strictly_decrease():
         report = run_check(env["T1"], Family.UPPER, n, env["S1"])
         levels = []
         for step in report.trace:
-            head = decompose_hnf(step.v).head
+            head = spine(step.v)[0]
             if isinstance(head, Const):
                 levels.append(head.level)
         assert levels == sorted(levels, reverse=True)

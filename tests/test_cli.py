@@ -6,7 +6,10 @@ import gc
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -465,6 +468,45 @@ def test_value_error_inside_a_command_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run(capsys, "parse", "T1")
     assert (code, out, err) == (EXIT_INTERNAL, "",
                                 "storlab: internal error: ValueError: checker bug\n")
+
+
+class ClosingStdout(io.StringIO):
+    """A stdout whose reader goes away after the first write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [["check-storage", "T1", "--n-max", "3"],
+                                  ["corpus", "--n-max", "1", "--json"]])
+def test_closed_output_is_no_report_and_no_crash(argv):
+    out, err = ClosingStdout(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_INTERNAL
+    assert err.getvalue() == "storlab: output closed before the report was written\n"
+
+
+def test_closed_pipe_exits_4_with_one_line():
+    # the reader of a real pipe stops after one line of more than 64 KB of output
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "storlab.cli", "check-storage", "T1", "--n-max", "60", "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"n=0: Success  tau = #0\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == EXIT_INTERNAL
+    assert err == b"storlab: output closed before the report was written\n"
 
 
 # -- JSON is written a piece at a time, text a level at a time --

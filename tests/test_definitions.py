@@ -1,6 +1,7 @@
 """The two families' verdicts against concrete numerals: the lower family's
 against the definition of a storage operator, the upper family's against
-its symbolic characterization."""
+its symbolic characterization.  The operators are the builtins and
+operators generated in their shapes (genterms.builtin_shaped)."""
 
 import random
 
@@ -8,7 +9,7 @@ import hypothesis as hyp
 from hypothesis import strategies as st
 
 from definitions import delayed_numeral, numeral_inputs, stored
-from genterms import with_redexes
+from genterms import builtin_shaped, with_redexes
 from storlab import prelude
 from storlab.checker import Verdict, run_check
 from storlab.syntax import pretty
@@ -16,10 +17,17 @@ from storlab.terms import Family, alpha_eq
 
 # T1 and T2 under both successors' preludes, T3 under S2's, as the paper builds it
 OPERATORS = (("T1", "S1"), ("T1", "S2"), ("T2", "S1"), ("T2", "S2"), ("T3", "S2"))
+# an operator in T1's or T2's shape, drawn by builtin_shaped, under either prelude
+SHAPED = (("shaped", "S1"), ("shaped", "S2"))
+
+
+def operator_term(name, env, r):
+    return builtin_shaped(r)[0] if name == "shaped" else env[name]
 
 
 @hyp.settings(max_examples=100, deadline=None)
-@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4), st.randoms(use_true_random=False))
+@hyp.given(st.sampled_from(OPERATORS + SHAPED), st.integers(0, 4),
+           st.randoms(use_true_random=False))
 @hyp.example(("T3", "S2"), 1, random.Random(0))  # the first level at which T3's lower run fails
 def test_lower_success_stores_every_sampled_numeral(operator, n, r):
     """A lower run's Success at level n says that (T) t f head-reduces to
@@ -30,18 +38,20 @@ def test_lower_success_stores_every_sampled_numeral(operator, n, r):
     beta-equal to #n."""
     name, instance = operator
     env = prelude(instance)
-    report = run_check(env[name], Family.LOWER, n)
+    term = operator_term(name, env, r)
+    report = run_check(term, Family.LOWER, n)
     if report.verdict != Verdict.SUCCESS:
         return
     for label, t in numeral_inputs(n, env).items():
         for u in (t, with_redexes(r, t)):
-            tau = stored(env[name], u)
+            tau = stored(term, u)
             assert tau is not None and alpha_eq(tau, report.tau), \
-                (name, instance, n, label, pretty(u))
+                (pretty(term), instance, n, label, pretty(u))
 
 
 @hyp.settings(max_examples=100, deadline=None)
-@hyp.given(st.sampled_from(OPERATORS), st.integers(0, 4), st.randoms(use_true_random=False))
+@hyp.given(st.sampled_from(OPERATORS + SHAPED), st.integers(0, 4),
+           st.randoms(use_true_random=False))
 @hyp.example(("T3", "S2"), 4, random.Random(0))  # T3 stores with S2 only
 def test_upper_success_stores_every_sampled_delayed_numeral(operator, n, r):
     """An upper run's Success at level n, with the successor S, says that
@@ -53,9 +63,11 @@ def test_upper_success_stores_every_sampled_delayed_numeral(operator, n, r):
     holds only the paper's abstract, which does not state that definition."""
     name, instance = operator
     env = prelude(instance)
-    report = run_check(env[name], Family.UPPER, n, env[instance])
+    term = operator_term(name, env, r)
+    report = run_check(term, Family.UPPER, n, env[instance])
     if report.verdict != Verdict.SUCCESS:
         return
     t = delayed_numeral(n, env[instance], r)
-    tau = stored(env[name], t)
-    assert tau is not None and alpha_eq(tau, report.tau), (name, instance, n, pretty(t))
+    tau = stored(term, t)
+    assert tau is not None and alpha_eq(tau, report.tau), \
+        (pretty(term), instance, n, pretty(t))

@@ -29,6 +29,8 @@ PARTIAL = "x[1; (\\y. y) p, (\\w. w) q] ((\\z. z) r) ((\\v. v) s)"
 DEFS = str(GOLDEN / "ops.defs")
 # a definition file whose last definition lacks its ';'
 BAD_DEFS = str(GOLDEN / "bad.defs")
+# T1 with a redex around each of its arguments, which a run contracts on the way
+VARIANT = "\\n. n ((\\g. g) G) ((\\k. k) d0)"
 
 CASES = {
     "parse": ["parse", "T1"],
@@ -132,6 +134,11 @@ CASES = {
                                       "--trace"],
     "check_storage_zero_step_json_trace": ["check-storage", "\\n f. n f f", "--n-max", "1",
                                            "--json", "--trace"],
+    # a metamorphic variant of T1, whose head normal forms come after extra
+    # contractions
+    "check_storage_variant": ["check-storage", VARIANT, "--n-max", "3"],
+    "check_storage_variant_json_trace": ["check-storage", VARIANT, "--n-max", "3", "--json",
+                                         "--trace"],
     # parse errors: exit 3 and a message with line and column on stderr
     "parse_unclosed": ["parse", "(p"],
     "parse_lambda_argument": ["parse", "f \\x. x"],
@@ -163,6 +170,11 @@ def test_golden_output(name, exit_codes):
 def test_every_golden_file_has_a_case(exit_codes):
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES) == set(exit_codes)
     assert {p.stem for p in GOLDEN.glob("*.err")} <= set(CASES)
+
+
+def test_variant_prints_what_t1_prints():
+    # the redexes cost beta-steps, which the text output does not show
+    assert run_case(CASES["check_storage_variant"]) == run_case(CASES["check_storage"])
 
 
 def regenerate() -> None:

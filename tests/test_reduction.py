@@ -30,7 +30,6 @@ from storlab.reduction import (
     Verdict,
     beta_equiv,
     check_successor,
-    decompose_hnf,
     head_reduce,
     is_numeral,
     normalize,
@@ -105,35 +104,17 @@ def test_head_reduce_fuel_exhaustion_on_omega():
 def test_head_reduce_storage_run_shape():
     env = prelude()
     term, steps = head_reduce(app(env["T1"], mk_church(2), Var("f")))
-    hnf = decompose_hnf(term)
-    assert hnf.prefix == () or list(hnf.prefix) == []
-    assert hnf.head == Var("f")
-    assert len(hnf.args) == 1
-    assert beta_equiv(hnf.args[0], mk_church(2)) is True
+    assert not isinstance(term, Lam)
+    head, args = spine(term)
+    assert head == Var("f")
+    assert len(args) == 1
+    assert beta_equiv(args[0], mk_church(2)) is True
     assert steps > 0
 
 
-def test_decompose_hnf_examples():
-    d = decompose_hnf(Lam("x", app(Var("x"), Var("y"), Var("z"))))
-    assert list(d.prefix) == ["x"]
-    assert d.head == Var("x")
-    assert list(d.args) == [Var("y"), Var("z")]
-
-    d = decompose_hnf(app(Const(Family.LOWER, 2), Var("a"), Var("b")))
-    assert list(d.prefix) == []
-    assert d.head == Const(Family.LOWER, 2)
-    assert list(d.args) == [Var("a"), Var("b")]
-
-    d = decompose_hnf(Var("f"))
-    assert d.head == Var("f") and list(d.args) == []
-
-
-def test_decompose_hnf_rejects_head_redex():
-    with pytest.raises(ValueError):
-        decompose_hnf(App(IDENTITY, Var("p")))
-
-
 def test_decompose_reassemble_identity():
+    # a head normal form is a prefix of binders over a variable applied to
+    # arguments, and its prefix, head and spine put back together give it again
     r = rng(41)
     checked = 0
     for _ in range(200):
@@ -142,9 +123,14 @@ def test_decompose_reassemble_identity():
             hnf, _ = head_reduce(t, Limits(head_fuel=500))
         except FuelExhausted:
             continue
-        v = decompose_hnf(hnf)
-        rebuilt = app(v.head, *v.args)
-        for binder in reversed(v.prefix):
+        prefix, body = [], hnf
+        while isinstance(body, Lam):
+            prefix.append(body.binder)
+            body = body.body
+        head, args = spine(body)
+        assert isinstance(head, Var)
+        rebuilt = app(head, *args)
+        for binder in reversed(prefix):
             rebuilt = Lam(binder, rebuilt)
         assert rebuilt == hnf
         checked += 1

@@ -188,6 +188,19 @@ def test_is_closed_pure_visits_shared_nodes_once():
     assert not is_closed_pure(App(closed, Const(Family.UPPER, 1)))
 
 
+def test_iter_consts_walks_a_shared_application_once():
+    # 2**20 constant occurrences as a tree, 20 applications as a DAG
+    seed = Const(Family.LOWER, 0)
+    dag = App(Var("g"), seed)
+    for _ in range(20):
+        dag = App(dag, dag)
+    assert list(iter_consts(dag)) == [seed]
+    closed = Lam("x", Var("x"))
+    for _ in range(64):
+        closed = App(closed, closed)
+    assert list(iter_consts(closed)) == []
+
+
 def test_const_validation():
     with pytest.raises(ValueError):
         Const(Family.LOWER, -1)
@@ -449,20 +462,25 @@ def test_substitute_returns_untouched_subterms_themselves():
 # -- constants by an explicit stack, checked against the recursive original --
 
 
-def oracle_iter_consts(term):
-    """iter_consts as it was before: nested generators, one per level."""
+def oracle_iter_consts(term, seen=None):
+    """iter_consts by nested generators, one per level, that skip an
+    application already walked, keyed by id."""
+    seen = set() if seen is None else seen
     match term:
         case Var(_):
             return
         case Lam(_, body):
-            yield from oracle_iter_consts(body)
+            yield from oracle_iter_consts(body, seen)
         case App(fn, arg):
-            yield from oracle_iter_consts(fn)
-            yield from oracle_iter_consts(arg)
+            if id(term) in seen:
+                return
+            seen.add(id(term))
+            yield from oracle_iter_consts(fn, seen)
+            yield from oracle_iter_consts(arg, seen)
         case Const(_, _, payload) as c:
             yield c
             for p in payload:
-                yield from oracle_iter_consts(p)
+                yield from oracle_iter_consts(p, seen)
 
 
 @hyp.given(st.integers(0, 2**32 - 1))
