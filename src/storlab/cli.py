@@ -358,9 +358,12 @@ def _limits(args: argparse.Namespace) -> Limits:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _emit(globals()[args.func](args, _limits(args)), args)
-    except FuelExhausted as exc:  # from any command: undecided, never a crash
-        return _emit(exc, args)
+        try:
+            code = _emit(globals()[args.func](args, _limits(args)), args)
+        except FuelExhausted as exc:  # from any command: undecided, never a crash
+            code = _emit(exc, args)
+        sys.stdout.flush()  # a reader gone away shows here, not at interpreter exit
+        return code
     except ParseError as exc:
         print(f"storlab: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -368,6 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"storlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:  # the reader went away: no report was delivered
+        sys.stdout = None  # its unwritten buffer would fail again at exit, as code 120
         print("storlab: output closed before the report was written", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # RecursionError included: a crash is no verdict

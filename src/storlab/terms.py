@@ -367,10 +367,9 @@ def substitute_many(term: Term, mapping: dict[str, Term]) -> Term | None:
 
 def iter_consts(term: Term) -> Iterator[Const]:
     """Every constant occurrence, payloads included, left to right, except
-    below an application already walked: the ids of the applications walked
-    are kept, so a shared subterm is walked once and a term costs its DAG,
-    not its tree.  Recording only applications keeps the set about half the
-    size of the DAG; a shared abstraction or constant is passed again."""
+    below an application already walked: a shared subterm is walked once,
+    and a term costs its DAG, not its tree.  Only applications' ids are kept,
+    about half the DAG; a shared abstraction or constant is passed again."""
     seen: set[int] = set()
     stack = [term]
     while stack:

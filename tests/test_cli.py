@@ -492,15 +492,22 @@ def test_closed_output_is_no_report_and_no_crash(argv):
     assert err.getvalue() == "storlab: output closed before the report was written\n"
 
 
-def test_closed_pipe_exits_4_with_one_line():
-    # the reader of a real pipe stops after one line of more than 64 KB of output
+@pytest.mark.parametrize("argv, lines_read", [
+    # long trace lines, and short text lines, each more than a pipe holds
+    (["check-storage", "T1", "--n-max", "60", "--trace"], 1),
+    (["check-storage", "T1", "--n-max", "200"], 1),
+    # a report small enough to sit in stdout's buffer until the end
+    (["corpus", "--n-max", "2", "--json"], 0),
+])
+def test_closed_pipe_exits_4_with_one_line(argv, lines_read):
+    # the reader of a real pipe stops after lines_read lines
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "storlab.cli", "check-storage", "T1", "--n-max", "60", "--trace"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "storlab.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert proc.stdout.readline() == b"n=0: Success  tau = #0\n"
+        for _ in range(lines_read):
+            assert proc.stdout.readline().endswith(b"\n")
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     finally:

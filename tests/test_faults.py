@@ -60,7 +60,8 @@ def exit_code(argv):
         return main(list(argv))
 
 
-def reached_by_command():
+@pytest.fixture(scope="module")
+def reached():
     """For each command, the functions its run calls: the runs are
     deterministic, so a run that calls no function of these does not reach
     a fault injected into it."""
@@ -93,8 +94,7 @@ def raising(error, hit):
 
 
 @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
-def test_an_injected_fault_is_never_a_verdict(error):
-    reached = reached_by_command()
+def test_an_injected_fault_is_never_a_verdict(error, reached):
     faulted_layers, verdicts = set(), []
     for module, fn in layer_functions():
         hit = []
