@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator
 
 from .builtins import _CORE, prelude
 from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _run, check_operator
-from .reduction import DEFAULT_LIMITS, FuelExhausted, Limits, Verdict, head_reduce
+from .reduction import DEFAULT_LIMITS, Limits, Verdict
 from .terms import (
     App,
     Const,
@@ -148,8 +148,7 @@ class LevelReport:
             if check.sigma_hat is not None:
                 detail += f" sigma-hat={check.sigma_hat}"
             if check.tau_match is not None:
-                detail += (f" tau-match={check.tau_match}"
-                           f" delta-match={_answer(check.delta_match)}")
+                detail += f" tau-match={check.tau_match} delta-match={check.delta_match}"
             yield (f"n={check.n}: lower={check.lower}"
                    f" {upper}={check.upper}{detail}  -> {check.status}")
         yield f"verdict: {self.verdict}"
@@ -205,10 +204,10 @@ def verify_theorem2_instance(operator: Term, n_max: int,
     """Check per level that the lower run and the upper run with S1 agree.
 
     On agreement in Success the two witnesses must be alpha-equivalent and
-    each lower state must project into the upper trace: head-reducing
-    delta_forward of the i-th lower start term must reach the i-th upper
-    head normal form.  The projection absorbs the one extra (S1) contraction
-    the upper machine performs per constant step.
+    each lower head normal form must project into the upper trace:
+    delta_forward of the i-th lower head normal form must be the i-th upper
+    one, up to alpha.  The upper machine's head reduction absorbs the one
+    extra (S1) contraction it performs per constant step.
     """
     def judge(lower: RunReport, upper: RunReport) -> LevelCheck:
         if Verdict.FUEL in (lower.verdict, upper.verdict):
@@ -219,32 +218,24 @@ def verify_theorem2_instance(operator: Term, n_max: int,
             return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.PASS)
         assert lower.tau is not None and upper.tau is not None
         tau_match = alpha_eq(lower.tau, upper.tau)
-        delta_match = _delta_correspondence(lower, upper, limits)
-        if delta_match is None:
-            status = Verdict.UNKNOWN
-        else:
-            status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
+        delta_match = _delta_correspondence(lower, upper)
+        status = Verdict.PASS if tau_match and delta_match else Verdict.FAIL
         return LevelCheck(lower.n, lower.verdict, upper.verdict, status,
                           tau_match=tau_match, delta_match=delta_match)
 
     return _levels("theorem2", operator, _CORE["S1"], n_max, limits, judge)
 
 
-def _delta_correspondence(lower: RunReport, upper: RunReport,
-                          limits: Limits) -> bool | None:
+def _delta_correspondence(lower: RunReport, upper: RunReport) -> bool:
     if len(lower.trace) != len(upper.trace):
         return False
     # one memo for the whole trace, which keeps every node it maps alive:
     # the states share most of their subterms, so each is mapped once
     memo: dict[int, Term] = {}
-    for mine, theirs in zip(lower.trace, upper.trace):
-        try:
-            hnf, _ = head_reduce(delta_forward(mine.u, memo), limits)
-        except FuelExhausted:
-            return None
-        if not alpha_eq(hnf, theirs.v):
-            return False
-    return True
+    # delta commutes with head reduction, so delta of a lower head normal
+    # form is what head-reducing delta of its start state gives
+    return all(alpha_eq(delta_forward(mine.v, memo), theirs.v)
+               for mine, theirs in zip(lower.trace, upper.trace))
 
 
 @dataclass(frozen=True)
