@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator
 
 from .builtins import _CORE, prelude
 from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _run, check_operator
-from .reduction import DEFAULT_LIMITS, Limits, Verdict
+from .reduction import DEFAULT_LIMITS, Limits, Verdict, is_numeral
 from .terms import (
     App,
     Const,
@@ -169,19 +169,38 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     on the upper run's machine, to (f)t with t closed and beta-equal to #n.
 
     Levels where the lower run fails are vacuous.  Fuel exhaustion on either
-    side leaves the level undecided rather than refuted.
+    side leaves the level undecided rather than refuted.  A level that would
+    fail refutes the claim only if (S)#k is #k+1 for every k < n
+    (_failed_level).
     """
     def judge(lower: RunReport, upper: RunReport) -> LevelCheck:
         if lower.verdict == Verdict.FAIL:
             return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.VACUOUS)
         if Verdict.FUEL in (lower.verdict, upper.verdict):
             return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.UNKNOWN)
+        sigma_hat = matches = None
         if upper.verdict == Verdict.FAIL:
-            return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.FAIL)
-        sigma_hat, matches = _hat_check(operator, successor, upper, limits)
-        return LevelCheck(lower.n, lower.verdict, upper.verdict, sigma_hat, sigma_hat, matches)
+            status = Verdict.FAIL
+        else:
+            sigma_hat, matches = _hat_check(operator, successor, upper, limits)
+            status = sigma_hat
+        if status == Verdict.FAIL:
+            status = _failed_level(successor, lower.n, limits)
+        return LevelCheck(lower.n, lower.verdict, upper.verdict, status, sigma_hat, matches)
 
     return _levels("theorem1", operator, successor, n_max, limits, judge)
+
+
+def _failed_level(successor: Term, n: int, limits: Limits) -> Verdict:
+    """The status of a level n whose upper run or sigma-hat failed.  The
+    level relies on (S)#k being beta-equal to #k+1 for every k < n, so it
+    refutes the claim only then: it is Vacuous at the first k where it is
+    not, and Unknown where norm fuel ran out first."""
+    for k in range(n):
+        equal = is_numeral(App(successor, mk_church(k)), k + 1, limits)
+        if not equal:
+            return Verdict.VACUOUS if equal is False else Verdict.UNKNOWN
+    return Verdict.FAIL
 
 
 def _hat_check(operator: Term, successor: Term, upper: RunReport,

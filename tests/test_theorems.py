@@ -4,6 +4,8 @@ instance verifiers built on them."""
 import dataclasses
 import functools
 import itertools
+import json
+import sys
 
 import hypothesis as hyp
 import pytest
@@ -39,7 +41,7 @@ from storlab.checker import (
     check_operator,
     run_check,
 )
-from storlab.cli import EXIT_FUEL, EXIT_REFUTED, main
+from storlab.cli import EXIT_FUEL, EXIT_PASS, EXIT_REFUTED, main
 from storlab.reduction import (
     DEFAULT_LIMITS,
     STAGE_HEAD,
@@ -377,6 +379,48 @@ def test_theorem2_instances():
         assert all(c.delta_match for c in report.checks)
 
 
+@pytest.mark.parametrize("variant, verdict", [
+    (r"\n f x. f (n ((\v w. v) f (\q. q)) x)", Verdict.REFUTED),
+    (r"\n f x. f (n f ((\y. y) x))", Verdict.REFUTED),
+    (r"\n f x. f ((\m. m) n f x)", Verdict.PASS),
+    (r"\n f x. (\g. g) f (n f x)", Verdict.PASS),
+])
+@pytest.mark.parametrize("name", ["T1", "T2"])
+def test_theorem2_delta_check_is_about_s1_itself(monkeypatch, name, variant, verdict):
+    # theorem 2 with a successor beta-equal to S1 in S1's place: the first two
+    # leave a redex below the head of each upper head normal form from level 1
+    # on, where delta of the lower one has none, so the delta check fails
+    # there; the last two have only head redexes, which reduce away
+    operator = prelude()[name]
+    monkeypatch.setitem(theorems._CORE, "S1", parse(variant))
+    report = verify_theorem2_instance(operator, 3)
+    assert report.verdict == verdict
+    delta = [True] * 4 if verdict == Verdict.PASS else [True, False, False, False]
+    assert [(c.tau_match, c.delta_match) for c in report.checks] == \
+        [(True, match) for match in delta]
+
+
+def test_theorem2_does_no_head_reduction_of_its_own(monkeypatch):
+    # head_reduce is called once per macro step of the two sweeps, nowhere else
+    env = prelude()
+    sweeps = (check_operator(env["T1"], Family.LOWER, 6),
+              check_operator(env["T1"], Family.UPPER, 6, env["S1"]))
+    steps = sum(len(run.trace) for sweep in sweeps for run in sweep.reports)
+    calls = []
+
+    def counting(term, limits=DEFAULT_LIMITS, args=()):
+        calls.append(term)
+        return head_reduce(term, limits, args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "storlab" or name.startswith("storlab."):
+            for attr, value in list(vars(module).items()):
+                if value is head_reduce:
+                    monkeypatch.setattr(module, attr, counting)
+    assert verify_theorem2_instance(env["T1"], 6).verdict == Verdict.PASS
+    assert len(calls) == steps
+
+
 def test_delta_correspondence_maps_each_trace_node_once(monkeypatch):
     # one memo per level: the nodes mapped grow with the trace's DAG, about
     # linearly in n, not with the summed sizes of its states (3.6x per doubling)
@@ -545,6 +589,58 @@ def test_theorem1_refutes_a_level_whose_upper_run_fails(capsys, monkeypatch):
         "n=0: lower=Success upper=Success sigma-hat=Pass  -> Pass\n"
         "n=1: lower=Success upper=Fail  -> Fail\n"
         "verdict: Refuted\n"))
+
+
+@pytest.mark.parametrize("upper, sigma_hat", [(Verdict.FAIL, None),
+                                              (Verdict.SUCCESS, Verdict.FAIL)],
+                         ids=["upper run", "sigma-hat"])
+def test_theorem1_fails_a_level_only_where_s_is_a_successor_below_it(monkeypatch, upper,
+                                                                     sigma_hat):
+    # (S)#0 is #1 but (S)#1 is not #2: levels 0 and 1 rely on no k and on k = 0
+    # only, so they fail; level 2 relies on k = 1 too, so it is vacuous
+    fake_sweeps(monkeypatch, [Verdict.SUCCESS] * 3, [upper] * 3)
+    monkeypatch.setattr(theorems, "_hat_check", lambda *args: (Verdict.FAIL, None))
+    report = verify_theorem1_instance(prelude()["T1"], parse(r"\n f x. f x"), 2)
+    assert [(c.status, c.sigma_hat) for c in report.checks] == \
+        [(Verdict.FAIL, sigma_hat)] * 2 + [(Verdict.VACUOUS, sigma_hat)]
+    assert report.verdict == Verdict.REFUTED
+
+
+# T1 with S1 in place of S, so the successor reaches only its upper runs
+T1_OVER_S1 = r"\n. n (\x y. x (\z. y (S1 z))) (\f. f #0)"
+
+
+@pytest.mark.parametrize("successor, statuses", [
+    (r"\n. n", ["Pass", "Vacuous", "Vacuous"]),  # (S)#0 is #0
+    (r"\n f x. f x", ["Pass", "Pass", "Vacuous", "Vacuous"]),  # (S)#k is #1
+], ids=["identity", "constant-one"])
+def test_theorem1_is_vacuous_where_s_is_no_successor(capsys, successor, statuses):
+    argv = ("theorem1", T1_OVER_S1, "--succ", successor, "--n-max", str(len(statuses) - 1))
+    lines = [f"n={n}: lower=Success upper=Success sigma-hat=Pass  -> Pass"
+             if status == "Pass" else f"n={n}: lower=Success upper=Fail  -> Vacuous"
+             for n, status in enumerate(statuses)]
+    assert run_cli(capsys, *argv) == (EXIT_PASS, "\n".join(lines + ["verdict: Pass\n"]))
+    code, out = run_cli(capsys, *argv, "--json")
+    levels = json.loads(out)["checks"]
+    assert (code, json.loads(out)["verdict"]) == (EXIT_PASS, "Pass")
+    assert [level["status"] for level in levels] == statuses
+    assert [set(level) for level in levels if level["status"] == "Vacuous"] == \
+        [{"n", "lower", "upper", "status"}] * statuses.count("Vacuous")
+
+
+def test_theorem1_premise_is_unknown_when_norm_fuel_runs_out(capsys):
+    # (S)#0 takes more than 6 normalization steps, the runs' taus fewer
+    argv = ("theorem1", T1_OVER_S1, "--succ", r"\n. (\a. a a a a a a a a) (\b. b) n",
+            "--n-max", "2", "--norm-fuel", "6")
+    assert run_cli(capsys, *argv) == (EXIT_FUEL, (
+        "n=0: lower=Success upper=Success sigma-hat=Pass  -> Pass\n"
+        "n=1: lower=Success upper=Fail  -> Unknown\n"
+        "n=2: lower=Success upper=Fail  -> Unknown\n"
+        "verdict: FuelExhausted\n"))
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_FUEL
+    assert [level["status"] for level in json.loads(out)["checks"]] == \
+        ["Pass", "Unknown", "Unknown"]
 
 
 @pytest.mark.parametrize("lower, upper", [(Verdict.SUCCESS, Verdict.FAIL),
