@@ -202,7 +202,8 @@ def _check_operands(term: Term, family: Family, successor: Term | None) -> None:
 
 def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
               limits: Limits = DEFAULT_LIMITS, *, checked: bool = False) -> RunReport:
-    """Run the family's characterization machine on one level n.
+    """Run the family's characterization machine on one level n: macro steps
+    from (term) X[n] f, or x[n], until one ends the run or macro fuel runs out.
 
     checked says that the operator and the successor were already found
     closed and constant-free, as check_operator() does once for all its levels.
@@ -211,67 +212,64 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
         raise ValueError("n must be non-negative")
     if not checked:
         _check_operands(term, family, successor)
-    return _run([term, Const(family, n), Var(PROBE)], family, n, successor, limits)
+    trace: list[MacroStep] = []
+    u = [term, Const(family, n), Var(PROBE)]
+    for _ in range(limits.macro_fuel):
+        step, nxt = _macro_step(u, family, n, successor, limits)
+        trace.append(step)
+        if type(nxt) is tuple:
+            verdict, reason, tau = nxt
+            return RunReport(family, n, verdict, successor, reason, tau, trace)
+        u = nxt
+    return RunReport(family, n, Verdict.FUEL, successor, STAGE_MACRO, trace=trace)
 
 
-def _run(u: list[Term], family: Family, n: int, successor: Term | None,
-         limits: Limits) -> RunReport:
-    """The macro loop from the state u, given as a list, its head first.
+def _macro_step(u: list[Term], family: Family, n: int, successor: Term | None,
+                limits: Limits
+                ) -> tuple[MacroStep, list[Term] | tuple[Verdict, str | None, Term | None]]:
+    """One macro step from the state u, given as a list, its head first: the
+    recorded step, and either the next state as such a list or the run's end
+    as (verdict, reason, tau).
 
-    Each head normal form either ends the run, at the probe applied to a
+    The head normal form either ends the run, at the probe applied to a
     closed tau beta-equal to #n, or goes to the family's transform, which
     fails any head that is not one of its constants.  So a state that holds
     no constant ends the run at its first head normal form.
     """
-    def report(verdict: Verdict, reason: str | None = None,
-               tau: Term | None = None) -> RunReport:
-        return RunReport(family, n, verdict, successor, reason, tau, trace)
-
-    def stop(verdict: Verdict, reason: str) -> RunReport:
-        # the last step, reduced from u to v, ends the run with no transform
-        trace.append(MacroStep(u, v, beta_steps, None))
-        return report(verdict, reason)
-
-    trace: list[MacroStep] = []
-    for _ in range(limits.macro_fuel):
-        try:
-            v, beta_steps = head_reduce(u[0], limits, u[1:])
-        except FuelExhausted as exc:
-            v, beta_steps = exc.partial, exc.steps
-            return stop(Verdict.FUEL, STAGE_HEAD)
-        if beta_steps == 0:
-            u = v  # the state is already in head normal form: keep one copy
-        if type(v) is Lam:
-            return stop(Verdict.FAIL, PREFIX_NOT_EMPTY)
-        head, args = v, []  # v's spine: its head, and its arguments first to last
-        while type(head) is App:
-            args.append(head.arg)
-            head = head.fn
-        args.reverse()
-        if type(head) is Var and head.name == PROBE:
-            if len(args) != 1:
-                return stop(Verdict.FAIL, F_WRONG_ARITY)
-            trace.append(MacroStep(u, v, beta_steps, FINAL))
-            tau = args[0]
-            if not is_closed_pure(tau):
-                return report(Verdict.FAIL, TAU_NOT_CLOSED, tau)
-            equal = is_numeral(tau, n, limits)
-            if equal is None:
-                return report(Verdict.FUEL, STAGE_NORM, tau)
-            if not equal:
-                return report(Verdict.FAIL, TAU_NOT_N, tau)
-            return report(Verdict.SUCCESS, None, tau)
-        try:
-            if family is Family.LOWER:
-                nxt = x_transform(head, args, n)
-            else:
-                assert successor is not None
-                nxt = X_transform(head, args, successor, n)
-        except TransformError as exc:
-            return stop(Verdict.FAIL, exc.reason)
-        trace.append(MacroStep(u, v, beta_steps, _step_kind(head)))
-        u = nxt
-    return report(Verdict.FUEL, STAGE_MACRO)
+    try:
+        v, beta_steps = head_reduce(u[0], limits, u[1:])
+    except FuelExhausted as exc:
+        return MacroStep(u, exc.partial, exc.steps, None), (Verdict.FUEL, STAGE_HEAD, None)
+    if beta_steps == 0:
+        u = v  # the state is already in head normal form: keep one copy
+    if type(v) is Lam:
+        return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, PREFIX_NOT_EMPTY, None)
+    head, args = v, []  # v's spine: its head, and its arguments first to last
+    while type(head) is App:
+        args.append(head.arg)
+        head = head.fn
+    args.reverse()
+    if type(head) is Var and head.name == PROBE:
+        if len(args) != 1:
+            return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, F_WRONG_ARITY, None)
+        step, tau = MacroStep(u, v, beta_steps, FINAL), args[0]
+        if not is_closed_pure(tau):
+            return step, (Verdict.FAIL, TAU_NOT_CLOSED, tau)
+        equal = is_numeral(tau, n, limits)
+        if equal is None:
+            return step, (Verdict.FUEL, STAGE_NORM, tau)
+        if not equal:
+            return step, (Verdict.FAIL, TAU_NOT_N, tau)
+        return step, (Verdict.SUCCESS, None, tau)
+    try:
+        if family is Family.LOWER:
+            nxt = x_transform(head, args, n)
+        else:
+            assert successor is not None
+            nxt = X_transform(head, args, successor, n)
+    except TransformError as exc:
+        return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, exc.reason, None)
+    return MacroStep(u, v, beta_steps, _step_kind(head)), nxt
 
 
 class OperatorSummary:

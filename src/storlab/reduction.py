@@ -374,6 +374,11 @@ class SuccessorReport:
         yield f"verdict: {self.verdict}"
 
 
+def _successor_answer(successor: Term, k: int, limits: Limits) -> bool | None:
+    """Is (successor) #k beta-equal to #k+1?  None: norm fuel ran out."""
+    return is_numeral(App(successor, mk_church(k)), k + 1, limits)
+
+
 def check_successor(successor: Term, k_max: int,
                     limits: Limits = DEFAULT_LIMITS) -> SuccessorReport:
     """Does (S) k-numeral equal the k+1 numeral for every k up to k_max?"""
@@ -381,6 +386,5 @@ def check_successor(successor: Term, k_max: int,
         raise ValueError("k_max must be non-negative")
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
-    results = tuple(is_numeral(App(successor, mk_church(k)), k + 1, limits)
-                    for k in range(k_max + 1))
+    results = tuple(_successor_answer(successor, k, limits) for k in range(k_max + 1))
     return SuccessorReport(successor, k_max, results)

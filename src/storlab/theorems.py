@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from .builtins import _CORE, prelude
-from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _run, check_operator
-from .reduction import DEFAULT_LIMITS, Limits, Verdict, is_numeral
+from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _macro_step, check_operator
+from .reduction import DEFAULT_LIMITS, Limits, Verdict, _successor_answer
 from .terms import (
     App,
     Const,
@@ -169,10 +169,14 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
     on the upper run's machine, to (f)t with t closed and beta-equal to #n.
 
     Levels where the lower run fails are vacuous.  Fuel exhaustion on either
-    side leaves the level undecided rather than refuted.  A level that would
-    fail refutes the claim only if (S)#k is #k+1 for every k < n
-    (_failed_level).
+    side leaves the level undecided rather than refuted.  A level n that
+    would fail relies on (S)#k being #k+1 for every k < n: it is Vacuous if
+    that is false for some k < n, else Unknown if norm fuel left some k
+    undecided, and only else Fail.  Each k is checked once per call, in
+    order, as far as a failing level needs and never past the first false.
     """
+    answers: list[bool | None] = []  # (S)#k against #k+1, for k = 0, 1, ...
+
     def judge(lower: RunReport, upper: RunReport) -> LevelCheck:
         if lower.verdict == Verdict.FAIL:
             return LevelCheck(lower.n, lower.verdict, upper.verdict, Verdict.VACUOUS)
@@ -185,37 +189,30 @@ def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,
             sigma_hat, matches = _hat_check(operator, successor, upper, limits)
             status = sigma_hat
         if status == Verdict.FAIL:
-            status = _failed_level(successor, lower.n, limits)
+            while len(answers) < lower.n and False not in answers:
+                answers.append(_successor_answer(successor, len(answers), limits))
+            below = answers[:lower.n]
+            status = (Verdict.VACUOUS if False in below
+                      else Verdict.UNKNOWN if None in below else Verdict.FAIL)
         return LevelCheck(lower.n, lower.verdict, upper.verdict, status, sigma_hat, matches)
 
     return _levels("theorem1", operator, successor, n_max, limits, judge)
-
-
-def _failed_level(successor: Term, n: int, limits: Limits) -> Verdict:
-    """The status of a level n whose upper run or sigma-hat failed.  The
-    level relies on (S)#k being beta-equal to #k+1 for every k < n, so it
-    refutes the claim only then: it is Vacuous at the first k where it is
-    not, and Unknown where norm fuel ran out first."""
-    for k in range(n):
-        equal = is_numeral(App(successor, mk_church(k)), k + 1, limits)
-        if not equal:
-            return Verdict.VACUOUS if equal is False else Verdict.UNKNOWN
-    return Verdict.FAIL
 
 
 def _hat_check(operator: Term, successor: Term, upper: RunReport,
                limits: Limits) -> tuple[Verdict, bool | None]:
     # the delayed numeral (S^)^n 0^, with S^ = (\x. S) y and 0^ = (\x. #0) y,
     # is not normal: each unfolds by one head step, (S^)t > (S)t and 0^ > #0.
-    # It holds no constant, so the run ends at its first head normal form
+    # It holds no constant, so its first macro step ends the run
     numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
                         App(Lam("x", mk_church(0)), Var("y")))
-    run = _run([operator, numeral, Var(PROBE)], Family.UPPER, upper.n, successor, limits)
-    if run.verdict == Verdict.FUEL:
+    _, (verdict, _, tau) = _macro_step([operator, numeral, Var(PROBE)], Family.UPPER,
+                                       upper.n, successor, limits)
+    if verdict == Verdict.FUEL:
         return Verdict.UNKNOWN, None
     # the upper run succeeded, so it carries its tau
-    matches = None if run.tau is None else alpha_eq(run.tau, upper.tau)
-    return (Verdict.PASS if run.verdict == Verdict.SUCCESS else Verdict.FAIL), matches
+    matches = None if tau is None else alpha_eq(tau, upper.tau)
+    return (Verdict.PASS if verdict == Verdict.SUCCESS else Verdict.FAIL), matches
 
 
 def verify_theorem2_instance(operator: Term, n_max: int,

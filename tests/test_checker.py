@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import storlab
+from genterms import builtin_shaped, rng
 from oracles import spine
 from storlab import prelude
 from storlab.checker import (
@@ -17,12 +18,13 @@ from storlab.checker import (
     TransformError,
     Verdict,
     X_transform,
+    _macro_step,
     check_operator,
     run_check,
     to_json,
     x_transform,
 )
-from storlab.reduction import Limits, beta_equiv, head_reduce
+from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
 from storlab.syntax import parse, pretty
 from storlab.terms import (
     App,
@@ -240,15 +242,25 @@ def test_macro_step_takes_a_spine_and_builds_it_once():
         f"MacroStep(u={app(A, B, C)!r}, v={v!r}, beta_steps=1, transform='Final')")
 
 
-@hyp.given(st.sampled_from(("T1", "T2", "T3")), st.sampled_from(tuple(Family)),
-           st.sampled_from(("S1", "S2")), st.integers(0, 6))
+@hyp.given(st.one_of(st.sampled_from(("T1", "T2", "T3")), st.integers(0, 2**32 - 1)),
+           st.sampled_from(tuple(Family)), st.sampled_from(("S1", "S2")), st.integers(0, 6))
 def test_trace_replays(operator, family, successor, n):
+    # each recorded step replays, by head reduction and the transform, and by one
+    # macro step from its u, which gives the next step's u or, last, the run's end
     env = prelude(successor)
     succ = env[successor] if family is Family.UPPER else None
-    report = run_check(env[operator], family, n, succ)
+    operator = env[operator] if isinstance(operator, str) else builtin_shaped(rng(operator))[0]
+    report = run_check(operator, family, n, succ)
     for i, step in enumerate(report.trace):
         assert step.u is step.u  # built once, when first read
         assert head_reduce(step.u) == (step.v, step.beta_steps)
+        replayed, nxt = _macro_step([step.u], family, n, succ, DEFAULT_LIMITS)
+        assert (replayed.v, replayed.beta_steps, replayed.transform) == \
+            (step.v, step.beta_steps, step.transform)
+        if i + 1 < len(report.trace):
+            assert app(*nxt) == report.trace[i + 1].u
+        else:
+            assert nxt == (report.verdict, report.reason, report.tau)
         if step.transform in (None, FINAL):
             continue
         assert not isinstance(step.v, Lam)

@@ -643,6 +643,44 @@ def test_theorem1_premise_is_unknown_when_norm_fuel_runs_out(capsys):
         ["Pass", "Unknown", "Unknown"]
 
 
+def test_theorem1_premise_is_vacuous_at_a_decided_failure_past_an_undecided_k(capsys):
+    # (S)#0 is #300 applied to I and #0: 200 steps do not normalize it; (S)#k is #5
+    # for every k >= 1, so k = 1 is decided false however k = 0 turns out
+    argv = ("theorem1", T1_OVER_S1, "--succ", r"\n. n (\z. #5) (#300 (\w. w) #0)",
+            "--n-max", "3", "--norm-fuel", "200")
+    assert run_cli(capsys, *argv) == (EXIT_FUEL, (
+        "n=0: lower=Success upper=Success sigma-hat=Pass  -> Pass\n"
+        "n=1: lower=Success upper=Fail  -> Unknown\n"
+        "n=2: lower=Success upper=Fail  -> Vacuous\n"
+        "n=3: lower=Success upper=Fail  -> Vacuous\n"
+        "verdict: FuelExhausted\n"))
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_FUEL
+    assert [level["status"] for level in json.loads(out)["checks"]] == \
+        ["Pass", "Unknown", "Vacuous", "Vacuous"]
+
+
+@pytest.mark.parametrize("successor, n_max, asked", [
+    ("S1", 8, list(range(8))),
+    ("S1", 32, list(range(32))),
+    (r"\n f x. f x", 4, [0, 1]),  # (S)#1 is not #2, so k = 2 and 3 are never asked
+])
+def test_theorem1_checks_each_k_of_the_premise_once(monkeypatch, successor, n_max, asked):
+    # every level fails, so each needs every k below it: a sweep asks each k once,
+    # in order, and none past the first k decided false
+    ks = []
+
+    def answer(successor, k, limits, original=theorems._successor_answer):
+        ks.append(k)
+        return original(successor, k, limits)
+
+    monkeypatch.setattr(theorems, "_hat_check", lambda *args: (Verdict.FAIL, None))
+    monkeypatch.setattr(theorems, "_successor_answer", answer)
+    report = verify_theorem1_instance(prelude()["T1"], parse(successor, prelude()), n_max)
+    assert report.verdict == Verdict.REFUTED
+    assert ks == asked
+
+
 @pytest.mark.parametrize("lower, upper", [(Verdict.SUCCESS, Verdict.FAIL),
                                           (Verdict.FAIL, Verdict.SUCCESS)])
 def test_theorem2_refutes_a_level_whose_verdicts_differ(capsys, monkeypatch, lower, upper):
