@@ -11,7 +11,6 @@ runs, parameterized by a successor, characterize S-storage operators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Iterable, Iterator
 
@@ -141,15 +140,27 @@ class MacroStep:
                 f"transform={self.transform!r})")
 
 
-@dataclass(slots=True, eq=False)
 class RunReport:
-    family: Family
-    n: int
-    verdict: Verdict
-    successor: Term | None = None
-    reason: str | None = None
-    tau: Term | None = None
-    trace: list[MacroStep] = field(default_factory=list)
+    """One run of run_check: its verdict at level n, why it failed or starved
+    (reason), the tau it stored, and its macro steps.  Two reports are equal
+    only when they are the same object."""
+
+    __slots__ = ("family", "n", "verdict", "successor", "reason", "tau", "trace")
+
+    def __init__(self, family: Family, n: int, verdict: Verdict,
+                 successor: Term | None = None, reason: str | None = None,
+                 tau: Term | None = None, trace: list[MacroStep] | None = None):
+        self.family = family
+        self.n = n
+        self.verdict = verdict
+        self.successor = successor
+        self.reason = reason
+        self.tau = tau
+        self.trace = [] if trace is None else trace
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RunReport({fields})"
 
     def to_dict(self, trace: bool = False) -> dict[str, Any]:
         show = printer()  # one per report: its steps share most of their subterms

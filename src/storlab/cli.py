@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, Iterator, Protocol, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .builtins import prelude
 from .checker import check_operator, to_json
@@ -55,8 +54,7 @@ class Report(Protocol):
     def lines(self) -> Iterator[str]: ...
 
 
-@dataclass(frozen=True)
-class TermReport:
+class TermReport(NamedTuple):
     """The term that parse, reduce or normalize arrives at; reduce adds its steps."""
 
     term: Term
@@ -82,8 +80,7 @@ def _row_status(expected: Verdict, actual: Verdict) -> Verdict:
 _ROW_MARK = {Verdict.PASS: "ok", Verdict.FUEL: "FUEL", Verdict.FAIL: "DEVIATION"}
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     """Each builtin claim with its expected and its actual verdict."""
 
     n_max: int
@@ -349,8 +346,8 @@ _PARSER = _build_parser()
 def _limits(args: argparse.Namespace) -> Limits:
     """The fuel flags' limits; a subcommand without a fuel flag runs on its default."""
     try:
-        return replace(DEFAULT_LIMITS, **{name: value for name, value in vars(args).items()
-                                          if name.endswith("_fuel")})
+        return Limits(**{name: value for name, value in vars(args).items()
+                         if name.endswith("_fuel")})
     except ValueError as exc:  # a fuel below 1
         raise UsageError(str(exc)) from exc
 

@@ -12,9 +12,8 @@ closure machine builds without substituting (_nf_tokens).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .syntax import pretty
 from .terms import (
@@ -81,19 +80,28 @@ STAGE_MACRO = "Macro"
 STAGE_NORM = "Norm"
 
 
-@dataclass(frozen=True)
-class Limits:
-    """Step budgets: head beta-steps per reduction, macro transforms per
-    run, beta-steps per normalization."""
-
+class _Fuels(NamedTuple):  # Limits' fields: a NamedTuple's own __new__ cannot be replaced
     head_fuel: int = 1_000_000
     macro_fuel: int = 10_000
     norm_fuel: int = 1_000_000
 
-    def __post_init__(self) -> None:
-        for field in ("head_fuel", "macro_fuel", "norm_fuel"):
-            if getattr(self, field) < 1:
+
+class Limits(_Fuels):
+    """Step budgets: head beta-steps per reduction, macro transforms per
+    run, beta-steps per normalization.  Each is at least 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: int, **kwargs: int) -> Limits:
+        self = super().__new__(cls, *args, **kwargs)
+        for field, value in zip(self._fields, self):
+            if value < 1:
                 raise ValueError(f"{field} must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Limits:  # _replace builds through it too
+        return cls(*_Fuels._make(iterable))
 
 
 DEFAULT_LIMITS = Limits()
@@ -267,6 +275,9 @@ def _nf_tokens(term: Term, fuel: int) -> list[tuple] | None:
     head abstraction with an argument on the stack binds its binder to it,
     or drops it when the binder is not free in the body; either way it is
     one beta-step, so the steps and the fuel cut-off are exactly normalize's.
+    An argument that is a variable bound to a closure is pushed as that
+    closure, so a chain of variables passed on from binder to binder is
+    resolved once, not at every lookup; resolving a name is no beta-step.
 
     Each head normal form gives one token, (prefix length, head, item
     count), followed by the tokens of its items in pre-order.  The head is
@@ -285,7 +296,15 @@ def _nf_tokens(term: Term, fuel: int) -> list[tuple] | None:
         while True:
             kind = type(t)
             if kind is App:
-                args.append((t.arg, env))
+                arg = t.arg
+                closure = (arg, env)
+                if type(arg) is Var:  # pass on the closure it names, not one of it
+                    name, scope = arg.name, env
+                    while scope is not None and scope[0] != name:
+                        scope = scope[2]
+                    if scope is not None and type(scope[1]) is not int:
+                        closure = scope[1]
+                args.append(closure)
                 t = t.fn
             elif kind is Lam:
                 if args:
@@ -352,8 +371,7 @@ _SUCCESSOR_ANSWERS = {True: (Verdict.PASS, "ok"), False: (Verdict.FAIL, "FAILED"
                       None: (Verdict.UNKNOWN, "unknown (fuel)")}
 
 
-@dataclass(frozen=True)
-class SuccessorReport:
+class SuccessorReport(NamedTuple):
     """Whether (term) #k is beta-equal to #k+1, per k up to k_max; None: no fuel."""
 
     term: Term

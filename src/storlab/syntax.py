@@ -18,8 +18,7 @@ the innermost lambda binder, then to a binding from the environment
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .terms import App, Const, Family, Lam, Term, Var, church_value, mk_church
 
@@ -37,8 +36,7 @@ class ParseError(Exception):
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     pos: int

@@ -16,8 +16,7 @@ the bridges between them and the real calculus:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .builtins import _CORE, prelude
 from .checker import PROBE, TAU_NOT_CLOSED, RunReport, _macro_step, check_operator
@@ -107,8 +106,7 @@ def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
     return App(App(stored, payload[0]), payload[1])
 
 
-@dataclass(frozen=True)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     """One level of theorem 1 or 2: the lower and upper runs' verdicts at n
     and the status their comparison earns.  Theorem 1 fills sigma_hat and its
     match (the delayed-numeral check), theorem 2 tau_match and delta_match.
@@ -124,8 +122,7 @@ class LevelCheck:
     delta_match: bool | None = None
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     """Theorem 1 or 2 (named by check) over the levels 0..n_max."""
 
     check: str
@@ -137,7 +134,7 @@ class LevelReport:
         return Verdict.fold(c.status for c in self.checks)
 
     def to_dict(self) -> dict[str, Any]:
-        levels = [{k: v for k, v in vars(c).items() if v is not None} for c in self.checks]
+        levels = [{k: v for k, v in c._asdict().items() if v is not None} for c in self.checks]
         return {"check": self.check, "n_max": self.n_max, "verdict": self.verdict,
                 "checks": levels}
 
@@ -254,8 +251,7 @@ def _delta_correspondence(lower: RunReport, upper: RunReport) -> bool:
                for mine, theirs in zip(lower.trace, upper.trace))
 
 
-@dataclass(frozen=True)
-class Theorem3Report:
+class Theorem3Report(NamedTuple):
     """The separating example: T3 with S2 passes the upper check at every
     level while the lower check fails from level 1 on, each escaping witness
     still carrying a level-0 stored constant.  An answer that fuel left

@@ -13,7 +13,8 @@ theorems._delta_correspondence shares across the trace.  Theorem 1's
 sigma-hat check head-reduces (T) (S^)^n 0^ f once and tests the probe and
 the numeral by hand, without the run's closedness test on t.
 beta_equiv is the original that normalizes both sides and compares them by
-alpha-equivalence.  Theorem 3's upper tau check normalizes every upper tau a
+alpha-equivalence; nf_tokens is the closure machine before it followed
+chains of variable closures.  Theorem 3's upper tau check normalizes every upper tau a
 second time, as the theorem did before it read the runs' verdict.  The
 prelude parses both builtin definition files on each call, with S bound to
 the successor.  spine unwinds an application for these oracles and for the
@@ -22,7 +23,7 @@ lemma checks in theory.py.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from storlab.builtins import _CORE_DEFS, _OPERATOR_DEFS
 from storlab.checker import PROBE
@@ -178,6 +179,56 @@ def oracle_beta_equiv(t: Term, u: Term, limits: Limits = DEFAULT_LIMITS) -> bool
     except FuelExhausted:
         return None
     return alpha_eq(tn, un)
+
+
+def oracle_nf_tokens(term: Term, fuel: int) -> list[tuple] | None:
+    """reduction._nf_tokens as it was before it passed on the closure a bare
+    variable argument names: each such argument becomes a new closure of the
+    variable, so a chain of them is walked at every lookup."""
+    tokens: list[tuple] = []
+    steps = 0
+    todo: list[tuple[Term, Any, int]] = [(term, None, 0)]
+    while todo:
+        t, env, depth = todo.pop()
+        prefix = 0
+        args: list[tuple[Term, Any]] = []  # closures, the first argument last
+        while True:
+            kind = type(t)
+            if kind is App:
+                args.append((t.arg, env))
+                t = t.fn
+            elif kind is Lam:
+                if args:
+                    if steps == fuel:
+                        return None
+                    steps += 1
+                    value = args.pop()
+                else:
+                    value = depth
+                    depth += 1
+                    prefix += 1
+                if t.binder in t.body._fv:
+                    env = (t.binder, value, env)
+                t = t.body
+            elif kind is Var:
+                name, scope = t.name, env
+                while scope is not None and scope[0] != name:
+                    scope = scope[2]
+                if scope is None:
+                    head = name
+                    break
+                value = scope[1]
+                if type(value) is int:
+                    head = value
+                    break
+                t, env = value
+            else:
+                head = (t.family, t.level, len(t.payload))
+                args += [(p, env) for p in reversed(t.payload)]
+                break
+        tokens.append((prefix, head, len(args)))
+        todo += [(a, e, depth) for a, e in args]
+    return tokens
 
 
 def oracle_upper_tau_ok(upper, limits: Limits = DEFAULT_LIMITS) -> bool | None:

@@ -516,6 +516,16 @@ def test_closed_pipe_exits_4_with_one_line(argv, lines_read):
     assert err == b"storlab: output closed before the report was written\n"
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for its imports before its first beta-step; -S keeps
+    # site's own imports out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, storlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 # -- JSON is written a piece at a time, text a level at a time --
 
 

@@ -18,10 +18,11 @@ from oracles import (
     oracle_beta_equiv,
     oracle_head_reduce,
     oracle_head_step,
+    oracle_nf_tokens,
     spine,
     substitute_many,
 )
-from storlab import prelude
+from storlab import prelude, reduction
 from storlab.checker import run_check
 from storlab.reduction import (
     DEFAULT_LIMITS,
@@ -675,3 +676,51 @@ def test_machine_matches_oracle_at_every_fuel(seed):
 def test_machine_cases_reach_every_answer():
     answers = {beta_equiv(*machine_case(seed), Limits(norm_fuel=3)) for seed in range(200)}
     assert answers == {True, False, None}
+
+
+# -- the closure machine passes on the closure a variable argument names;
+#    checked against the machine that made a new closure of the variable
+#    (oracles.py) --
+
+
+@hyp.settings(max_examples=150)
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_nf_tokens_matches_the_machine_without_variable_chains(seed):
+    t, u = machine_case(seed)
+    for term in (t, u):
+        for fuel in range(1, 41):
+            assert reduction._nf_tokens(term, fuel) == oracle_nf_tokens(term, fuel)
+
+
+def test_nf_tokens_follows_a_chain_of_variable_closures():
+    # each S1 layer passes its f on to the next: a chain 4096 closures long
+    # (about a second per call when each lookup walked the chain)
+    env = prelude()
+    deep = app_power(env["S1"], 4096, mk_church(0))
+    assert is_numeral(deep, 4096) is True
+    assert is_numeral(deep, 4095) is False
+    # the same beta-steps, so the same fuel cut-off, as the oracle machine
+    shallow = app_power(env["S1"], 64, mk_church(0))
+    steps = next(fuel for fuel in range(1, 10_000) if oracle_nf_tokens(shallow, fuel))
+    assert reduction._nf_tokens(shallow, steps - 1) is None
+    assert reduction._nf_tokens(shallow, steps) == oracle_nf_tokens(shallow, steps)
+
+
+@pytest.mark.parametrize("field, args, kwargs", [
+    ("head_fuel", (0,), {}), ("macro_fuel", (1, 0), {}), ("norm_fuel", (1, 1, 0), {}),
+    ("head_fuel", (-5,), {}), ("head_fuel", (), {"head_fuel": 0}),
+    ("macro_fuel", (), {"macro_fuel": 0}), ("norm_fuel", (), {"norm_fuel": -1}),
+])
+def test_limits_refuse_a_fuel_below_1(field, args, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+        Limits(*args, **kwargs)
+    with pytest.raises(ValueError, match=f"^{field} must be at least 1$"):
+        DEFAULT_LIMITS._replace(**{field: 0})
+
+
+def test_limits_keep_their_fields_and_defaults():
+    assert Limits._fields == ("head_fuel", "macro_fuel", "norm_fuel")
+    assert Limits() == DEFAULT_LIMITS == Limits(1_000_000, 10_000, 1_000_000)
+    assert Limits(5, norm_fuel=7) == Limits(head_fuel=5, macro_fuel=10_000, norm_fuel=7)
+    assert type(DEFAULT_LIMITS._replace(macro_fuel=3)) is Limits
+    assert repr(Limits(1, 2, 3)) == "Limits(head_fuel=1, macro_fuel=2, norm_fuel=3)"
