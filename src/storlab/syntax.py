@@ -228,13 +228,6 @@ def pretty(term: Term) -> str:
     return printer()(term)
 
 
-# How a rendered node is parenthesized below its parent: an atom (variable,
-# constant, numeral) never, an application only as an argument, a lambda
-# both as a function and as an argument.  At the top, in a payload and after
-# a binder prefix nothing is parenthesized.
-_ATOM, _APP, _LAM = 0, 1, 2
-
-
 def printer() -> Callable[[Term], str]:
     """A pretty that renders each distinct node once over all its calls.
 
@@ -244,7 +237,7 @@ def printer() -> Callable[[Term], str]:
     about d * d / 2 characters, so make one per group of terms that share
     subterms (a run report) and drop it afterwards.
     """
-    memo: dict[int, tuple[Term, str, int]] = {}
+    memo: dict[int, tuple[Term, str]] = {}
 
     def show(term: Term) -> str:
         _render(term, memo)
@@ -253,12 +246,14 @@ def printer() -> Callable[[Term], str]:
     return show
 
 
-def _render(root: Term, memo: dict[int, tuple[Term, str, int]]) -> None:
+def _render(root: Term, memo: dict[int, tuple[Term, str]]) -> None:
     """Put root and every node below it that memo lacks into memo, children
     first, with an explicit stack of (node, ready) entries.  A node is
     pushed ready above its children and rendered from their entries when it
     comes back, so church_value runs once per Lam.  Dispatch is on the exact
-    class: class patterns in a match took twice as long here."""
+    class: class patterns in a match took twice as long here.  A lambda
+    printed with a backslash (not as #n) is parenthesized as a function and
+    as an argument, an application only as an argument, nothing else ever."""
     stack: list[tuple[Term, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -268,37 +263,37 @@ def _render(root: Term, memo: dict[int, tuple[Term, str, int]]) -> None:
         cls = type(node)
         if cls is App:
             if ready:
-                _, fn_text, fn_kind = memo[id(node.fn)]
-                _, arg_text, arg_kind = memo[id(node.arg)]
-                if fn_kind == _LAM:
+                fn, fn_text = memo[id(node.fn)]
+                arg, arg_text = memo[id(node.arg)]
+                if type(fn) is Lam and fn_text[0] == "\\":
                     fn_text = f"({fn_text})"
-                if arg_kind != _ATOM:
+                if type(arg) is App or (type(arg) is Lam and arg_text[0] == "\\"):
                     arg_text = f"({arg_text})"
-                memo[key] = (node, f"{fn_text} {arg_text}", _APP)
+                memo[key] = (node, f"{fn_text} {arg_text}")
             else:
                 stack += ((node, True), (node.arg, False), (node.fn, False))
         elif cls is Var:
-            memo[key] = (node, node.name, _ATOM)
+            memo[key] = (node, node.name)
         elif cls is Lam:
             if ready:
-                _, text, kind = memo[id(node.body)]
-                if kind == _LAM:  # the body's binders join this prefix
+                body, text = memo[id(node.body)]
+                if type(body) is Lam and text[0] == "\\":  # the body's binders join this prefix
                     text = f"\\{node.binder} {text[1:]}"
                 else:
                     text = f"\\{node.binder}. {text}"
-                memo[key] = (node, text, _LAM)
+                memo[key] = (node, text)
             elif (n := church_value(node)) is not None:
-                memo[key] = (node, f"#{n}", _ATOM)
+                memo[key] = (node, f"#{n}")
             else:
                 stack += ((node, True), (node.body, False))
         elif cls is Const:
             if ready:
                 inner = ", ".join(memo[id(p)][1] for p in node.payload)
-                memo[key] = (node, f"{node.family.value}[{node.level}; {inner}]", _ATOM)
+                memo[key] = (node, f"{node.family.value}[{node.level}; {inner}]")
             elif node.payload:
                 stack.append((node, True))
                 stack += ((p, False) for p in node.payload)
             else:
-                memo[key] = (node, f"{node.family.value}[{node.level}]", _ATOM)
+                memo[key] = (node, f"{node.family.value}[{node.level}]")
         else:
             raise TypeError(f"not a term: {node!r}")

@@ -35,17 +35,19 @@ from .terms import (
 )
 
 
-def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
-                rejected: Family, who: str, memo: dict[int, Term] | None = None) -> Term:
-    """t with every constant c replaced by image(c, payload), where payload
-    is c's payload mapped the same way.  Raises ValueError, naming who, on a
-    constant of the rejected family.
+def delta_forward(t: Term, memo: dict[int, Term] | None = None) -> Term:
+    """Translate a lower-family term to its upper-family image.
+
+    Seeds map level for level; a stored x[k; a, b, c...] becomes the stored
+    upper constant re-applied to its own first two payload entries,
+    (X[k; a', b', c'...]) a' b'.  The image of a machine state always
+    satisfies (P).  Raises ValueError on an upper-family constant.
 
     The walk is post-order with an explicit stack and a memo keyed on node
     identity, so each distinct node is visited once, payloads included, at
-    any depth.  The memo is this call's own, or the one given: calls with
-    the same image can share one as long as every node it has seen stays
-    alive.  A subterm that maps to itself comes back as the same object.
+    any depth.  The memo is this call's own, or the one given: calls can
+    share one as long as every node it has seen stays alive.  A subterm that
+    maps to itself comes back as the same object.
     """
     done: dict[int, Term] = {} if memo is None else memo
     todo: list[Term] = [t]
@@ -73,37 +75,23 @@ def _map_consts(t: Term, image: Callable[[Const, tuple[Term, ...]], Term],
                 continue
             result = node if body is node.body else Lam(node.binder, body)
         elif kind is Const:
-            if node.family is rejected:
-                raise ValueError(f"{who} does not accept {rejected.value}-family constants")
+            if node.family is Family.UPPER:
+                raise ValueError("delta_forward does not accept X-family constants")
             missing = [p for p in node.payload if id(p) not in done]
             if missing:
                 todo.extend(reversed(missing))
                 continue
-            result = image(node, tuple(done[id(p)] for p in node.payload))
+            if node.payload:
+                payload = tuple(done[id(p)] for p in node.payload)
+                stored = Const(Family.UPPER, node.level, payload)
+                result = App(App(stored, payload[0]), payload[1])
+            else:
+                result = Const(Family.UPPER, node.level)
         else:
             raise TypeError(f"not a term: {node!r}")
         todo.pop()
         done[id(node)] = result
     return done[id(t)]
-
-
-def delta_forward(t: Term, memo: dict[int, Term] | None = None) -> Term:
-    """Translate a lower-family term to its upper-family image.
-
-    Seeds map level for level; a stored x[k; a, b, c...] becomes the stored
-    upper constant re-applied to its own first two payload entries,
-    (X[k; a', b', c'...]) a' b'.  The image of a machine state always
-    satisfies (P).  memo, keyed on node identity, may be shared by calls
-    whose terms all stay alive while it is in use.
-    """
-    return _map_consts(t, _delta_const, Family.UPPER, "delta_forward", memo)
-
-
-def _delta_const(const: Const, payload: tuple[Term, ...]) -> Term:
-    if not payload:
-        return Const(Family.UPPER, const.level)
-    stored = Const(Family.UPPER, const.level, payload)
-    return App(App(stored, payload[0]), payload[1])
 
 
 class LevelCheck(NamedTuple):

@@ -393,6 +393,11 @@ def sharing_terms(seed):
 @hyp.given(st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from(TRACE_TERMS), max_size=12))
 def test_printer_matches_oracle_on_shared_terms(seed, from_traces):
+    # a lambda whose body the memo already holds is still read as a numeral
+    body = Lam("x", App(Var("f"), App(Var("f"), Var("x"))))
+    show = printer()
+    assert [show(body), show(Lam("f", body)), show(App(Var("g"), Lam("f", body)))] == \
+        ["\\x. f (f x)", "#2", "g #2"]
     terms = sharing_terms(seed) + from_traces
     rng(seed).shuffle(terms)
     show = printer()

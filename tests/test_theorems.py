@@ -25,8 +25,6 @@ from oracles import (
     oracle_delta_correspondence,
     oracle_delta_forward,
     oracle_hat_check,
-    oracle_sigma_hat_subst,
-    oracle_sigma_subst,
     oracle_upper_tau_ok,
 )
 from storlab import checker, prelude, theorems
@@ -422,14 +420,14 @@ def test_theorem2_does_no_head_reduction_of_its_own(monkeypatch):
 def test_delta_correspondence_maps_each_trace_node_once(monkeypatch):
     # one memo per level: the nodes mapped grow with the trace's DAG, about
     # linearly in n, not with the summed sizes of its states (3.6x per doubling)
-    original, memos = theorems._map_consts, {}
+    original, memos = theorems.delta_forward, {}
 
-    def recording(t, image, rejected, who, memo=None):
+    def recording(t, memo=None):
         memo = {} if memo is None else memo
         memos[id(memo)] = memo
-        return original(t, image, rejected, who, memo)
+        return original(t, memo)
 
-    monkeypatch.setattr(theorems, "_map_consts", recording)
+    monkeypatch.setattr(theorems, "delta_forward", recording)
     env = prelude()
     mapped = []
     for n in (128, 256):
@@ -840,10 +838,10 @@ def test_theorem3_tau_values():
         assert beta_equiv(report.tau, mk_church(n)) is True
 
 
-# -- sigma, sigma-hat and delta as one fold over the term as a DAG, checked
-#    against the tree walks they replaced (oracles.py) --
+# -- delta as one walk over the term as a DAG, checked against the tree walk
+#    of oracles.py --
 
-S1, S2 = prelude()["S1"], prelude("S2")["S2"]
+S1 = prelude()["S1"]
 FAMILY_OF = {lower_term: Family.LOWER, p_term: Family.UPPER}
 
 
@@ -880,10 +878,6 @@ def mapped(mapping, *args):
 @hyp.given(st.integers(0, 2**32 - 1))
 def test_constant_mappings_match_oracles(seed):
     t = mapping_case(seed)
-    for successor in (S1, S2):
-        assert mapped(sigma_subst, t, successor) == mapped(oracle_sigma_subst, t, successor)
-        assert (mapped(sigma_hat_subst, t, successor)
-                == mapped(oracle_sigma_hat_subst, t, successor))
     assert mapped(delta_forward, t) == mapped(oracle_delta_forward, t)
 
 
@@ -903,48 +897,32 @@ def test_constant_mappings_keep_unchanged_subterms_and_sharing():
     assert out.fn.fn is out.arg  # one image per distinct node
     assert out.arg.fn.fn.payload[0] is pure and out.arg.fn.arg is pure
     assert delta_forward(pure) is pure
-    assert sigma_subst(pure, S1) is pure and sigma_hat_subst(pure, S1) is pure
 
 
 def test_constant_mappings_walk_each_shared_node_once():
-    # as trees these terms have 2**64 nodes, as DAGs 65
-    lower, upper = Const(Family.LOWER, 0), Const(Family.UPPER, 3)
+    # as a tree this term has 2**64 nodes, as a DAG 65
+    lower = Const(Family.LOWER, 0)
     for level in range(64):
         lower = Const(Family.LOWER, level, (Var("p"), Var("q"), lower, lower))
-        upper = App(upper, upper)
     image = delta_forward(lower)
     for _ in range(64):
         stored = image.fn.fn
         assert stored.payload[2] is stored.payload[3]
         image = stored.payload[2]
     assert image == Const(Family.UPPER, 0)
-    image = sigma_subst(upper, S1)
-    for _ in range(64):
-        assert image.fn is image.arg
-        image = image.fn
-    assert image == app_power(S1, 3, mk_church(0))
 
 
 def test_constant_mappings_deep_terms_without_recursion():
-    zero_hat = App(Lam("x", mk_church(0)), Var("y"))
-    s_hat = App(Lam("x", S1), Var("y"))
     chain = app_power(Var("g"), 5000, Const(Family.UPPER, 2))
-    assert sigma_subst(Lam("g", chain), S1) == Lam(
-        "g", app_power(Var("g"), 5000, app_power(S1, 2, mk_church(0))))
-    assert sigma_hat_subst(chain, S1) == app_power(
-        Var("g"), 5000, app_power(s_hat, 2, zero_hat))
     assert delta_forward(app_power(Var("g"), 5000, Const(Family.LOWER, 2))) == chain
 
-    # 5000 nested payloads at levels 0..4999, a seed at the bottom; the
-    # images of the payload constants are built, one per level, and dropped
+    # 5000 nested payloads at levels 0..4999, a seed at the bottom
     nested_x, nested_X = Const(Family.LOWER, 0), Const(Family.UPPER, 0)
     for i in range(5000):
         nested_x = Const(Family.LOWER, i, (Var("p"), Var("q"), nested_x))
         nested_X = app(Const(Family.UPPER, i, (Var("p"), Var("q"), nested_X)),
                        Var("p"), Var("q"))
     assert delta_forward(nested_x) == nested_X
-    assert sigma_subst(nested_X.fn.fn, S1) == app_power(S1, 4999, mk_church(0))
-    assert sigma_hat_subst(nested_X.fn.fn, S1) == app_power(s_hat, 4999, zero_hat)
     with pytest.raises(ValueError, match="sigma_subst does not accept x-family"):
         sigma_subst(nested_x, S1)
     with pytest.raises(ValueError, match="delta_forward does not accept X-family"):

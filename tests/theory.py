@@ -1,71 +1,33 @@
 """The paper's supporting lemmas, kept for the tests since no command runs them.
 
-``sigma_subst`` erases upper constants into numerals (S)^k #0, and
-``sigma_hat_subst`` into delayed numerals (S^)^k 0^.  Property (P)
-singles out the upper terms that are images of lower terms, and
-``delta_inverse`` inverts ``storlab.theorems.delta_forward`` on them.
-``verify_lemma1_along`` replays a recorded upper run and checks that no head
-step leaves (P) (Lemma 1).  The walks recurse once per level of depth, so
-they are for small terms only.
+``sigma_subst`` erases upper constants of level k into numerals (S)^k #0,
+and ``sigma_hat_subst`` into delayed numerals (S^)^k 0^, where
+S^ = (\\x. S) y and 0^ = (\\x. #0) y; both drop payloads and refuse lower
+constants.  They are the recursive maps of ``oracles``, served here under
+these names; storlab itself has no σ map.  Property (P) singles out the
+upper terms that are images of lower terms, and ``delta_inverse`` inverts
+``storlab.theorems.delta_forward`` on them.  ``verify_lemma1_along`` replays
+a recorded upper run and checks that no head step leaves (P) (Lemma 1).
+The walks recurse once per level of depth and a shared subterm is walked
+once per occurrence, so they are for small terms only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
+from oracles import oracle_sigma_hat_subst as sigma_hat_subst
+from oracles import oracle_sigma_subst as sigma_subst
 from oracles import spine
 from storlab.checker import MacroStep, RunReport
 from storlab.reduction import FuelExhausted, Limits, head_reduce
 from storlab.terms import (App, Const, Family, Lam, Term, Var, alpha_eq, app, free_names,
-                           is_closed_pure, iter_consts, mk_church)
-from storlab.theorems import _map_consts
+                           iter_consts)
 
 NOT_APPLIED_TO_AB = "NotAppliedToAB"
 BOUND_NAME_IN_AB = "BoundNameInAB"
 PAYLOAD_VIOLATION = "PayloadViolation"
-
-
-def sigma_subst(t: Term, successor: Term) -> Term:
-    """Replace every upper constant of level k by (S)^k #0, payload dropped.
-
-    The images are closed, so no renaming is ever needed and the substitution
-    commutes with head steps.  Lower constants are rejected rather than passed
-    through.
-    """
-    if not is_closed_pure(successor):
-        raise ValueError("successor must be a closed constant-free term")
-    return _map_consts(t, _powers(successor, mk_church(0)), Family.LOWER, "sigma_subst")
-
-
-def sigma_hat_subst(t: Term, successor: Term, y: str = "y") -> Term:
-    """Replace every upper constant of level k by the delayed numeral
-    (S^)^k 0^, payload dropped, where S^ = (\\x. S) y and 0^ = (\\x. #0) y.
-
-    Both unfold by one head step, (S^)t > (S)t and 0^ > #0, which is what
-    lets a fully abstract trace project onto a reduction that starts from a
-    non-normal numeral.  y must not occur free in the input.
-    """
-    if not is_closed_pure(successor):
-        raise ValueError("successor must be a closed constant-free term")
-    if y in free_names(t):
-        raise ValueError(f"{y!r} occurs free in the term")
-    s_hat = App(Lam("x", successor), Var(y))
-    zero_hat = App(Lam("x", mk_church(0)), Var(y))
-    return _map_consts(t, _powers(s_hat, zero_hat), Family.LOWER, "sigma_hat_subst")
-
-
-def _powers(step: Term, zero: Term) -> Callable[[Const, tuple[Term, ...]], Term]:
-    """An image for _map_consts: level k maps to step applied k times to zero,
-    payload dropped.  Each level's image is built once, from the one below."""
-    images = [zero]
-
-    def image(const: Const, _: tuple[Term, ...]) -> Term:
-        while len(images) <= const.level:
-            images.append(App(step, images[-1]))
-        return images[const.level]
-
-    return image
 
 
 @dataclass(frozen=True)
