@@ -4,8 +4,9 @@ A run feeds the candidate operator a seed constant at level n plus the
 probe variable f, head-reduces, and keeps firing the family's transform on
 the constant-headed head normal forms.  A run succeeds when the probe
 surfaces applied to exactly one closed argument beta-equal to the numeral
-n.  Lower-family runs characterize plain storage operators; upper-family
-runs, parameterized by a successor, characterize S-storage operators.
+n.  A run without a successor is lower-family and characterizes plain
+storage operators; a run given a successor S is upper-family and
+characterizes S-storage operators.
 """
 
 from __future__ import annotations
@@ -199,22 +200,18 @@ class RunReport:
             yield line
 
 
-def _check_operands(term: Term, family: Family, successor: Term | None) -> None:
+def _check_operands(term: Term, successor: Term | None) -> None:
     if not is_closed_pure(term):
         raise ValueError("operator must be a closed constant-free term")
-    if family is Family.UPPER:
-        if successor is None:
-            raise ValueError("upper-family runs need a successor")
-        if not is_closed_pure(successor):
-            raise ValueError("successor must be a closed constant-free term")
-    elif successor is not None:
-        raise ValueError("successor is only meaningful for upper-family runs")
+    if successor is not None and not is_closed_pure(successor):
+        raise ValueError("successor must be a closed constant-free term")
 
 
-def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
+def run_check(term: Term, n: int, successor: Term | None = None,
               limits: Limits = DEFAULT_LIMITS, *, checked: bool = False) -> RunReport:
-    """Run the family's characterization machine on one level n: macro steps
-    from (term) X[n] f, or x[n], until one ends the run or macro fuel runs out.
+    """Run a characterization machine on one level n: macro steps from
+    (term) x[n] f, or (term) X[n] f when given a successor, until one ends
+    the run or macro fuel runs out.
 
     checked says that the operator and the successor were already found
     closed and constant-free, as check_operator() does once for all its levels.
@@ -222,11 +219,12 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
     if n < 0:
         raise ValueError("n must be non-negative")
     if not checked:
-        _check_operands(term, family, successor)
+        _check_operands(term, successor)
+    family = Family.LOWER if successor is None else Family.UPPER
     trace: list[MacroStep] = []
     u = [term, Const(family, n), Var(PROBE)]
     for _ in range(limits.macro_fuel):
-        step, nxt = _macro_step(u, family, n, successor, limits)
+        step, nxt = _macro_step(u, n, successor, limits)
         trace.append(step)
         if type(nxt) is tuple:
             verdict, reason, tau = nxt
@@ -235,17 +233,17 @@ def run_check(term: Term, family: Family, n: int, successor: Term | None = None,
     return RunReport(family, n, Verdict.FUEL, successor, STAGE_MACRO, trace=trace)
 
 
-def _macro_step(u: list[Term], family: Family, n: int, successor: Term | None,
-                limits: Limits
+def _macro_step(u: list[Term], n: int, successor: Term | None, limits: Limits
                 ) -> tuple[MacroStep, list[Term] | tuple[Verdict, str | None, Term | None]]:
     """One macro step from the state u, given as a list, its head first: the
     recorded step, and either the next state as such a list or the run's end
     as (verdict, reason, tau).
 
     The head normal form either ends the run, at the probe applied to a
-    closed tau beta-equal to #n, or goes to the family's transform, which
-    fails any head that is not one of its constants.  So a state that holds
-    no constant ends the run at its first head normal form.
+    closed tau beta-equal to #n, or goes to the transform (X_transform when
+    given a successor, else x_transform), which fails any head that is not
+    one of its family's constants.  So a state that holds no constant ends
+    the run at its first head normal form.
     """
     try:
         v, beta_steps = head_reduce(u[0], limits, u[1:])
@@ -273,10 +271,9 @@ def _macro_step(u: list[Term], family: Family, n: int, successor: Term | None,
             return step, (Verdict.FAIL, TAU_NOT_N, tau)
         return step, (Verdict.SUCCESS, None, tau)
     try:
-        if family is Family.LOWER:
+        if successor is None:
             nxt = x_transform(head, args, n)
         else:
-            assert successor is not None
             nxt = X_transform(head, args, successor, n)
     except TransformError as exc:
         return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, exc.reason, None)
@@ -344,16 +341,17 @@ class OperatorSummary:
         yield tail
 
 
-def check_operator(term: Term, family: Family, n_max: int,
-                   successor: Term | None = None, limits: Limits = DEFAULT_LIMITS,
-                   trace: bool = False) -> OperatorSummary:
+def check_operator(term: Term, n_max: int, successor: Term | None = None,
+                   limits: Limits = DEFAULT_LIMITS, trace: bool = False) -> OperatorSummary:
     """The summary of the levels 0..n_max, each run by run_check when the
-    summary first reaches it.  n_max and the operands are checked here, once,
-    before any run.  With trace, the summary shows each run's macro steps."""
+    summary first reaches it: a storage operator's check, or with a
+    successor S an S-storage operator's.  n_max and the operands are checked
+    here, once, before any run.  With trace, the summary shows each run's
+    macro steps."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    _check_operands(term, family, successor)
-    return OperatorSummary((run_check(term, family, n, successor, limits, checked=True)
+    _check_operands(term, successor)
+    return OperatorSummary((run_check(term, n, successor, limits, checked=True)
                             for n in range(n_max + 1)), trace)
 
 

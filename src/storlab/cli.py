@@ -27,7 +27,7 @@ from .reduction import (
     normalize,
 )
 from .syntax import ParseError, load_defs, parse, pretty
-from .terms import Family, Term, free_names, is_closed_pure
+from .terms import Term, free_names, is_closed_pure
 from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
 EXIT_PASS = 0
@@ -207,12 +207,12 @@ def cmd_check_successor(args: argparse.Namespace, limits: Limits) -> Report:
 
 
 def cmd_check_operator(args: argparse.Namespace, limits: Limits) -> Report:
-    """check-storage and check-s-storage; the subcommand sets args.family.
-    check-storage still reads --succ, for the prelude's S only."""
+    """check-storage and check-s-storage.  Only check-s-storage runs with the
+    successor --succ names; check-storage reads it for the prelude's S only."""
     term, successor = _operand(args, "operator")
-    if args.family is Family.LOWER:
+    if args.command == "check-storage":
         successor = None
-    return check_operator(term, args.family, args.n_max, successor, limits, args.trace)
+    return check_operator(term, args.n_max, successor, limits, args.trace)
 
 
 def cmd_theorem1(args: argparse.Namespace, limits: Limits) -> Report:
@@ -250,8 +250,7 @@ def cmd_corpus(args: argparse.Namespace, limits: Limits) -> Report:
     rows += [(f"storage {name}", Verdict.ALL_PASS, swept[name, "x"]) for name in ("T1", "T2")]
     for name in ("T1", "T2"):
         rows.append((f"s-storage {name} S1", Verdict.ALL_PASS, swept[name, "S1"]))
-        summary = check_operator(env2[name], Family.UPPER, n_max,
-                                 successor=env2["S2"], limits=limits)
+        summary = check_operator(env2[name], n_max, env2["S2"], limits)
         rows.append((f"s-storage {name} S2", Verdict.ALL_PASS, summary.verdict))
     rows += [(f"theorem2 {name}", Verdict.PASS, theorem2[name]) for name in ("T1", "T2", "T3")]
     rows.append(("theorem3", Verdict.PASS, verify_theorem3(n_max, limits).verdict))
@@ -297,14 +296,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      description="Head-reduction laboratory for storage operators")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func: Any, help_text: str, flags: str, term: str | None = None,
-            **defaults: Any) -> None:
+    def add(name: str, func: Any, help_text: str, flags: str, term: str | None = None) -> None:
         p = sub.add_parser(name, help=help_text)
         for flag in sorted(flags.split(), key=list(_FLAGS).index):
             p.add_argument(flag, **_FLAGS[flag])
         if term is not None:
             p.add_argument("term", metavar="TERM", help=term)
-        p.set_defaults(func=func.__name__, **defaults)
+        p.set_defaults(func=func.__name__)
 
     env = "--succ --defs --json"
     fuel = "--head-fuel --macro-fuel --norm-fuel"
@@ -320,10 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{env} --norm-fuel --k-max", term="candidate successor")
     add("check-storage", cmd_check_operator,
         "run the plain-constant characterization at each level", f"{levels} --trace",
-        term="candidate storage operator", family=Family.LOWER)
+        term="candidate storage operator")
     add("check-s-storage", cmd_check_operator,
         "run the successor-driven characterization at each level", f"{levels} --trace",
-        term="candidate operator", family=Family.UPPER)
+        term="candidate operator")
     add("theorem1", cmd_theorem1,
         "storage success must imply S-storage success, with the delayed-numeral check",
         levels, term="operator")

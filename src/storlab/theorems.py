@@ -142,8 +142,8 @@ class LevelReport(NamedTuple):
 def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Limits,
             judge: Callable[[RunReport, RunReport], LevelCheck]) -> LevelReport:
     """Per level: the lower run, the upper run with successor, then judge."""
-    lower = check_operator(operator, Family.LOWER, n_max, limits=limits)
-    upper = check_operator(operator, Family.UPPER, n_max, successor, limits)
+    lower = check_operator(operator, n_max, limits=limits)
+    upper = check_operator(operator, n_max, successor, limits)
     return LevelReport(check, n_max, tuple(map(judge, lower, upper)))
 
 
@@ -191,8 +191,8 @@ def _hat_check(operator: Term, successor: Term, upper: RunReport,
     # It holds no constant, so its first macro step ends the run
     numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
                         App(Lam("x", mk_church(0)), Var("y")))
-    _, (verdict, _, tau) = _macro_step([operator, numeral, Var(PROBE)], Family.UPPER,
-                                       upper.n, successor, limits)
+    _, (verdict, _, tau) = _macro_step([operator, numeral, Var(PROBE)], upper.n,
+                                       successor, limits)
     if verdict == Verdict.FUEL:
         return Verdict.UNKNOWN, None
     # the upper run succeeded, so it carries its tau
@@ -264,11 +264,8 @@ class Theorem3Report(NamedTuple):
         if (self.lower_verdict == Verdict.FUEL
                 or None in (self.upper_tau_ok, self.lower_failures_ok)):
             return Verdict.FUEL
-        if self.n_max == 0:
-            lower_good = self.lower_verdict == Verdict.ALL_PASS
-        else:
-            lower_good = (self.lower_verdict == Verdict.FIRST_FAILURE
-                          and self.lower_at == 1 and self.lower_failures_ok)
+        # level 0 passes, and the first level that does not is 1 when there is a level 1
+        lower_good = self.lower_at == (1 if self.n_max else None) and self.lower_failures_ok
         return Verdict.PASS if self.upper_tau_ok and lower_good else Verdict.REFUTED
 
     def to_dict(self) -> dict[str, Any]:
@@ -296,8 +293,8 @@ def verify_theorem3(n_max: int, limits: Limits = DEFAULT_LIMITS) -> Theorem3Repo
     against the expected split."""
     env = prelude("S2")
     t3, s2 = env["T3"], env["S2"]
-    upper_verdict = check_operator(t3, Family.UPPER, n_max, successor=s2, limits=limits).verdict
-    lower = check_operator(t3, Family.LOWER, n_max, limits=limits)
+    upper_verdict = check_operator(t3, n_max, s2, limits).verdict
+    lower = check_operator(t3, n_max, limits=limits)
 
     def failed_as_expected(r: RunReport) -> bool | None:
         """Failed on a tau holding a stored lower constant at level 0; None: no fuel."""

@@ -79,7 +79,7 @@ def test_storage_operators():
     env = prelude()
     s1 = env["S1"]
     for name in ("T1", "T2"):
-        summary = check_operator(env[name], Family.LOWER, 8)
+        summary = check_operator(env[name], 8)
         assert summary.verdict == Verdict.ALL_PASS
         for report in summary.reports:
             n = report.n
@@ -93,14 +93,14 @@ def test_s_storage_matrix():
     for op_name in ("T1", "T2"):
         for succ_name in ("S1", "S2"):
             env = prelude(succ_name)
-            summary = check_operator(env[op_name], Family.UPPER, 8, env[succ_name])
+            summary = check_operator(env[op_name], 8, env[succ_name])
             assert summary.verdict == Verdict.ALL_PASS, (op_name, succ_name)
 
     # the worked-chain shape: n+1 constant transforms, then the unwinding
     env = prelude("S2")
     s2, f_op = env["S2"], env["F"]
     for n in range(9):
-        report = run_check(env["T2"], Family.UPPER, n, s2)
+        report = run_check(env["T2"], n, s2)
         transforms = [step.transform for step in report.trace]
         assert len(transforms) == n + 2
         assert transforms[-1] == FINAL
@@ -118,12 +118,12 @@ def test_s_storage_matrix():
 @criterion(4, "an s-storage operator that is not a storage operator")
 def test_t3_reproduction():
     env = prelude("S2")
-    upper = check_operator(env["T3"], Family.UPPER, 5, env["S2"])
+    upper = check_operator(env["T3"], 5, env["S2"])
     assert upper.verdict == Verdict.ALL_PASS
     for report in upper.reports:
         assert beta_equiv(report.tau, mk_church(report.n)) is True
 
-    lower = check_operator(env["T3"], Family.LOWER, 5)
+    lower = check_operator(env["T3"], 5)
     assert lower.verdict == Verdict.FIRST_FAILURE
     assert lower.at == 1
     assert lower.reports[0].verdict == Verdict.SUCCESS
@@ -140,8 +140,8 @@ def test_equivalence_suite():
     for name in BUILTINS:
         term = env[name]
         for n in range(9):
-            lo = run_check(term, Family.LOWER, n)
-            up = run_check(term, Family.UPPER, n, env["S1"])
+            lo = run_check(term, n)
+            up = run_check(term, n, env["S1"])
             assert lo.verdict == up.verdict, (name, n)
             if lo.verdict == Verdict.SUCCESS:
                 assert alpha_eq(lo.tau, up.tau), (name, n)
@@ -189,7 +189,7 @@ def test_property_suites():
     env = prelude()
     for name in ("T1", "T2"):
         for n in range(9):
-            report = run_check(env[name], Family.UPPER, n, env["S1"])
+            report = run_check(env[name], n, env["S1"])
             assert report.verdict == Verdict.SUCCESS
             for step in report.trace:
                 assert satisfies_P(step.v)
@@ -205,9 +205,9 @@ def test_fuel_honesty():
     starved = Limits(head_fuel=5)
     env1, env2 = prelude("S1"), prelude("S2")
     batteries = [
-        check_operator(env1["T2"], Family.LOWER, 8, limits=starved),
-        check_operator(env1["T2"], Family.UPPER, 8, env1["S1"], limits=starved),
-        check_operator(env2["T2"], Family.UPPER, 8, env2["S2"], limits=starved),
+        check_operator(env1["T2"], 8, limits=starved),
+        check_operator(env1["T2"], 8, env1["S1"], limits=starved),
+        check_operator(env2["T2"], 8, env2["S2"], limits=starved),
     ]
     verdicts = [r.verdict for s in batteries for r in s.reports]
     assert Verdict.FAIL not in verdicts

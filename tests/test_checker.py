@@ -112,7 +112,7 @@ def test_transform_errors():
 
 def test_run_check_storage_success():
     env = prelude()
-    report = run_check(env["T1"], Family.LOWER, 3)
+    report = run_check(env["T1"], 3)
     assert report.verdict == Verdict.SUCCESS
     assert beta_equiv(report.tau, mk_church(3)) is True
 
@@ -120,7 +120,7 @@ def test_run_check_storage_success():
 def test_run_check_upper_worked_chain():
     env = prelude("S2")
     s2, f_op = env["S2"], env["F"]
-    report = run_check(env["T2"], Family.UPPER, 3, s2)
+    report = run_check(env["T2"], 3, s2)
     assert report.verdict == Verdict.SUCCESS
     assert [s.transform for s in report.trace] == [
         "SeedSucc", "StoredSucc", "StoredSucc", "StoredZero", "Final",
@@ -136,7 +136,7 @@ def test_run_check_upper_worked_chain():
 
 def test_run_check_open_tau_failure():
     env = prelude("S2")
-    report = run_check(env["T3"], Family.LOWER, 2)
+    report = run_check(env["T3"], 2)
     assert report.verdict == Verdict.FAIL
     assert report.reason == TAU_NOT_CLOSED
     offenders = [c for c in iter_consts(report.tau)
@@ -146,7 +146,7 @@ def test_run_check_open_tau_failure():
 
 def test_run_check_t3_upper_succeeds():
     env = prelude("S2")
-    report = run_check(env["T3"], Family.UPPER, 2, env["S2"])
+    report = run_check(env["T3"], 2, env["S2"])
     assert report.verdict == Verdict.SUCCESS
     assert beta_equiv(report.tau, mk_church(2)) is True
 
@@ -161,14 +161,12 @@ def test_sweep_checks_its_operands_once(monkeypatch):
         return is_closed_pure(term)
 
     monkeypatch.setattr(checker, "is_closed_pure", counting)
-    check_operator(env["T1"], Family.UPPER, 4, env["S1"])
+    check_operator(env["T1"], 4, env["S1"])
     # the other calls are run_check's own, on each witness
     assert [t for t in calls if t is env["T1"] or t is env["S1"]] == [env["T1"], env["S1"]]
     # checked before any run, with run_check's own errors
     with pytest.raises(ValueError, match="operator must be"):
-        check_operator(Var("x"), Family.LOWER, 3)
-    with pytest.raises(ValueError, match="need a successor"):
-        check_operator(env["T1"], Family.UPPER, 3)
+        check_operator(Var("x"), 3)
 
 
 def test_check_operator_runs_each_level_when_first_read(monkeypatch):
@@ -176,13 +174,13 @@ def test_check_operator_runs_each_level_when_first_read(monkeypatch):
 
     original, levels = checker.run_check, []
 
-    def counting(term, family, n, *args, **kwargs):
+    def counting(term, n, *args, **kwargs):
         levels.append(n)
-        return original(term, family, n, *args, **kwargs)
+        return original(term, n, *args, **kwargs)
 
     monkeypatch.setattr(checker, "run_check", counting)
     env = prelude()
-    summary = check_operator(env["T1"], Family.LOWER, 5)
+    summary = check_operator(env["T1"], 5)
     assert levels == []
     assert next(iter(summary)).n == 0 and levels == [0]
     assert summary.verdict == Verdict.ALL_PASS
@@ -194,42 +192,38 @@ def test_check_operator_runs_each_level_when_first_read(monkeypatch):
 def test_check_operator_rejects_a_negative_bound():
     # I fails at level 0, so a summary of no levels would pass it vacuously
     env = prelude()
-    assert check_operator(env["I"], Family.LOWER, 0).verdict == Verdict.FIRST_FAILURE
+    assert check_operator(env["I"], 0).verdict == Verdict.FIRST_FAILURE
     with pytest.raises(ValueError, match="n_max must be non-negative"):
-        check_operator(env["I"], Family.LOWER, -1)
+        check_operator(env["I"], -1)
     with pytest.raises(ValueError, match="n_max must be non-negative"):
-        check_operator(env["T1"], Family.UPPER, -1, env["S1"])
+        check_operator(env["T1"], -1, env["S1"])
 
 
 def test_run_check_validation():
     env = prelude()
     with pytest.raises(ValueError):
-        run_check(Var("x"), Family.LOWER, 1)
+        run_check(Var("x"), 1)
     with pytest.raises(ValueError):
-        run_check(env["T1"], Family.UPPER, 1)
+        run_check(env["T1"], -1)
     with pytest.raises(ValueError):
-        run_check(env["T1"], Family.LOWER, 1, env["S1"])
-    with pytest.raises(ValueError):
-        run_check(env["T1"], Family.LOWER, -1)
-    with pytest.raises(ValueError):
-        run_check(env["T1"], Family.UPPER, 1, Var("y"))
+        run_check(env["T1"], 1, Var("y"))
 
 
-@pytest.mark.parametrize("source, family, successor, v", [
-    ("\\n f. g f", Family.LOWER, None, "g f"),
-    ("\\n f. X[0] f f", Family.LOWER, None, "X[0] f f"),
-    ("\\n f. x[0] f f", Family.UPPER, "S1", "x[0] f f"),
+@pytest.mark.parametrize("source, successor, v", [
+    ("\\n f. g f", None, "g f"),
+    ("\\n f. X[0] f f", None, "X[0] f f"),
+    ("\\n f. x[0] f f", "S1", "x[0] f f"),
 ])
-def test_run_check_stops_at_a_foreign_head(source, family, successor, v):
+def test_run_check_stops_at_a_foreign_head(source, successor, v):
     # operands that check_operator rejects, so only a broken invariant gets
     # here: a free head or a constant of the other family must not pass
     term, succ = parse(source), prelude()[successor] if successor else None
-    report = run_check(term, family, 0, succ, checked=True)
+    report = run_check(term, 0, succ, checked=True)
     assert (report.verdict, report.reason, report.tau) == (Verdict.FAIL, FOREIGN_HEAD, None)
     [step] = report.trace
     assert pretty(step.v) == v and step.transform is None
     with pytest.raises(ValueError):
-        run_check(term, family, 0, succ)
+        run_check(term, 0, succ)
 
 
 def test_macro_step_takes_a_spine_and_builds_it_once():
@@ -250,11 +244,11 @@ def test_trace_replays(operator, family, successor, n):
     env = prelude(successor)
     succ = env[successor] if family is Family.UPPER else None
     operator = env[operator] if isinstance(operator, str) else builtin_shaped(rng(operator))[0]
-    report = run_check(operator, family, n, succ)
+    report = run_check(operator, n, succ)
     for i, step in enumerate(report.trace):
         assert step.u is step.u  # built once, when first read
         assert head_reduce(step.u) == (step.v, step.beta_steps)
-        replayed, nxt = _macro_step([step.u], family, n, succ, DEFAULT_LIMITS)
+        replayed, nxt = _macro_step([step.u], n, succ, DEFAULT_LIMITS)
         assert (replayed.v, replayed.beta_steps, replayed.transform) == \
             (step.v, step.beta_steps, step.transform)
         if i + 1 < len(report.trace):
@@ -275,7 +269,7 @@ def test_trace_replays(operator, family, successor, n):
 def test_upper_levels_strictly_decrease():
     env = prelude()
     for n in range(6):
-        report = run_check(env["T1"], Family.UPPER, n, env["S1"])
+        report = run_check(env["T1"], n, env["S1"])
         levels = []
         for step in report.trace:
             head = spine(step.v)[0]
@@ -288,7 +282,7 @@ def test_upper_levels_strictly_decrease():
 
 def test_check_operator_storage():
     env = prelude()
-    summary = check_operator(env["T2"], Family.LOWER, 8)
+    summary = check_operator(env["T2"], 8)
     assert summary.verdict == Verdict.ALL_PASS
     assert summary.at is None
 
@@ -305,7 +299,7 @@ def test_check_operator_builds_few_nodes(monkeypatch):
             original(node, *fields)
 
         monkeypatch.setattr(kind, "__init__", counting)
-    summary = check_operator(env["T1"], Family.UPPER, 12, env["S2"])
+    summary = check_operator(env["T1"], 12, env["S2"])
     assert summary.verdict == Verdict.ALL_PASS
     steps = [step for report in summary.reports for step in report.trace]
     assert len(steps) == 104
@@ -320,8 +314,8 @@ def test_check_operator_builds_few_nodes(monkeypatch):
 def test_a_zero_step_macro_step_keeps_one_state():
     # a state that takes no beta-step is its own head normal form: the step
     # keeps v as its u, so reading u builds nothing
-    reports = [run_check(parse(r"\n f. n f f"), Family.LOWER, 1)]
-    reports += check_operator(prelude()["T2"], Family.LOWER, 12).reports
+    reports = [run_check(parse(r"\n f. n f f"), 1)]
+    reports += check_operator(prelude()["T2"], 12).reports
     zero = [step for report in reports for step in report.trace if step.beta_steps == 0]
     assert len(zero) == 1 + 13
     for step in zero:
@@ -330,7 +324,7 @@ def test_a_zero_step_macro_step_keeps_one_state():
 
 def test_check_operator_first_failure():
     env = prelude("S2")
-    summary = check_operator(env["T3"], Family.LOWER, 4)
+    summary = check_operator(env["T3"], 4)
     assert summary.verdict == Verdict.FIRST_FAILURE
     assert summary.at == 1
     assert summary.reports[0].verdict == Verdict.SUCCESS
@@ -338,17 +332,17 @@ def test_check_operator_first_failure():
 
 def test_check_operator_cross_successor():
     env = prelude()
-    summary = check_operator(env["T1"], Family.UPPER, 6, prelude("S2")["S2"])
+    summary = check_operator(env["T1"], 6, prelude("S2")["S2"])
     assert summary.verdict == Verdict.ALL_PASS
 
 
 def test_fuel_exhaustion_is_not_refutation():
     env = prelude()
-    report = run_check(env["T2"], Family.LOWER, 3, limits=Limits(head_fuel=1))
+    report = run_check(env["T2"], 3, limits=Limits(head_fuel=1))
     assert report.verdict == Verdict.FUEL
     assert report.reason == "Head"
     env2 = prelude("S2")
-    summary = check_operator(env2["T2"], Family.UPPER, 3, env2["S2"],
+    summary = check_operator(env2["T2"], 3, env2["S2"],
                              limits=Limits(head_fuel=5))
     assert summary.verdict == Verdict.FUEL
     assert all(r.verdict != Verdict.FAIL for r in summary.reports)
@@ -356,7 +350,7 @@ def test_fuel_exhaustion_is_not_refutation():
 
 def test_macro_fuel_exhaustion():
     env = prelude()
-    report = run_check(env["T2"], Family.LOWER, 5, limits=Limits(macro_fuel=2))
+    report = run_check(env["T2"], 5, limits=Limits(macro_fuel=2))
     assert report.verdict == Verdict.FUEL
     assert report.reason == "Macro"
 
@@ -378,34 +372,34 @@ GOLDEN_RUN_JSON = r'''{
 
 
 def test_report_json_golden_bytes():
-    report = run_check(parse("\\n f. f #0"), Family.LOWER, 0)
+    report = run_check(parse("\\n f. f #0"), 0)
     assert to_json(report.to_dict(trace=True)) == GOLDEN_RUN_JSON
 
 
 def test_json_is_byte_stable():
     env = prelude()
-    summary = check_operator(env["T1"], Family.LOWER, 2, trace=True)
+    summary = check_operator(env["T1"], 2, trace=True)
     first = to_json(summary.to_dict())
-    second = to_json(check_operator(env["T1"], Family.LOWER, 2, trace=True).to_dict())
+    second = to_json(check_operator(env["T1"], 2, trace=True).to_dict())
     assert first == second
 
 
 def test_trace_serialization_can_be_suppressed():
     env = prelude()
-    report = run_check(env["T1"], Family.LOWER, 1)
+    report = run_check(env["T1"], 1)
     with_trace = report.to_dict(trace=True)
     without = report.to_dict()
     assert "steps" in with_trace
     assert "steps" not in without
-    summary = check_operator(env["T1"], Family.LOWER, 1).to_dict()
+    summary = check_operator(env["T1"], 1).to_dict()
     assert all("steps" not in run for run in summary["runs"])
-    traced = check_operator(env["T1"], Family.LOWER, 1, trace=True).to_dict()
+    traced = check_operator(env["T1"], 1, trace=True).to_dict()
     assert all("steps" in run for run in traced["runs"])
 
 
 def test_summary_dict_envelope():
     env = prelude()
-    d = check_operator(env["T1"], Family.UPPER, 1, env["S1"], trace=True).to_dict()
+    d = check_operator(env["T1"], 1, env["S1"], trace=True).to_dict()
     assert list(d)[:4] == ["family", "successor", "n_max", "verdict"]
     assert d["family"] == "X"
     assert len(list(d["runs"])) == 2

@@ -32,7 +32,6 @@ from storlab.cli import (
 )
 from storlab.reduction import FuelExhausted, Verdict, check_successor
 from storlab.syntax import parse, pretty
-from storlab.terms import Family
 from storlab.theorems import (
     verify_theorem1_instance,
     verify_theorem2_instance,
@@ -534,10 +533,10 @@ def report_cases(trace=False):
     and both lazy and built on runs already made, with trace or without."""
     env, env2 = prelude(), prelude("S2")
     return [
-        check_operator(env["T1"], Family.LOWER, 2, trace=trace),
-        check_operator(env2["T3"], Family.LOWER, 2, trace=trace),
-        check_operator(env["T2"], Family.UPPER, 2, env["S1"], trace=trace),
-        OperatorSummary(list(check_operator(env2["T1"], Family.UPPER, 1, env2["S2"])), trace),
+        check_operator(env["T1"], 2, trace=trace),
+        check_operator(env2["T3"], 2, trace=trace),
+        check_operator(env["T2"], 2, env["S1"], trace=trace),
+        OperatorSummary(list(check_operator(env2["T1"], 1, env2["S2"])), trace),
         verify_theorem1_instance(env2["T2"], env2["S2"], 1),
         verify_theorem2_instance(env["T1"], 1),
         verify_theorem3(1),
@@ -602,11 +601,11 @@ def test_text_prints_each_level_as_its_run_returns(monkeypatch):
 
     original, out, printed = checker.run_check, io.StringIO(), {}
 
-    def watching(term, family, n, *args, **kwargs):
+    def watching(term, n, *args, **kwargs):
         printed[n] = out.getvalue()
         if n == 2:
             raise RuntimeError("boom")
-        return original(term, family, n, *args, **kwargs)
+        return original(term, n, *args, **kwargs)
 
     monkeypatch.setattr(checker, "run_check", watching)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:

@@ -13,7 +13,7 @@ from genterms import builtin_shaped, with_redexes
 from storlab import prelude
 from storlab.checker import Verdict, run_check
 from storlab.syntax import pretty
-from storlab.terms import Family, alpha_eq
+from storlab.terms import alpha_eq
 
 # T1 and T2 under both successors' preludes, T3 under S2's, as the paper builds it
 OPERATORS = (("T1", "S1"), ("T1", "S2"), ("T2", "S1"), ("T2", "S2"), ("T3", "S2"))
@@ -39,7 +39,7 @@ def test_lower_success_stores_every_sampled_numeral(operator, n, r):
     name, instance = operator
     env = prelude(instance)
     term = operator_term(name, env, r)
-    report = run_check(term, Family.LOWER, n)
+    report = run_check(term, n)
     if report.verdict != Verdict.SUCCESS:
         return
     for label, t in numeral_inputs(n, env).items():
@@ -64,7 +64,7 @@ def test_upper_success_stores_every_sampled_delayed_numeral(operator, n, r):
     name, instance = operator
     env = prelude(instance)
     term = operator_term(name, env, r)
-    report = run_check(term, Family.UPPER, n, env[instance])
+    report = run_check(term, n, env[instance])
     if report.verdict != Verdict.SUCCESS:
         return
     t = delayed_numeral(n, env[instance], r)

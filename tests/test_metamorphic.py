@@ -28,7 +28,7 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def outcomes(operator, family, successor):
     successor = prelude()[successor] if successor else None
-    return [(r.verdict, r.reason) for r in check_operator(operator, family, N_MAX, successor)]
+    return [(r.verdict, r.reason) for r in check_operator(operator, N_MAX, successor)]
 
 
 @functools.cache
@@ -84,7 +84,7 @@ def test_builtin_shaped_lower_verdict_follows_its_step_and_zero(seed):
     a step that is no successor fails level 1, and otherwise every level
     stores its numeral."""
     operator, step, zero = builtin_shaped(rng(seed))
-    summary = check_operator(operator, Family.LOWER, 3)
+    summary = check_operator(operator, 3)
     if zero == "#1":
         expected = (Verdict.FIRST_FAILURE, 0)
     elif step in NEAR_MISSES:

@@ -379,7 +379,7 @@ def run_states():
             for family in Family:
                 for n in range(4):
                     successor = env[succ] if family is Family.UPPER else None
-                    report = run_check(env[op], family, n, successor)
+                    report = run_check(env[op], n, successor)
                     states += [step.u for step in report.trace]
     return states
 

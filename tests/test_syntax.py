@@ -355,10 +355,10 @@ def _trace_terms():
     """The states, taus and successors of real runs: a run stores its
     context in the constant's payload, so these share subterm objects."""
     env1, env2 = prelude("S1"), prelude("S2")
-    reports = [run_check(env1["T1"], Family.LOWER, 3),
-               run_check(env1["T2"], Family.UPPER, 3, env1["S1"]),
-               run_check(env2["T3"], Family.LOWER, 2),
-               run_check(env2["T3"], Family.UPPER, 3, env2["S2"])]
+    reports = [run_check(env1["T1"], 3),
+               run_check(env1["T2"], 3, env1["S1"]),
+               run_check(env2["T3"], 2),
+               run_check(env2["T3"], 3, env2["S2"])]
     out = []
     for report in reports:
         out.extend(t for step in report.trace for t in (step.u, step.v))

@@ -239,13 +239,13 @@ def test_delta_forward_image_satisfies_p():
 
 def test_lemma1_clean_over_builtin_traces():
     env = prelude()
-    report = run_check(env["T2"], Family.UPPER, 3, prelude("S2")["S2"])
+    report = run_check(env["T2"], 3, prelude("S2")["S2"])
     scan = verify_lemma1_along(report)
     assert scan.ok
     assert scan.pairs_checked > 0
     assert scan.witness is None
 
-    scan = verify_lemma1_along(run_check(env["T1"], Family.UPPER, 4, env["S1"]))
+    scan = verify_lemma1_along(run_check(env["T1"], 4, env["S1"]))
     assert scan.ok
     assert scan.to_dict() == {"check": "lemma1", "ok": True,
                               "pairs_checked": scan.pairs_checked}
@@ -275,7 +275,7 @@ def test_lemma1_rejects_non_replaying_traces():
 
 
 def test_lemma1_requires_upper_family():
-    report = run_check(prelude()["T1"], Family.LOWER, 2)
+    report = run_check(prelude()["T1"], 2)
     with pytest.raises(ValueError):
         verify_lemma1_along(report)
 
@@ -360,9 +360,9 @@ def test_theorem2_levels_sweep_to_the_summaries_verdicts(name, limits):
     env = prelude()
     report = verify_theorem2_instance(env[name], 3, limits)
     assert Verdict.sweep(c.lower for c in report.checks) == \
-        check_operator(env[name], Family.LOWER, 3, limits=limits).verdict
+        check_operator(env[name], 3, limits=limits).verdict
     assert Verdict.sweep(c.upper for c in report.checks) == \
-        check_operator(env[name], Family.UPPER, 3, env["S1"], limits).verdict
+        check_operator(env[name], 3, env["S1"], limits).verdict
 
 
 def test_theorem2_instances():
@@ -399,8 +399,8 @@ def test_theorem2_delta_check_is_about_s1_itself(monkeypatch, name, variant, ver
 def test_theorem2_does_no_head_reduction_of_its_own(monkeypatch):
     # head_reduce is called once per macro step of the two sweeps, nowhere else
     env = prelude()
-    sweeps = (check_operator(env["T1"], Family.LOWER, 6),
-              check_operator(env["T1"], Family.UPPER, 6, env["S1"]))
+    sweeps = (check_operator(env["T1"], 6),
+              check_operator(env["T1"], 6, env["S1"]))
     steps = sum(len(run.trace) for sweep in sweeps for run in sweep.reports)
     calls = []
 
@@ -431,8 +431,8 @@ def test_delta_correspondence_maps_each_trace_node_once(monkeypatch):
     env = prelude()
     mapped = []
     for n in (128, 256):
-        lower = run_check(env["T1"], Family.LOWER, n)
-        upper = run_check(env["T1"], Family.UPPER, n, env["S1"])
+        lower = run_check(env["T1"], n)
+        upper = run_check(env["T1"], n, env["S1"])
         memos.clear()
         assert theorems._delta_correspondence(lower, upper) is True
         mapped.append(sum(len(memo) for memo in memos.values()))
@@ -442,8 +442,8 @@ def test_delta_correspondence_maps_each_trace_node_once(monkeypatch):
 @functools.cache
 def theorem2_runs(name, n):
     env = prelude()
-    return (run_check(env[name], Family.LOWER, n),
-            run_check(env[name], Family.UPPER, n, env["S1"]))
+    return (run_check(env[name], n),
+            run_check(env[name], n, env["S1"]))
 
 
 def mutated_runs(seed):
@@ -516,15 +516,15 @@ def lower_runs():
     for env in (prelude("S1"), prelude("S2")):
         for name in ("T1", "T2", "T3"):
             for n in range(7):
-                yield run_check(env[name], Family.LOWER, n), DEFAULT_LIMITS
+                yield run_check(env[name], n), DEFAULT_LIMITS
             for fuel in range(1, 14):
                 limits = Limits(head_fuel=fuel)
-                yield run_check(env[name], Family.LOWER, 12, limits=limits), limits
+                yield run_check(env[name], 12, limits=limits), limits
     r = rng(89)
     for _ in range(40):
         operator = builtin_shaped(r)[0]
         for n in range(6):
-            yield run_check(operator, Family.LOWER, n), DEFAULT_LIMITS
+            yield run_check(operator, n), DEFAULT_LIMITS
 
 
 def test_delta_forward_commutes_with_head_reduction_on_real_traces():
@@ -561,8 +561,9 @@ def fake_sweeps(monkeypatch, lower, upper):
             else:
                 yield RunReport(family, n, verdict, successor, TAU_NOT_N, mk_church(n + 1))
 
-    def fake(operator, family, n_max, successor=None, limits=DEFAULT_LIMITS):
-        verdicts = lower if family is Family.LOWER else upper
+    def fake(operator, n_max, successor=None, limits=DEFAULT_LIMITS):
+        family = Family.LOWER if successor is None else Family.UPPER
+        verdicts = lower if successor is None else upper
         assert len(verdicts) == n_max + 1
         return OperatorSummary(runs(family, successor, verdicts))
 
@@ -755,7 +756,7 @@ def test_sigma_hat_matches_the_oracle(seed, successor, n_max):
             operator = with_redexes(r, operator)
     successor = parse(successor)
     report = verify_theorem1_instance(operator, successor, n_max)
-    upper = check_operator(operator, Family.UPPER, n_max, successor)
+    upper = check_operator(operator, n_max, successor)
     for level, run in zip(report.checks, upper):
         if level.sigma_hat is not None:
             assert (level.sigma_hat, level.sigma_hat_matches_tau) == \
@@ -776,6 +777,22 @@ def test_theorem3_failures_are_unknown_only_when_none_is_wrong(monkeypatch, lowe
     report = verify_theorem3(2)
     assert (report.upper_tau_ok, report.lower_failures_ok) == (True, failures_ok)
     assert report.verdict == verdict
+
+
+@pytest.mark.parametrize("lower, upper, verdict", [
+    ("S", "S", Verdict.PASS),
+    ("F", "S", Verdict.REFUTED),
+    ("U", "S", Verdict.FUEL),
+    ("FFF", "SSS", Verdict.REFUTED),
+    ("SSS", "SSS", Verdict.REFUTED),
+    ("S", "F", Verdict.REFUTED),
+])
+def test_theorem3_verdict_from_its_sweeps(monkeypatch, lower, upper, verdict):
+    # one run verdict a level: S Success, F Fail, U FuelExhausted.  Level 0 must
+    # pass, and level 1, where there is one, must be the first that does not
+    run = {"S": Verdict.SUCCESS, "F": Verdict.FAIL, "U": Verdict.FUEL}
+    fake_sweeps(monkeypatch, [run[c] for c in lower], [run[c] for c in upper])
+    assert verify_theorem3(len(lower) - 1).verdict == verdict
 
 
 def test_theorem3_reproduction():
@@ -809,7 +826,7 @@ def test_theorem3_upper_tau_matches_oracle():
     for head, macro, norm in itertools.product((1, 2, 3, 5, 8, 13, 10**6), (1, 2, 3, 10**4),
                                                (1, 3, 8, 10**6)):
         limits = Limits(head_fuel=head, macro_fuel=macro, norm_fuel=norm)
-        upper = check_operator(env2["T3"], Family.UPPER, 4, env2["S2"], limits)
+        upper = check_operator(env2["T3"], 4, env2["S2"], limits)
         ok = verify_theorem3(4, limits).upper_tau_ok
         assert ok == oracle_upper_tau_ok(upper, limits), limits
         seen.add(ok)
@@ -833,7 +850,7 @@ def test_verifiers_reject_a_negative_bound():
 def test_theorem3_tau_values():
     env2 = prelude("S2")
     for n in (0, 2, 3):
-        report = run_check(env2["T3"], Family.UPPER, n, env2["S2"])
+        report = run_check(env2["T3"], n, env2["S2"])
         assert report.verdict == Verdict.SUCCESS
         assert beta_equiv(report.tau, mk_church(n)) is True
 
