@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 from .reduction import (
@@ -284,39 +285,56 @@ class OperatorSummary:
     """The runs of one operator over the levels 0..n_max, and their verdict.
 
     The runs may come lazily, as from check_operator(): each is then run when
-    it is first reached, so that iterating, and so lines(), yields a level as
-    soon as its run returns.  The verdict and `at` read every run, and so
-    does `reports`.  The family, the successor and n_max are the runs' own.
-    With trace, to_dict and lines show each run's macro steps.
+    it is first reached, so that iterating yields a level as soon as its run
+    returns.  `reports` and to_dict read every run, and so do the verdict and
+    `at` until lines() has run.  lines() streams: it prints each run as it
+    returns and then drops it, keeping only the sweep's verdict and `at`.
+    From its first line on, `reports`, iterating and to_dict raise
+    RuntimeError, while the verdict and `at` still answer once its last line
+    is out.  The family, the successor and n_max are the runs' own.  With
+    trace, to_dict and lines show each run's macro steps.
     """
 
+    __slots__ = ("_taken", "_pending", "trace", "_folded")
+
     def __init__(self, runs: Iterable[RunReport], trace: bool = False):
-        self._taken: list[RunReport] = []
+        self._taken: list[RunReport] | None = []
         self._pending = iter(runs)
         self.trace = trace
+        self._folded: tuple[Verdict, int | None] | None = None  # set by lines()
+
+    def _kept(self) -> list[RunReport]:
+        if self._taken is None:
+            raise RuntimeError("lines() has printed and dropped this summary's runs; "
+                               "only its verdict and at remain")
+        return self._taken
 
     def __iter__(self) -> Iterator[RunReport]:
         """Every run in level order, each run when first reached."""
-        yield from self._taken
+        taken = self._kept()
+        yield from taken
         for report in self._pending:
-            self._taken.append(report)
+            taken.append(report)
             yield report
 
     @property
     def reports(self) -> list[RunReport]:
-        self._taken.extend(self._pending)
-        return self._taken
+        taken = self._kept()
+        taken.extend(self._pending)
+        return taken
+
+    def _outcome(self) -> tuple[Verdict, int | None]:
+        if self._folded is not None:
+            return self._folded
+        return _fold([(report.n, report.verdict) for report in self.reports])
 
     @property
     def verdict(self) -> Verdict:
-        return Verdict.sweep(report.verdict for report in self.reports)
+        return self._outcome()[0]
 
     @property
     def at(self) -> int | None:
-        for report in self.reports:
-            if report.verdict != Verdict.SUCCESS:
-                return report.n
-        return None
+        return self._outcome()[1]
 
     def to_dict(self) -> dict[str, Any]:
         """The summary; its runs are a generator of the runs' dicts, each
@@ -326,19 +344,33 @@ class OperatorSummary:
         if first.successor is not None:
             out["successor"] = pretty(first.successor)
         out["n_max"] = len(self.reports) - 1
-        out["verdict"] = self.verdict
-        if self.at is not None:
-            out["at"] = self.at
+        out["verdict"], at = self._outcome()
+        if at is not None:
+            out["at"] = at
         out["runs"] = (report.to_dict(self.trace) for report in self.reports)
         return out
 
     def lines(self) -> Iterator[str]:
-        for report in self:
+        """Each run's lines as soon as it returns, then the verdict line; a
+        run is dropped once its lines are out, so one run is held at a time."""
+        runs = chain(self._kept(), self._pending)
+        self._taken = None
+        levels = []
+        for report in runs:
             yield from report.lines(self.trace)
-        tail = f"verdict: {self.verdict}"
-        if self.at is not None:
-            tail += f" (n={self.at})"
+            levels.append((report.n, report.verdict))
+        self._folded = verdict, at = _fold(levels)
+        tail = f"verdict: {verdict}"
+        if at is not None:
+            tail += f" (n={at})"
         yield tail
+
+
+def _fold(levels: list[tuple[int, Verdict]]) -> tuple[Verdict, int | None]:
+    """A sweep's verdict and `at`, the first level that is not a Success,
+    from its runs' levels and verdicts in level order."""
+    at = next((n for n, verdict in levels if verdict != Verdict.SUCCESS), None)
+    return Verdict.sweep(verdict for _, verdict in levels), at
 
 
 def check_operator(term: Term, n_max: int, successor: Term | None = None,

@@ -38,9 +38,11 @@ def _join(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
     return a if b <= a else b if a <= b else a | b
 
 
-# == and hash compare what _shape yields, so deep terms compare and hash
-# without a depth limit.  Both are structural, binder names included, and
-# leave the free-name slot out; so does repr, which walks with its own stack.
+# == and hash are structural, binder names included, and leave the free-name
+# slot out; so does repr.  Each walks with its own stack, so deep terms compare,
+# hash and print without a depth limit.  == skips a pair whenever both sides are
+# one node, so terms that share subterms compare at the cost of the parts they
+# do not share; hash walks what _shape yields.
 
 def _shape(term: Term) -> Iterator[object]:
     """Each node's own part, in pre-order: a Var's name, App, a Lam's binder,
@@ -81,9 +83,29 @@ class Term:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Term):
             return NotImplemented
-        # a node's part fixes how many children follow it, so two shapes that
-        # agree as far as both go are the same length
-        return self is other or all(a == b for a, b in zip(_shape(self), _shape(other)))
+        stack: list[tuple[Term, Term]] = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if kind is not type(b):
+                return False
+            if kind is App:
+                stack.append((a.arg, b.arg))
+                stack.append((a.fn, b.fn))
+            elif kind is Var:
+                if a.name != b.name:
+                    return False
+            elif kind is Lam:
+                if a.binder != b.binder:
+                    return False
+                stack.append((a.body, b.body))
+            elif (a.family, a.level, len(a.payload)) == (b.family, b.level, len(b.payload)):
+                stack.extend(zip(a.payload, b.payload))
+            else:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(_shape(self)))

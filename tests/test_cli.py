@@ -17,7 +17,7 @@ import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
 
-from genterms import any_term, rng
+from genterms import any_term, builtin_shaped, rng
 from storlab import cli, prelude, syntax
 from storlab.checker import OperatorSummary, check_operator, to_json
 from storlab.cli import (
@@ -30,7 +30,7 @@ from storlab.cli import (
     TermReport,
     main,
 )
-from storlab.reduction import FuelExhausted, Verdict, check_successor
+from storlab.reduction import FuelExhausted, Limits, Verdict, check_successor
 from storlab.syntax import parse, pretty
 from storlab.theorems import (
     verify_theorem1_instance,
@@ -594,6 +594,84 @@ def test_json_trace_heap_stays_near_its_output():
     # 4.2 times the output while every run's dict and the encoder's chunks
     # of the whole document were alive at once
     assert peak <= 2.5 * len(out.getvalue().encode())
+
+
+def traced_peak(argv):
+    """The traced heap's peak rise while main(argv) runs, its output discarded."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_PASS
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_sweep_heap_grows_linearly():
+    argv = ["check-storage", "T1", "--n-max"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv + ["1"])  # one-time allocations fall outside the measure
+    peak30, peak60 = traced_peak(argv + ["30"]), traced_peak(argv + ["60"])
+    # a run at level n holds O(n) nodes: one run at a time doubles the peak
+    # when n doubles, and every run kept to the end made it 3.75 times
+    assert peak60 <= 2.5 * peak30
+
+
+_SWEEP_OPERATORS = ("shaped", "T1", "T2", "T3", r"\n f. f #0")
+
+
+def sweep(operator, seed, successor, n_max, limits):
+    env = prelude("S2")
+    term = builtin_shaped(rng(seed))[0] if operator == "shaped" else env.get(operator)
+    if term is None:
+        term = parse(operator)
+    return check_operator(term, n_max, env.get(successor), limits)
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(st.sampled_from(_SWEEP_OPERATORS), st.integers(0, 2**32 - 1),
+           st.sampled_from((None, "S1", "S2")), st.integers(0, 3),
+           st.builds(Limits, st.sampled_from((2, 50, 10_000)), st.sampled_from((2, 30)),
+                     st.sampled_from((5, 10_000))))
+@hyp.example(r"\n f. f #0", 0, None, 3, Limits())
+@hyp.example("T1", 0, None, 3, Limits(head_fuel=2))
+def test_text_verdict_agrees_with_json(operator, seed, successor, n_max, limits):
+    """lines() streams its runs and folds their verdicts; the tail line and
+    the exit code must be those of to_dict() on a fresh summary."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli._emit(sweep(operator, seed, successor, n_max, limits),
+                         argparse.Namespace(json=False))
+    tail = re.fullmatch(r"verdict: (\w+)(?: \(n=(\d+)\))?", out.getvalue().splitlines()[-1])
+    fresh = sweep(operator, seed, successor, n_max, limits).to_dict()
+    at = None if tail[2] is None else int(tail[2])
+    assert (tail[1], at, code) == (fresh["verdict"], fresh.get("at"),
+                                   cli._exit_code(fresh["verdict"]))
+
+
+def test_text_sweep_reaches_every_verdict():
+    # the property above is not vacuous: its fixed cases fail at a level and starve
+    verdicts = {sweep(r"\n f. f #0", 0, None, 3, Limits()).verdict,
+                sweep("T1", 0, None, 3, Limits(head_fuel=2)).verdict,
+                sweep("T1", 0, "S2", 3, Limits()).verdict}
+    assert verdicts == {Verdict.FIRST_FAILURE, Verdict.FUEL, Verdict.ALL_PASS}
+
+
+def test_streamed_summary_keeps_only_its_verdict():
+    summary = check_operator(parse(r"\n f. f #0"), 3)
+    first = next(iter(summary))  # a run taken before lines() is printed too
+    lines = list(summary.lines())
+    assert (first.n, lines[0]) == (0, "n=0: Success  tau = #0")
+    assert lines[-1] == "verdict: FirstFailureAt (n=1)"
+    assert (summary.verdict, summary.at) == (Verdict.FIRST_FAILURE, 1)
+    reads = (lambda: summary.reports, lambda: list(summary), summary.to_dict,
+             lambda: list(summary.lines()))
+    for read in reads:
+        with pytest.raises(RuntimeError, match="dropped this summary's runs"):
+            read()
+    assert not hasattr(summary, "__dict__")
 
 
 def test_text_prints_each_level_as_its_run_returns(monkeypatch):

@@ -14,6 +14,7 @@ from storlab.terms import (
     Lam,
     Term,
     Var,
+    _shape,
     alpha_eq,
     app,
     app_power,
@@ -717,3 +718,26 @@ def test_eq_and_hash_deep_terms_without_recursion():
     assert nested(Var("q")) == nested(Var("q"))
     assert hash(nested(Var("q"))) == hash(nested(Var("q")))
     assert nested(Var("q")) != nested(Var("r"))
+
+
+def test_eq_skips_shared_subterms():
+    t = Var("x")
+    for _ in range(40):
+        t = App(t, t)  # 2**41 - 1 nodes as a tree, 41 as a DAG
+    # only the answers go into the assert: a failing one would print t's tree
+    answers = (App(t, Var("y")) == App(t, Var("y")), App(t, Var("y")) == App(t, Var("z")),
+               Const(Family.UPPER, 2, (t, Lam("y", t))) == Const(Family.UPPER, 2, (t, Lam("y", t))),
+               Const(Family.UPPER, 2, (t, Lam("y", t))) == Const(Family.UPPER, 2, (t, Lam("z", t))))
+    assert answers == (True, False, True, False)
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_eq_matches_shape_comparison(seed):
+    """== is the comparison of the two pre-order shapes, on pairs that share
+    subterms, on equal pairs that share none, and on unrelated pairs."""
+    r = rng(seed)
+    t, u = shared_pair(seed)
+    a = any_term(r, 4)
+    for x, y in ((t, u), (t, rebuilt(t)), (App(a, t), App(rebuilt(a), u)),
+                 (a, any_term(r, 4)), (Lam("s", a), Lam("s", rebuilt(a)))):
+        assert (x == y) == (y == x) == (list(_shape(x)) == list(_shape(y)))
