@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Iterable, Iterator
 
 from .reduction import (
@@ -338,7 +339,9 @@ class OperatorSummary:
 
     def to_dict(self) -> dict[str, Any]:
         """The summary; its runs are a generator of the runs' dicts, each
-        built when the writer reaches it, which to_json writes as a list."""
+        built when the writer reaches it, which to_json writes as a list.
+        cli._write_json encodes each run's dict alone, as to_json(run, "    "),
+        at the depth it has in the whole document, and then drops it."""
         first = self.reports[0]
         out: dict[str, Any] = {"family": first.family.value}
         if first.successor is not None:
@@ -387,8 +390,39 @@ def check_operator(term: Term, n_max: int, successor: Term | None = None,
                             for n in range(n_max + 1)), trace)
 
 
-def to_json(payload: Any) -> str:
-    """Render with a fixed key order so identical inputs give identical bytes.
-    An iterable that json does not know, such as a summary's runs, stands
-    for the list of its items."""
-    return json.dumps(payload, indent=2, sort_keys=False, default=list)
+def to_json(payload: Any, pad: str = "") -> str:
+    """payload in JSON, byte for byte as the standard library's dumps writes
+    it with indent=2 and default=list, with every line after the first
+    indented by pad.  Keys keep their order, so identical inputs give
+    identical bytes.  An iterable that json does not know, such as a
+    summary's runs, stands for the list of its items.  The stdlib encodes an
+    indented document in Python, one generator per container; this writer
+    joins strings, and escapes them with the stdlib's own C escaper."""
+    return _encode(payload, pad)
+
+
+def _encode(value: Any, pad: str) -> str:
+    # to_json's body, which recurses here and not through to_json, so that a
+    # tracer wrapping to_json (bench/tracer.py) sees one call per document
+    if isinstance(value, str):  # a Verdict included
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN, Infinity and repr, as the stdlib writes them
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_escape(key)}: {_encode(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    else:
+        items = [_encode(item, inner) for item in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"

@@ -170,10 +170,10 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
 
 def _write_json(payload: dict[str, Any]) -> None:
     """Print to_json(payload) a piece at a time, with the same bytes: each
-    top-level value, or for a list each of its items, is encoded and written
-    at the indentation it has in the whole document, then dropped.  A list
-    may be an iterable that builds its items as it goes, such as a summary's
-    runs."""
+    top-level value, or for a list each of its items, is encoded by to_json
+    with the pad of its depth in the whole document ("  " for a value, "    "
+    for an item), written, then dropped.  A list may be an iterable that
+    builds its items as it goes, such as a summary's runs."""
     write = sys.stdout.write
     opening = "{"
     for key, value in payload.items():
@@ -182,11 +182,11 @@ def _write_json(payload: dict[str, Any]) -> None:
         if isinstance(value, Iterable) and not isinstance(value, (str, dict)):
             bracket = "["
             for item in value:
-                write(f"{bracket}\n    " + to_json(item).replace("\n", "\n    "))
+                write(f"{bracket}\n    {to_json(item, '    ')}")
                 bracket = ","
             write("[]" if bracket == "[" else "\n  ]")
         else:
-            write(to_json(value).replace("\n", "\n  "))
+            write(to_json(value, "  "))
     write("{}\n" if opening == "{" else "\n}\n")
 
 

@@ -1,5 +1,8 @@
 """The two characterization machines and their reports."""
 
+import json
+import math
+
 import hypothesis as hyp
 import pytest
 from hypothesis import strategies as st
@@ -382,6 +385,45 @@ def test_json_is_byte_stable():
     first = to_json(summary.to_dict())
     second = to_json(check_operator(env["T1"], 2, trace=True).to_dict())
     assert first == second
+
+
+class Lazy(list):
+    """A generator's items in a drawn payload: made into a fresh generator
+    for each writer, since a generator is read only once."""
+
+
+def built(payload):
+    if isinstance(payload, Lazy):
+        return (built(item) for item in payload)
+    if isinstance(payload, dict):
+        return {key: built(item) for key, item in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(built(item) for item in payload)
+    return payload
+
+
+# quotes, backslashes, control characters, non-ASCII, a line separator, lone
+# surrogates and an astral character, beside whatever hypothesis draws
+_CHARS = st.one_of(st.characters(exclude_categories=()),
+                   st.sampled_from('"\\\x00\b\t\n\x1f\x7fé\u2028\ud800\udfff\U0001f600'))
+_TEXT = st.text(_CHARS, max_size=8)
+_SCALARS = st.one_of(
+    _TEXT, st.none(), st.booleans(), st.integers(),
+    st.sampled_from((2**100, -2**70, 0)),
+    st.floats(), st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 1e300)),
+    st.sampled_from(tuple(Verdict)))
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(inner, max_size=4).map(Lazy), st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@hyp.settings(max_examples=300, deadline=None)
+@hyp.given(_PAYLOADS, st.sampled_from(("", "  ", "    ")))
+def test_to_json_is_the_stdlib_encoding(payload, pad):
+    # the stdlib is the oracle: the same bytes, with each later line after pad
+    want = json.dumps(built(payload), indent=2, default=list).replace("\n", "\n" + pad)
+    assert to_json(built(payload), pad) == want
 
 
 def test_trace_serialization_can_be_suppressed():

@@ -559,13 +559,17 @@ def emitted(report):
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_streamed_json_is_the_whole_document(trace):
+    # to_json is storlab's own writer, so the stdlib's encoder checks both
     for report in report_cases(trace):
-        assert emitted(report) == to_json(report.to_dict()) + "\n", report
+        streamed = emitted(report)
+        assert streamed == to_json(report.to_dict()) + "\n", report
+        assert streamed == json.dumps(report.to_dict(), indent=2, default=list) + "\n", report
     for payload in ({}, {"a": []}, {"a": {}, "b": [1, {"c": [2, []]}, "d"], "e": None}):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._write_json(payload)
         assert out.getvalue() == to_json(payload) + "\n"
+        assert out.getvalue() == json.dumps(payload, indent=2, default=list) + "\n"
 
 
 def test_report_members_take_no_argument():
