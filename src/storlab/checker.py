@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from typing import Any, Iterable, Iterator
 
@@ -285,104 +284,92 @@ def _macro_step(u: list[Term], n: int, successor: Term | None, limits: Limits
 class OperatorSummary:
     """The runs of one operator over the levels 0..n_max, and their verdict.
 
-    The runs may come lazily, as from check_operator(): each is then run when
-    it is first reached, so that iterating yields a level as soon as its run
-    returns.  `reports` and to_dict read every run, and so do the verdict and
-    `at` until lines() has run.  lines() streams: it prints each run as it
-    returns and then drops it, keeping only the sweep's verdict and `at`.
-    From its first line on, `reports`, iterating and to_dict raise
-    RuntimeError, while the verdict and `at` still answer once its last line
-    is out.  The family, the successor and n_max are the runs' own.  With
-    trace, to_dict and lines show each run's macro steps.
+    A summary's runs are read once.  They may come lazily, as from
+    check_operator(): each is then run when it is first reached.  Iterating
+    yields each run and drops it, keeping only the first level that is not a
+    Success and its run's verdict, which is all the sweep's verdict and `at`
+    need; a second iteration yields nothing.  The verdict and `at` finish
+    the read and answer at any time.  to_dict and lines() must be the first
+    readers, and raise RuntimeError otherwise, so that they never write part
+    of a sweep: lines() prints each run as it returns and then drops it,
+    while to_dict holds every run, since its verdict comes before its runs.
+    The family, the successor and n_max are the runs' own.  With trace,
+    to_dict and lines show each run's macro steps.
     """
 
-    __slots__ = ("_taken", "_pending", "trace", "_folded")
+    __slots__ = ("_runs", "trace", "_read", "_miss")
 
     def __init__(self, runs: Iterable[RunReport], trace: bool = False):
-        self._taken: list[RunReport] | None = []
-        self._pending = iter(runs)
+        self._runs = iter(runs)
         self.trace = trace
-        self._folded: tuple[Verdict, int | None] | None = None  # set by lines()
-
-    def _kept(self) -> list[RunReport]:
-        if self._taken is None:
-            raise RuntimeError("lines() has printed and dropped this summary's runs; "
-                               "only its verdict and at remain")
-        return self._taken
+        self._read = False
+        self._miss: tuple[int, Verdict] | None = None  # the first run that is not a Success
 
     def __iter__(self) -> Iterator[RunReport]:
-        """Every run in level order, each run when first reached."""
-        taken = self._kept()
-        yield from taken
-        for report in self._pending:
-            taken.append(report)
+        """The runs not read yet, in level order, each run when first reached."""
+        self._read = True
+        for report in self._runs:
+            if self._miss is None and report.verdict != Verdict.SUCCESS:
+                self._miss = report.n, report.verdict
             yield report
 
-    @property
-    def reports(self) -> list[RunReport]:
-        taken = self._kept()
-        taken.extend(self._pending)
-        return taken
+    def _first_read(self) -> Iterator[RunReport]:
+        if self._read:
+            raise RuntimeError("this summary's runs were read already; "
+                               "only its verdict and at remain")
+        return iter(self)
 
-    def _outcome(self) -> tuple[Verdict, int | None]:
-        if self._folded is not None:
-            return self._folded
-        return _fold([(report.n, report.verdict) for report in self.reports])
+    def _outcome(self) -> tuple[int, Verdict] | None:
+        for _ in self:  # finish the read
+            pass
+        return self._miss
 
     @property
     def verdict(self) -> Verdict:
-        return self._outcome()[0]
+        miss = self._outcome()
+        return Verdict.sweep(() if miss is None else (miss[1],))
 
     @property
     def at(self) -> int | None:
-        return self._outcome()[1]
+        """The first level that is not a Success, if any."""
+        miss = self._outcome()
+        return None if miss is None else miss[0]
 
     def to_dict(self) -> dict[str, Any]:
         """The summary; its runs are a generator of the runs' dicts, each
         built when the writer reaches it, which to_json writes as a list.
         cli._write_json encodes each run's dict alone, as to_json(run, "    "),
         at the depth it has in the whole document, and then drops it."""
-        first = self.reports[0]
+        runs = list(self._first_read())
+        first = runs[0]
         out: dict[str, Any] = {"family": first.family.value}
         if first.successor is not None:
             out["successor"] = pretty(first.successor)
-        out["n_max"] = len(self.reports) - 1
-        out["verdict"], at = self._outcome()
-        if at is not None:
-            out["at"] = at
-        out["runs"] = (report.to_dict(self.trace) for report in self.reports)
+        out["n_max"] = len(runs) - 1
+        out["verdict"] = self.verdict
+        if self.at is not None:
+            out["at"] = self.at
+        out["runs"] = (report.to_dict(self.trace) for report in runs)
         return out
 
     def lines(self) -> Iterator[str]:
         """Each run's lines as soon as it returns, then the verdict line; a
         run is dropped once its lines are out, so one run is held at a time."""
-        runs = chain(self._kept(), self._pending)
-        self._taken = None
-        levels = []
-        for report in runs:
+        for report in self._first_read():
             yield from report.lines(self.trace)
-            levels.append((report.n, report.verdict))
-        self._folded = verdict, at = _fold(levels)
-        tail = f"verdict: {verdict}"
-        if at is not None:
-            tail += f" (n={at})"
+        tail = f"verdict: {self.verdict}"
+        if self.at is not None:
+            tail += f" (n={self.at})"
         yield tail
-
-
-def _fold(levels: list[tuple[int, Verdict]]) -> tuple[Verdict, int | None]:
-    """A sweep's verdict and `at`, the first level that is not a Success,
-    from its runs' levels and verdicts in level order."""
-    at = next((n for n, verdict in levels if verdict != Verdict.SUCCESS), None)
-    return Verdict.sweep(verdict for _, verdict in levels), at
 
 
 def check_operator(term: Term, n_max: int, successor: Term | None = None,
                    limits: Limits = DEFAULT_LIMITS, trace: bool = False) -> OperatorSummary:
     """The summary of the levels 0..n_max, each run by run_check when the
-    summary first reaches it: a storage operator's check, or with a
-    successor S an S-storage operator's.  n_max and the operands are checked
-    here, once, before any run.  With trace, the summary shows each run's
-    macro steps."""
+    summary first reaches it and read once: a storage operator's check, or
+    with a successor S an S-storage operator's.  n_max and the operands are
+    checked here, once, before any run.  With trace, the summary shows each
+    run's macro steps."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     _check_operands(term, successor)

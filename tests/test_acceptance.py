@@ -80,8 +80,9 @@ def test_storage_operators():
     s1 = env["S1"]
     for name in ("T1", "T2"):
         summary = check_operator(env[name], 8)
+        runs = list(summary)
         assert summary.verdict == Verdict.ALL_PASS
-        for report in summary.reports:
+        for report in runs:
             n = report.n
             assert beta_equiv(report.tau, mk_church(n)) is True
             assert alpha_eq(report.tau, app_power(s1, n, mk_church(0)))
@@ -119,15 +120,17 @@ def test_s_storage_matrix():
 def test_t3_reproduction():
     env = prelude("S2")
     upper = check_operator(env["T3"], 5, env["S2"])
+    runs = list(upper)
     assert upper.verdict == Verdict.ALL_PASS
-    for report in upper.reports:
+    for report in runs:
         assert beta_equiv(report.tau, mk_church(report.n)) is True
 
     lower = check_operator(env["T3"], 5)
+    runs = list(lower)
     assert lower.verdict == Verdict.FIRST_FAILURE
     assert lower.at == 1
-    assert lower.reports[0].verdict == Verdict.SUCCESS
-    for report in lower.reports[1:]:
+    assert runs[0].verdict == Verdict.SUCCESS
+    for report in runs[1:]:
         assert report.verdict == Verdict.FAIL
         assert report.reason == TAU_NOT_CLOSED
         assert any(c.family is Family.LOWER and c.level == 0 and not c.is_seed
@@ -209,7 +212,7 @@ def test_fuel_honesty():
         check_operator(env1["T2"], 8, env1["S1"], limits=starved),
         check_operator(env2["T2"], 8, env2["S2"], limits=starved),
     ]
-    verdicts = [r.verdict for s in batteries for r in s.reports]
+    verdicts = [r.verdict for s in batteries for r in s]
     assert Verdict.FAIL not in verdicts
     assert Verdict.FUEL in verdicts
 

@@ -186,10 +186,17 @@ def test_check_operator_runs_each_level_when_first_read(monkeypatch):
     summary = check_operator(env["T1"], 5)
     assert levels == []
     assert next(iter(summary)).n == 0 and levels == [0]
-    assert summary.verdict == Verdict.ALL_PASS
+    assert [r.n for r in summary] == list(range(1, 6))
     assert levels == list(range(6))
-    # read again, the runs are the ones already made
-    assert [r.n for r in summary] == list(range(6)) and len(levels) == 6
+    # the runs are read once: a second iteration yields nothing, runs nothing
+    assert list(summary) == [] and summary.verdict == Verdict.ALL_PASS
+    assert levels == list(range(6))
+    # the verdict, read first, runs each level exactly once
+    levels.clear()
+    summary = check_operator(env["T3"], 5)
+    assert summary.verdict == Verdict.FIRST_FAILURE and summary.at == 1
+    assert levels == list(range(6))
+    assert list(summary) == [] and summary.at == 1 and levels == list(range(6))
 
 
 def test_check_operator_rejects_a_negative_bound():
@@ -303,8 +310,9 @@ def test_check_operator_builds_few_nodes(monkeypatch):
 
         monkeypatch.setattr(kind, "__init__", counting)
     summary = check_operator(env["T1"], 12, env["S2"])
+    runs = list(summary)
     assert summary.verdict == Verdict.ALL_PASS
-    steps = [step for report in summary.reports for step in report.trace]
+    steps = [step for report in runs for step in report.trace]
     assert len(steps) == 104
     assert built[App] <= 530 and built[Lam] <= 80  # 520 and 78
     before = dict(built)
@@ -318,7 +326,7 @@ def test_a_zero_step_macro_step_keeps_one_state():
     # a state that takes no beta-step is its own head normal form: the step
     # keeps v as its u, so reading u builds nothing
     reports = [run_check(parse(r"\n f. n f f"), 1)]
-    reports += check_operator(prelude()["T2"], 12).reports
+    reports += check_operator(prelude()["T2"], 12)
     zero = [step for report in reports for step in report.trace if step.beta_steps == 0]
     assert len(zero) == 1 + 13
     for step in zero:
@@ -328,9 +336,10 @@ def test_a_zero_step_macro_step_keeps_one_state():
 def test_check_operator_first_failure():
     env = prelude("S2")
     summary = check_operator(env["T3"], 4)
+    runs = list(summary)
     assert summary.verdict == Verdict.FIRST_FAILURE
     assert summary.at == 1
-    assert summary.reports[0].verdict == Verdict.SUCCESS
+    assert runs[0].verdict == Verdict.SUCCESS
 
 
 def test_check_operator_cross_successor():
@@ -347,8 +356,9 @@ def test_fuel_exhaustion_is_not_refutation():
     env2 = prelude("S2")
     summary = check_operator(env2["T2"], 3, env2["S2"],
                              limits=Limits(head_fuel=5))
+    runs = list(summary)
     assert summary.verdict == Verdict.FUEL
-    assert all(r.verdict != Verdict.FAIL for r in summary.reports)
+    assert all(r.verdict != Verdict.FAIL for r in runs)
 
 
 def test_macro_fuel_exhaustion():

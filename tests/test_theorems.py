@@ -401,7 +401,7 @@ def test_theorem2_does_no_head_reduction_of_its_own(monkeypatch):
     env = prelude()
     sweeps = (check_operator(env["T1"], 6),
               check_operator(env["T1"], 6, env["S1"]))
-    steps = sum(len(run.trace) for sweep in sweeps for run in sweep.reports)
+    steps = sum(len(run.trace) for sweep in sweeps for run in sweep)
     calls = []
 
     def counting(term, limits=DEFAULT_LIMITS, args=()):
