@@ -115,27 +115,39 @@ class MacroStep:
     """One recorded macro step: u head-reduces to v in beta_steps, then
     transform names what the run did with v (None when the run stopped).
 
-    u may be given as a list, its head first, then its arguments: the term
-    is then built the first time u is read, and kept, so that every read
-    gives the same nodes.
+    u and v may each be given as a list, its head first, then its
+    arguments: the term is then built the first time it is read, and kept,
+    so that every read gives the same nodes.  A step whose u and v are the
+    same list builds that term once, for both.
     """
 
-    __slots__ = ("_u", "v", "beta_steps", "transform")
+    __slots__ = ("_u", "_v", "beta_steps", "transform")
 
-    def __init__(self, u: Term | list[Term], v: Term, beta_steps: int,
+    def __init__(self, u: Term | list[Term], v: Term | list[Term], beta_steps: int,
                  transform: str | None):
         self._u = u
-        self.v = v
+        self._v = v
         self.beta_steps = beta_steps
         self.transform = transform
+
+    def _build(self, spine: list[Term]) -> Term:
+        # not terms.app: bench/layers.py reads u and v after its traced pass ends
+        term = reduce(App, spine)
+        if self._u is spine:
+            self._u = term
+        if self._v is spine:
+            self._v = term
+        return term
 
     @property
     def u(self) -> Term:
         u = self._u
-        if type(u) is list:
-            # not terms.app: bench/layers.py reads u after its traced pass ends
-            self._u = u = reduce(App, u)
-        return u
+        return self._build(u) if type(u) is list else u
+
+    @property
+    def v(self) -> Term:
+        v = self._v
+        return self._build(v) if type(v) is list else v
 
     def __repr__(self) -> str:
         return (f"MacroStep(u={self.u!r}, v={self.v!r}, beta_steps={self.beta_steps!r}, "
@@ -251,14 +263,10 @@ def _macro_step(u: list[Term], n: int, successor: Term | None, limits: Limits
     except FuelExhausted as exc:
         return MacroStep(u, exc.partial, exc.steps, None), (Verdict.FUEL, STAGE_HEAD, None)
     if beta_steps == 0:
-        u = v  # the state is already in head normal form: keep one copy
-    if type(v) is Lam:
+        u = v  # the state is already in head normal form: keep one spine
+    head, args = v[0], v[1:]
+    if type(head) is Lam:
         return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, PREFIX_NOT_EMPTY, None)
-    head, args = v, []  # v's spine: its head, and its arguments first to last
-    while type(head) is App:
-        args.append(head.arg)
-        head = head.fn
-    args.reverse()
     if type(head) is Var and head.name == PROBE:
         if len(args) != 1:
             return MacroStep(u, v, beta_steps, None), (Verdict.FAIL, F_WRONG_ARITY, None)

@@ -27,7 +27,7 @@ from .reduction import (
     normalize,
 )
 from .syntax import ParseError, load_defs, parse, pretty
-from .terms import Term, free_names, is_closed_pure
+from .terms import Term, app, free_names, is_closed_pure
 from .theorems import verify_theorem1_instance, verify_theorem2_instance, verify_theorem3
 
 EXIT_PASS = 0
@@ -195,7 +195,8 @@ def cmd_parse(args: argparse.Namespace, limits: Limits) -> Report:
 
 
 def cmd_reduce(args: argparse.Namespace, limits: Limits) -> Report:
-    return TermReport(*head_reduce(_operand(args)[0], limits))
+    spine, beta_steps = head_reduce(_operand(args)[0], limits)
+    return TermReport(app(*spine), beta_steps)
 
 
 def cmd_normalize(args: argparse.Namespace, limits: Limits) -> Report:

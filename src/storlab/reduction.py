@@ -208,16 +208,25 @@ def _wrap(prefix: list[str], head: Term, args: list[Term]) -> Term:
 
 
 def head_reduce(term: Term, limits: Limits = DEFAULT_LIMITS,
-                args: Sequence[Term] = ()) -> tuple[Term, int]:
-    """Head-reduce (term) args... to head normal form, returning (result,
+                args: Sequence[Term] = ()) -> tuple[list[Term], int]:
+    """Head-reduce (term) args... to head normal form, returning (spine,
     beta steps).  The arguments go straight onto the machine's stack, so
-    their application to term is not built first."""
+    their application to term is not built first.
+
+    The spine is the head normal form as a list, its head first, then its
+    arguments, so that app(*spine) builds it and a caller that splits it
+    builds no application: the head is never an App.  A head normal form
+    under a lambda-prefix comes alone, built, in a one-element list; when it
+    took no step and was given no arguments that is [term], the term itself.
+    """
     prefix, head, stack, steps = _run_head(term, list(reversed(args)), 0, limits.head_fuel)
-    if steps or args:
-        term = _wrap(prefix, head, stack[::-1])
     if isinstance(head, Lam):
-        raise FuelExhausted(STAGE_HEAD, term, steps)
-    return term, steps
+        raise FuelExhausted(STAGE_HEAD, _wrap(prefix, head, stack[::-1]), steps)
+    if prefix:
+        return [_wrap(prefix, head, stack[::-1]) if steps or args else term], steps
+    stack.append(head)
+    stack.reverse()
+    return stack, steps
 
 
 def _rebuild(prefix: list[str], head: Term, items: list[Term]) -> Term:

@@ -14,8 +14,7 @@ import random
 
 from genterms import head_expansion
 from storlab.checker import PROBE
-from oracles import spine
-from storlab.reduction import head_reduce
+from oracles import head_normal_form, spine
 from storlab.syntax import parse
 from storlab.terms import App, Lam, Term, Var, app, app_power, mk_church
 
@@ -53,7 +52,7 @@ def delayed_numeral(n: int, successor: Term, r: random.Random) -> Term:
 def stored(operator: Term, t: Term) -> Term | None:
     """The tau of (operator) t f's head normal form (f) tau, or None when
     that head normal form has another shape."""
-    v, _ = head_reduce(operator, args=(t, Var(PROBE)))
+    v, _ = head_normal_form(operator, args=(t, Var(PROBE)))
     head, args = spine(v)
     if isinstance(v, Lam) or head != Var(PROBE) or len(args) != 1:
         return None

@@ -18,7 +18,8 @@ chains of variable closures.  Theorem 3's upper tau check normalizes every upper
 second time, as the theorem did before it read the runs' verdict.  The
 prelude parses both builtin definition files on each call, with S bound to
 the successor.  spine unwinds an application for these oracles and for the
-lemma checks in theory.py.
+lemma checks in theory.py; head_normal_form builds the spine that
+head_reduce hands back.
 """
 
 from __future__ import annotations
@@ -65,6 +66,13 @@ def spine(term: Term) -> tuple[Term, list[Term]]:
         term = term.fn
     args.reverse()
     return term, args
+
+
+def head_normal_form(term: Term, limits: Limits = DEFAULT_LIMITS,
+                     args: tuple[Term, ...] = ()) -> tuple[Term, int]:
+    """head_reduce's answer with its spine built: (head normal form, steps)."""
+    parts, steps = head_reduce(term, limits, args)
+    return app(*parts), steps
 
 
 def substitute_many(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -251,7 +259,7 @@ def oracle_hat_check(operator: Term, successor: Term, upper,
     numeral = app_power(App(Lam("x", successor), Var("y")), upper.n,
                         App(Lam("x", mk_church(0)), Var("y")))
     try:
-        hnf, _ = head_reduce(app(operator, numeral, Var(PROBE)), limits)
+        hnf, _ = head_normal_form(app(operator, numeral, Var(PROBE)), limits)
     except FuelExhausted:
         return Verdict.UNKNOWN, None
     head, args = spine(hnf)
@@ -325,7 +333,7 @@ def oracle_delta_correspondence(lower, upper, limits: Limits = DEFAULT_LIMITS) -
         return False
     for mine, theirs in zip(lower.trace, upper.trace):
         try:
-            hnf, _ = head_reduce(oracle_delta_forward(mine.u), limits)
+            hnf, _ = head_normal_form(oracle_delta_forward(mine.u), limits)
         except FuelExhausted:
             return None
         if not alpha_eq(hnf, theirs.v):

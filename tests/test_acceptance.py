@@ -13,7 +13,7 @@ import io
 from definitions import numeral_inputs, stored
 from genterms import any_term, lower_term, p_term, pure_term, rng, \
     substitution_for, with_head_redex
-from oracles import spine, substitute_many
+from oracles import head_normal_form, spine, substitute_many
 from storlab import prelude
 from storlab.checker import (
     FINAL,
@@ -28,7 +28,6 @@ from storlab.reduction import (
     Limits,
     beta_equiv,
     check_successor,
-    head_reduce,
     is_numeral,
     normalize,
 )
@@ -171,7 +170,7 @@ def test_property_suites():
         assert alpha_eq(head_step(substitute_many(u, sub)),
                         substitute_many(stepped, sub))
         try:
-            hnf, count = head_reduce(u, Limits(head_fuel=2000))
+            hnf, count = head_normal_form(u, Limits(head_fuel=2000))
         except FuelExhausted:
             continue
         walked = substitute_many(u, sub)

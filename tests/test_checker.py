@@ -1,7 +1,9 @@
 """The two characterization machines and their reports."""
 
+import inspect
 import json
 import math
+import sys
 
 import hypothesis as hyp
 import pytest
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 
 import storlab
 from genterms import builtin_shaped, rng
-from oracles import spine
+from oracles import head_normal_form, spine
 from storlab import prelude
 from storlab.checker import (
     FINAL,
     FOREIGN_HEAD,
     MALFORMED_HEAD,
+    PREFIX_NOT_EMPTY,
     TAU_NOT_CLOSED,
     WRONG_LEVEL,
     MacroStep,
@@ -27,7 +30,7 @@ from storlab.checker import (
     to_json,
     x_transform,
 )
-from storlab.reduction import DEFAULT_LIMITS, Limits, beta_equiv, head_reduce
+from storlab.reduction import DEFAULT_LIMITS, STAGE_HEAD, Limits, beta_equiv
 from storlab.syntax import parse, pretty
 from storlab.terms import (
     App,
@@ -238,12 +241,19 @@ def test_run_check_stops_at_a_foreign_head(source, successor, v):
 
 def test_macro_step_takes_a_spine_and_builds_it_once():
     v = App(A, B)
-    lazy = MacroStep([A, B, C], v, 1, FINAL)
+    lazy = MacroStep([A, B, C], [A, B], 1, FINAL)
     built = MacroStep(app(A, B, C), v, 1, FINAL)
     assert lazy.u == app(A, B, C) and lazy.u != app(A, C, B)
     assert lazy.u is lazy.u
+    assert lazy.v == v and lazy.v is lazy.v
     assert repr(lazy) == repr(built) == (
         f"MacroStep(u={app(A, B, C)!r}, v={v!r}, beta_steps=1, transform='Final')")
+    # one list for both: whichever is read first builds the term for both
+    for first in ("u", "v"):
+        parts = [A, B, C]
+        shared = MacroStep(parts, parts, 0, None)
+        assert getattr(shared, first) == app(A, B, C)
+        assert shared.u is shared.v
 
 
 @hyp.given(st.one_of(st.sampled_from(("T1", "T2", "T3")), st.integers(0, 2**32 - 1)),
@@ -256,8 +266,8 @@ def test_trace_replays(operator, family, successor, n):
     operator = env[operator] if isinstance(operator, str) else builtin_shaped(rng(operator))[0]
     report = run_check(operator, n, succ)
     for i, step in enumerate(report.trace):
-        assert step.u is step.u  # built once, when first read
-        assert head_reduce(step.u) == (step.v, step.beta_steps)
+        assert step.u is step.u and step.v is step.v  # built once, when first read
+        assert head_normal_form(step.u) == (step.v, step.beta_steps)
         replayed, nxt = _macro_step([step.u], n, succ, DEFAULT_LIMITS)
         assert (replayed.v, replayed.beta_steps, replayed.transform) == \
             (step.v, step.beta_steps, step.transform)
@@ -300,7 +310,7 @@ def test_check_operator_storage():
 def test_check_operator_builds_few_nodes(monkeypatch):
     # a head abstraction's binders are contracted together, so the terms
     # between them are never built: 2109 App and 766 Lam one binder at a time;
-    # and a step's u is built only when it is read
+    # and a step's u and v are built only when they are read
     env = prelude("S2")
     built = {App: 0, Lam: 0}
     for kind in built:
@@ -314,12 +324,42 @@ def test_check_operator_builds_few_nodes(monkeypatch):
     assert summary.verdict == Verdict.ALL_PASS
     steps = [step for report in runs for step in report.trace]
     assert len(steps) == 104
-    assert built[App] <= 530 and built[Lam] <= 80  # 520 and 78
+    assert built[App] <= 240 and built[Lam] <= 80  # 234 and 78
     before = dict(built)
     for step in steps:
-        step.u, step.v
+        step.u
     # the Apps of each u as built before its reduction, built later; no Lam
+    assert built[App] == 611 and built[Lam] == before[Lam]
+    for step in steps:
+        step.v
+    # and each v's spine, which head reduction hands back unbuilt
     assert built[App] == 897 and built[Lam] == before[Lam]
+
+
+def test_reading_a_step_calls_no_public_function(monkeypatch):
+    # u and v are built from their spines by the term constructors alone, so
+    # reading them after a traced pass (bench/layers.py) adds no traced call
+    reports = [run_check(parse(r"\n f. n f f"), 1),  # ends on a zero-step step
+               run_check(parse(r"\n f. \y. f"), 0),
+               run_check(prelude()["T1"], 3, limits=Limits(head_fuel=2))]
+    assert [r.reason for r in reports] == [TAU_NOT_CLOSED, PREFIX_NOT_EMPTY, STAGE_HEAD]
+    reports += check_operator(prelude("S2")["T1"], 3, prelude("S2")["S2"])
+    steps = [step for report in reports for step in report.trace]
+    expected = [(app(*step._u), step._v if type(step._v) is not list else app(*step._v))
+                for step in steps]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a public storlab function was called")
+
+    for name, module in list(sys.modules.items()):
+        if name == "storlab" or name.startswith("storlab."):
+            for attr, value in list(vars(module).items()):
+                if (inspect.isfunction(value) and value.__module__.startswith("storlab")
+                        and not value.__name__.startswith("_")):
+                    monkeypatch.setattr(module, attr, forbidden)
+    read = [(step.u, step.v) for step in steps]
+    monkeypatch.undo()
+    assert read == expected
 
 
 def test_a_zero_step_macro_step_keeps_one_state():

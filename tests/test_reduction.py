@@ -15,6 +15,7 @@ from genterms import (
     with_head_redex,
 )
 from oracles import (
+    head_normal_form,
     oracle_beta_equiv,
     oracle_head_reduce,
     oracle_head_step,
@@ -88,9 +89,9 @@ def test_head_step_constant_head_is_inert():
 
 
 def test_head_reduce_counts_steps():
-    term, steps = head_reduce(mk_church(3))
+    term, steps = head_normal_form(mk_church(3))
     assert term == mk_church(3) and steps == 0
-    term, steps = head_reduce(app(IDENTITY, IDENTITY, Var("y")))
+    term, steps = head_normal_form(app(IDENTITY, IDENTITY, Var("y")))
     assert term == Var("y") and steps == 2
 
 
@@ -104,7 +105,7 @@ def test_head_reduce_fuel_exhaustion_on_omega():
 
 def test_head_reduce_storage_run_shape():
     env = prelude()
-    term, steps = head_reduce(app(env["T1"], mk_church(2), Var("f")))
+    term, steps = head_normal_form(app(env["T1"], mk_church(2), Var("f")))
     assert not isinstance(term, Lam)
     head, args = spine(term)
     assert head == Var("f")
@@ -121,7 +122,7 @@ def test_decompose_reassemble_identity():
     for _ in range(200):
         t = pure_term(r, 4)
         try:
-            hnf, _ = head_reduce(t, Limits(head_fuel=500))
+            hnf, _ = head_normal_form(t, Limits(head_fuel=500))
         except FuelExhausted:
             continue
         prefix, body = [], hnf
@@ -139,7 +140,7 @@ def test_decompose_reassemble_identity():
 
 
 def test_is_solvable():
-    assert head_reduce(IDENTITY) == (IDENTITY, 0)
+    assert head_normal_form(IDENTITY) == (IDENTITY, 0)
     with pytest.raises(FuelExhausted):
         head_reduce(OMEGA, Limits(head_fuel=200))
 
@@ -365,8 +366,14 @@ def test_beta_equiv_deep_numeral_without_recursion():
 
 def test_head_reduce_returns_a_head_normal_form_itself():
     hnf = Lam("f", app(Var("f"), App(IDENTITY, Var("p"))))
-    assert head_reduce(hnf)[0] is hnf
-    assert head_reduce(hnf, Limits(head_fuel=1))[0] is hnf
+    for limits in (DEFAULT_LIMITS, Limits(head_fuel=1)):
+        parts, steps = head_reduce(hnf, limits)
+        assert parts == [hnf] and parts[0] is hnf and steps == 0
+    # an application comes back as its own head and arguments, no node built
+    applied = app(Var("x"), App(IDENTITY, Var("p")), Var("z"))
+    parts, steps = head_reduce(applied)
+    assert steps == 0 and len(parts) == 3
+    assert parts[0] is applied.fn.fn and parts[1] is applied.fn.arg and parts[2] is applied.arg
 
 
 def run_states():
@@ -418,7 +425,7 @@ def head_case(seed):
 def test_head_step_keeps_arguments_without_the_binder():
     kept = Lam("z", App(Var("z"), Var("p")))
     term = App(Lam("x", app(Var("x"), kept, App(Var("x"), kept))), Var("h"))
-    result, steps = head_reduce(term)
+    result, steps = head_normal_form(term)
     assert (result, steps) == (app(Var("h"), kept, App(Var("h"), kept)), 1)
     assert result.fn.arg is kept and result.arg.arg is kept
 
@@ -430,7 +437,7 @@ def test_head_reduce_fuel_matches_oracle(seed):
     for fuel in (*range(1, 41), 500):
         limits = Limits(head_fuel=fuel)
         # names included: the result, or the stage, steps and partial term
-        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+        assert outcome(head_normal_form, term, limits) == outcome(oracle_head_reduce, term, limits)
 
 
 @hyp.given(st.integers(0, 2**32 - 1))
@@ -449,6 +456,36 @@ def test_head_reduce_of_a_spine_matches_the_application(seed):
         # the result, or the stage, steps and partial term
         assert (outcome(lambda t, lim: head_reduce(t, lim, args), head, limits)
                 == outcome(head_reduce, term, limits))
+
+
+@hyp.given(st.integers(0, 2**32 - 1))
+def test_head_reduce_returns_a_spine(seed):
+    # a generated term cut into a head and arguments, as above: its head
+    # normal form comes back as its head, never an application, then its
+    # arguments, or alone when its head is an abstraction
+    r = rng(seed)
+    term = head_case(seed)
+    head, args = spine(term)
+    cut = r.randint(0, len(args))
+    head, args = app(head, *args[:cut]), args[cut:]
+    for fuel in (1, 2, 5, 500):
+        limits = Limits(head_fuel=fuel)
+        try:
+            parts, steps = head_reduce(head, limits, args)
+        except FuelExhausted:
+            with pytest.raises(FuelExhausted):
+                oracle_head_reduce(term, limits)
+            continue
+        assert (app(*parts), steps) == oracle_head_reduce(term, limits)
+        assert type(parts[0]) is not App
+        assert type(parts[0]) is not Lam or len(parts) == 1
+        if steps == 0 and not args:  # a head normal form, given no argument
+            if type(head) is App:
+                own, own_args = spine(head)
+                assert len(parts) == 1 + len(own_args)
+                assert all(p is q for p, q in zip(parts, [own, *own_args]))
+            else:
+                assert parts == [head] and parts[0] is head
 
 
 # -- a head abstraction's binders contracted at once, or one at a time where
@@ -484,7 +521,7 @@ def test_prefix_contraction_matches_oracle(seed):
     for fuel in (*range(1, 41), 500):
         limits = Limits(head_fuel=fuel)
         # names included: the result, or the stage, steps and partial term
-        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+        assert outcome(head_normal_form, term, limits) == outcome(oracle_head_reduce, term, limits)
     limits = Limits(norm_fuel=500)
     assert outcome(normalize, term, limits) == outcome(oracle_normalize, term, limits)
 
@@ -505,17 +542,17 @@ def test_prefix_contraction_falls_back_to_one_binder(monkeypatch):
     # primes c, then b
     pinned = app(Lam("a", Lam("b", Lam("c", app(Var("a"), Var("b"), Var("c"))))),
                  Var("c"), Var("b"))
-    assert head_reduce(pinned) == (Lam("c'", app(Var("c"), Var("b"), Var("c'"))), 2)
+    assert head_normal_form(pinned) == (Lam("c'", app(Var("c"), Var("b"), Var("c'"))), 2)
     # contracting a alone primes b, which primes the inner b' (b is free
     # under it) before b's argument comes in: b' differs from b only in primes
     primed = app(Lam("a", Lam("b", Lam("b'", app(Var("a"), Var("b"), Var("b'"))))),
                  Var("b"), Var("c"))
-    assert head_reduce(primed) == (Lam("b''", app(Var("b"), Var("c"), Var("b''"))), 2)
+    assert head_normal_form(primed) == (Lam("b''", app(Var("b"), Var("c"), Var("b''"))), 2)
     assert gave_none == [2, 2]
     limits = Limits(head_fuel=500)
     for seed in range(300):
         term = prefix_redex(seed)
-        assert outcome(head_reduce, term, limits) == outcome(oracle_head_reduce, term, limits)
+        assert outcome(head_normal_form, term, limits) == outcome(oracle_head_reduce, term, limits)
     assert len(gave_none) > 10 and min(gave_none) >= 2  # 23 from the 300 terms
 
 

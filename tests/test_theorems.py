@@ -22,6 +22,7 @@ from genterms import (
     with_redexes,
 )
 from oracles import (
+    head_normal_form,
     oracle_delta_correspondence,
     oracle_delta_forward,
     oracle_hat_check,
@@ -260,7 +261,7 @@ def test_lemma1_hand_built_step():
     assert reduct == app(Const(Family.UPPER, 1, (W, V)), W, V)
     assert satisfies_P(reduct)
 
-    hnf, steps = head_reduce(t)
+    hnf, steps = head_normal_form(t)
     report = RunReport(Family.UPPER, 1, Verdict.SUCCESS, prelude()["S1"],
                        trace=[MacroStep(t, hnf, steps, None)])
     scan = verify_lemma1_along(report)
@@ -487,7 +488,7 @@ def head_outcome(t, limits=DEFAULT_LIMITS):
     """head_reduce's answer as a value: the head normal form, or the partial
     term when fuel ran out, with the steps taken and whether it finished."""
     try:
-        return (*head_reduce(t, limits), True)
+        return (*head_normal_form(t, limits), True)
     except FuelExhausted as exc:
         return exc.partial, exc.steps, False
 
@@ -691,10 +692,10 @@ def test_theorem2_refutes_a_level_whose_verdicts_differ(capsys, monkeypatch, low
         "verdict: Refuted\n"))
 
 
-@pytest.mark.parametrize("hnf", [
-    Var("g"),  # a foreign head
-    app(Var(PROBE), mk_church(0), mk_church(0)),  # the probe with two arguments
-    Lam("y", app(Var(PROBE), mk_church(0))),  # under a lambda
+@pytest.mark.parametrize("hnf", [  # as head_reduce's spine
+    [Var("g")],  # a foreign head
+    [Var(PROBE), mk_church(0), mk_church(0)],  # the probe with two arguments
+    [Lam("y", app(Var(PROBE), mk_church(0)))],  # under a lambda
 ])
 def test_sigma_hat_fails_when_the_delayed_numeral_does_not_reach_f_t(capsys, monkeypatch,
                                                                      hnf):

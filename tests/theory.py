@@ -19,9 +19,9 @@ from typing import Any, Iterator
 
 from oracles import oracle_sigma_hat_subst as sigma_hat_subst
 from oracles import oracle_sigma_subst as sigma_subst
-from oracles import spine
+from oracles import head_normal_form, spine
 from storlab.checker import MacroStep, RunReport
-from storlab.reduction import FuelExhausted, Limits, head_reduce
+from storlab.reduction import FuelExhausted, Limits
 from storlab.terms import (App, Const, Family, Lam, Term, Var, alpha_eq, app, free_names,
                            iter_consts)
 
@@ -210,7 +210,7 @@ def head_step(term: Term) -> Term | None:
     """Contract the head redex, or None if the term is in head normal form:
     the production head reduction with a budget of one step."""
     try:
-        result, steps = head_reduce(term, Limits(head_fuel=1))
+        result, steps = head_normal_form(term, Limits(head_fuel=1))
     except FuelExhausted as exc:
         return exc.partial
     return result if steps else None
