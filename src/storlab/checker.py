@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from functools import reduce
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .reduction import (
     DEFAULT_LIMITS,
@@ -346,7 +346,7 @@ class OperatorSummary:
     def to_dict(self) -> dict[str, Any]:
         """The summary; its runs are a generator of the runs' dicts, each
         built when the writer reaches it, which to_json writes as a list.
-        cli._write_json encodes each run's dict alone, as to_json(run, "    "),
+        write_json encodes each run's dict alone, as to_json(run, "    "),
         at the depth it has in the whole document, and then drops it."""
         runs = list(self._first_read())
         first = runs[0]
@@ -396,9 +396,29 @@ def to_json(payload: Any, pad: str = "") -> str:
     return _encode(payload, pad)
 
 
+def write_json(payload: dict[str, Any], write: Callable[[str], Any]) -> None:
+    """Write to_json(payload) + "\n" through write, a piece at a time: each
+    top-level value is encoded alone, at its depth in the whole document; an
+    iterator's items, such as a summary's runs, one piece each, every item
+    built when reached and dropped once written."""
+    opening = "{"
+    for key, value in payload.items():
+        write(f"{opening}\n  {_escape(key)}: ")
+        opening = ","
+        if isinstance(value, Iterator):
+            bracket = "["
+            for item in value:
+                write(f"{bracket}\n    {to_json(item, '    ')}")
+                bracket = ","
+            write("[]" if bracket == "[" else "\n  ]")
+        else:
+            write(to_json(value, "  "))
+    write("{}\n" if opening == "{" else "\n}\n")
+
+
 def _encode(value: Any, pad: str) -> str:
-    # to_json's body, which recurses here and not through to_json, so that a
-    # tracer wrapping to_json (bench/tracer.py) sees one call per document
+    # to_json's body, recursing here and not through to_json, so a tracer
+    # wrapping to_json (bench/tracer.py) sees one call per piece write_json writes
     if isinstance(value, str):  # a Verdict included
         return _escape(value)
     if value is None:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Any, Iterator, NamedTuple, Protocol, Sequence
 
 from .builtins import prelude
-from .checker import check_operator, to_json
+from .checker import check_operator, write_json
 from .reduction import (
     DEFAULT_LIMITS,
     FuelExhausted,
@@ -161,33 +161,11 @@ def _operand(args: argparse.Namespace, what: str | None = None) -> tuple[Term, T
 def _emit(report: Report, args: argparse.Namespace) -> int:
     """Print the report as JSON or as text lines; its verdict is the exit code."""
     if args.json:
-        _write_json(report.to_dict())
+        write_json(report.to_dict(), sys.stdout.write)
     else:
         for line in report.lines():
             print(line)
     return _exit_code(report.verdict)
-
-
-def _write_json(payload: dict[str, Any]) -> None:
-    """Print to_json(payload) a piece at a time, with the same bytes: each
-    top-level value, or for a list each of its items, is encoded by to_json
-    with the pad of its depth in the whole document ("  " for a value, "    "
-    for an item), written, then dropped.  A list may be an iterable that
-    builds its items as it goes, such as a summary's runs."""
-    write = sys.stdout.write
-    opening = "{"
-    for key, value in payload.items():
-        write(f"{opening}\n  {to_json(key)}: ")
-        opening = ","
-        if isinstance(value, Iterable) and not isinstance(value, (str, dict)):
-            bracket = "["
-            for item in value:
-                write(f"{bracket}\n    {to_json(item, '    ')}")
-                bracket = ","
-            write("[]" if bracket == "[" else "\n  ]")
-        else:
-            write(to_json(value, "  "))
-    write("{}\n" if opening == "{" else "\n}\n")
 
 
 def cmd_parse(args: argparse.Namespace, limits: Limits) -> Report:

@@ -384,7 +384,6 @@ class SuccessorReport(NamedTuple):
     """Whether (term) #k is beta-equal to #k+1, per k up to k_max; None: no fuel."""
 
     term: Term
-    k_max: int
     results: tuple[bool | None, ...]
 
     @property
@@ -392,7 +391,7 @@ class SuccessorReport(NamedTuple):
         return Verdict.fold(_SUCCESSOR_ANSWERS[r][0] for r in self.results)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"check": "successor", "term": pretty(self.term), "k_max": self.k_max,
+        return {"check": "successor", "term": pretty(self.term), "k_max": len(self.results) - 1,
                 "verdict": self.verdict, "results": list(self.results)}
 
     def lines(self) -> Iterator[str]:
@@ -414,4 +413,4 @@ def check_successor(successor: Term, k_max: int,
     if not is_closed_pure(successor):
         raise ValueError("successor must be a closed constant-free term")
     results = tuple(_successor_answer(successor, k, limits) for k in range(k_max + 1))
-    return SuccessorReport(successor, k_max, results)
+    return SuccessorReport(successor, results)

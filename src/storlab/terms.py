@@ -247,6 +247,8 @@ def alpha_eq(t: Term, u: Term) -> bool:
     node is equal without a look inside; an open one is not skipped, since
     its free names may be bound differently above it.
     """
+    if t is u and not isinstance(t, Term):  # the shortcut below reads t._fv
+        raise TypeError(f"not a term: {t!r}")
     tb: dict[str, int | str] = {}
     ub: dict[str, int | str] = {}
     pairs = 0

@@ -114,7 +114,6 @@ class LevelReport(NamedTuple):
     """Theorem 1 or 2 (named by check) over the levels 0..n_max."""
 
     check: str
-    n_max: int
     checks: tuple[LevelCheck, ...]
 
     @property
@@ -123,7 +122,7 @@ class LevelReport(NamedTuple):
 
     def to_dict(self) -> dict[str, Any]:
         levels = [{k: v for k, v in c._asdict().items() if v is not None} for c in self.checks]
-        return {"check": self.check, "n_max": self.n_max, "verdict": self.verdict,
+        return {"check": self.check, "n_max": len(self.checks) - 1, "verdict": self.verdict,
                 "checks": levels}
 
     def lines(self) -> Iterator[str]:
@@ -146,7 +145,7 @@ def _levels(check: str, operator: Term, successor: Term, n_max: int, limits: Lim
     level's check."""
     lower = check_operator(operator, n_max, limits=limits)
     upper = check_operator(operator, n_max, successor, limits)
-    return LevelReport(check, n_max, tuple(map(judge, lower, upper)))
+    return LevelReport(check, tuple(map(judge, lower, upper)))
 
 
 def verify_theorem1_instance(operator: Term, successor: Term, n_max: int,

@@ -123,6 +123,12 @@ def test_run_check_storage_success():
     assert beta_equiv(report.tau, mk_church(3)) is True
 
 
+def test_run_report_repr_names_every_field():
+    assert repr(run_check(prelude()["T1"], 0)).startswith(
+        "RunReport(family=<Family.LOWER: 'x'>, n=0, verdict=<Verdict.SUCCESS: 'Success'>, "
+        "successor=None, reason=None, tau=")
+
+
 def test_run_check_upper_worked_chain():
     env = prelude("S2")
     s2, f_op = env["S2"], env["F"]

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from genterms import any_term, builtin_shaped, rng
 from storlab import cli, prelude, syntax
-from storlab.checker import OperatorSummary, check_operator, to_json
+from storlab.checker import OperatorSummary, RunReport, check_operator, to_json, write_json
 from storlab.cli import (
     EXIT_FUEL,
     EXIT_INTERNAL,
@@ -568,9 +569,49 @@ def test_streamed_json_is_the_whole_document(trace):
     for payload in ({}, {"a": []}, {"a": {}, "b": [1, {"c": [2, []]}, "d"], "e": None}):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli._write_json(payload)
+            write_json(payload, sys.stdout.write)
         assert out.getvalue() == to_json(payload) + "\n"
         assert out.getvalue() == json.dumps(payload, indent=2, default=list) + "\n"
+
+
+def test_write_json_writes_the_document_in_pieces():
+    for report, again in zip(report_cases(True), report_cases(True)):
+        pieces = []
+        write_json(report.to_dict(), pieces.append)
+        assert "".join(pieces) == to_json(again.to_dict()) + "\n", report
+    # a list is one piece: a theorem report's levels come whole
+    report = verify_theorem2_instance(prelude()["T1"], 2).to_dict()
+    pieces = []
+    write_json(report, pieces.append)
+    assert len(report["checks"]) == 3
+    assert to_json(report["checks"], "  ") in pieces
+    assert len(pieces) == 2 * len(report) + 1  # a key and its value, then the closing brace
+
+
+def test_write_json_builds_each_run_after_the_last_is_written(monkeypatch):
+    runs = [to_json(run, "    ") for run in check_operator(prelude()["T1"], 2).to_dict()["runs"]]
+    log = []
+    to_dict = RunReport.to_dict
+
+    def logged(self, trace=False):
+        log.append(("built", self.n))
+        return to_dict(self, trace)
+
+    monkeypatch.setattr(RunReport, "to_dict", logged)
+    write_json(check_operator(prelude()["T1"], 2).to_dict(), log.append)
+    start = log.index(("built", 0))
+    assert log[start:start + 7] == [("built", 0), "[\n    " + runs[0],
+                                    ("built", 1), ",\n    " + runs[1],
+                                    ("built", 2), ",\n    " + runs[2], "\n  ]"]
+
+
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["storlab", "parse", "T1"])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"):  # storlab.cli is loaded
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("storlab.cli", run_name="__main__")
+    assert done.value.code == EXIT_PASS
+    assert capsys.readouterr().out == pretty(prelude()["T1"]) + "\n"
 
 
 def test_report_members_take_no_argument():

@@ -28,6 +28,7 @@ from storlab.terms import (
     substitute_many,
 )
 from storlab.syntax import pretty
+from storlab.theorems import delta_forward
 
 names = st.sampled_from(("p", "q", "r", "s", "t"))
 leaves = st.one_of(
@@ -418,9 +419,13 @@ def test_nodes_are_immutable_and_take_keywords():
     with pytest.raises(TypeError):
         Term()
     # anything that is not a term is refused, or is unequal to every term
-    for walk in (free_names, pretty):
+    for walk in (free_names, pretty, delta_forward):
         with pytest.raises(TypeError):
             walk(object())
+    one = object()
+    for pair in ((one, one), (one, object())):
+        with pytest.raises(TypeError, match="not a term"):
+            alpha_eq(*pair)
     assert (Var("x") == object()) is False
     assert alpha_eq(Var("x"), object()) is False
     assert Const(family=Family.LOWER, level=2).payload == ()
