@@ -118,7 +118,8 @@ class MacroStep:
     u and v may each be given as a list, its head first, then its
     arguments: the term is then built the first time it is read, and kept,
     so that every read gives the same nodes.  A step whose u and v are the
-    same list builds that term once, for both.
+    same list builds that term once, for both.  A report prints a step from
+    its lists and reads neither u nor v.
     """
 
     __slots__ = ("_u", "_v", "beta_steps", "transform")
@@ -149,9 +150,20 @@ class MacroStep:
         v = self._v
         return self._build(v) if type(v) is list else v
 
+    def _texts(self, show: Callable[..., str]) -> tuple[str, str]:
+        """u's and v's text through show, a printer(): a list is printed from
+        its parts, so printing builds no term, and a step whose u is its v
+        prints it once."""
+        u = _shown(show, self._u)
+        return u, u if self._v is self._u else _shown(show, self._v)
+
     def __repr__(self) -> str:
         return (f"MacroStep(u={self.u!r}, v={self.v!r}, beta_steps={self.beta_steps!r}, "
                 f"transform={self.transform!r})")
+
+
+def _shown(show: Callable[..., str], state: Term | list[Term]) -> str:
+    return show(*state) if type(state) is list else show(state)
 
 
 class RunReport:
@@ -188,9 +200,11 @@ class RunReport:
         if self.tau is not None:
             out["tau"] = show(self.tau)
         if trace:
-            out["steps"] = [{"u": show(step.u), "v": show(step.v),
-                             "beta_steps": step.beta_steps, "transform": step.transform}
-                            for step in self.trace]
+            out["steps"] = steps = []
+            for step in self.trace:
+                u, v = step._texts(show)
+                steps.append({"u": u, "v": v, "beta_steps": step.beta_steps,
+                              "transform": step.transform})
         return out
 
     def lines(self, trace: bool = False) -> Iterator[str]:
@@ -205,11 +219,12 @@ class RunReport:
         yield line
         steps = self.trace if trace else []
         for i, step in enumerate(steps):
-            line = f"{show(step.u)}  ≻({step.beta_steps})  {show(step.v)}"
+            u, v = step._texts(show)
+            line = f"{u}  ≻({step.beta_steps})  {v}"
             if step.transform is not None:
                 line += f"  —{step.transform}→"
                 if i + 1 < len(steps):
-                    line += f"  {show(steps[i + 1].u)}"
+                    line += f"  {_shown(show, steps[i + 1]._u)}"
             yield line
 
 
@@ -300,7 +315,8 @@ class OperatorSummary:
     the read and answer at any time.  to_dict and lines() must be the first
     readers, and raise RuntimeError otherwise, so that they never write part
     of a sweep: lines() prints each run as it returns and then drops it,
-    while to_dict holds every run, since its verdict comes before its runs.
+    while to_dict keeps each run's dict, or with trace every run, since its
+    verdict comes before its runs.
     The family, the successor and n_max are the runs' own.  With trace,
     to_dict and lines show each run's macro steps.
     """
@@ -344,20 +360,29 @@ class OperatorSummary:
         return None if miss is None else miss[0]
 
     def to_dict(self) -> dict[str, Any]:
-        """The summary; its runs are a generator of the runs' dicts, each
-        built when the writer reaches it, which to_json writes as a list.
-        write_json encodes each run's dict alone, as to_json(run, "    "),
-        at the depth it has in the whole document, and then drops it."""
-        runs = list(self._first_read())
-        first = runs[0]
+        """The summary; its runs are an iterator of the runs' dicts, which
+        to_json writes as a list and write_json one piece each: it encodes
+        each run's dict alone, as to_json(run, "    "), at the depth it has
+        in the whole document, and then drops it.  Without trace each dict
+        is built as its run is read, and the run is dropped.  With trace a
+        run's printed steps cost more than the run, so the runs are kept and
+        each dict is built when the writer reaches it."""
+        reports = self._first_read()
+        first = next(reports)  # level 0: every sweep has it
+        if self.trace:
+            kept = [first, *reports]
+            runs = (report.to_dict(True) for report in kept)
+        else:
+            kept = [first.to_dict(), *(report.to_dict() for report in reports)]
+            runs = iter(kept)
         out: dict[str, Any] = {"family": first.family.value}
         if first.successor is not None:
             out["successor"] = pretty(first.successor)
-        out["n_max"] = len(runs) - 1
+        out["n_max"] = len(kept) - 1
         out["verdict"] = self.verdict
         if self.at is not None:
             out["at"] = self.at
-        out["runs"] = (report.to_dict(self.trace) for report in runs)
+        out["runs"] = runs
         return out
 
     def lines(self) -> Iterator[str]:

@@ -228,32 +228,51 @@ def pretty(term: Term) -> str:
     return printer()(term)
 
 
-def printer() -> Callable[[Term], str]:
+def printer() -> Callable[..., str]:
     """A pretty that renders each distinct node once over all its calls.
 
-    The memo is keyed on node identity and holds the node itself, so an
-    id cannot be reused while the printer lives.  It keeps the text of
-    every node it has rendered, which along a chain of d nested nodes is
-    about d * d / 2 characters, so make one per group of terms that share
-    subterms (a run report) and drop it afterwards.
+    show(term) prints one term.  show(head, *args) prints app(head, *args)
+    byte for byte without building it, so a state kept as a list, its head
+    first (as a MacroStep keeps it), builds no term: each part is read from
+    the memo and parenthesized as in the application, the head when it
+    prints with a backslash, an argument also when it is an application.
+    The memo is keyed on node identity and holds the node itself, so an id
+    cannot be reused while the printer lives.  It keeps the text of every
+    node it has rendered, which along a chain of d nested nodes is about
+    d * d / 2 characters (a state printed from its list keeps no text of
+    its prefixes), so make one per group of terms that share subterms (a
+    run report) and drop it afterwards.
     """
     memo: dict[int, tuple[Term, str]] = {}
 
-    def show(term: Term) -> str:
-        _render(term, memo)
-        return memo[id(term)][1]
+    def show(head: Term, *args: Term) -> str:
+        if id(head) not in memo:
+            _render(head, memo)
+        first = memo[id(head)][1]
+        if not args:
+            return first
+        parts = [f"({first})" if type(head) is Lam and first[0] == "\\" else first]
+        for arg in args:
+            if id(arg) not in memo:
+                _render(arg, memo)
+            part = memo[id(arg)][1]
+            if type(arg) is App or (type(arg) is Lam and part[0] == "\\"):
+                part = f"({part})"
+            parts.append(part)
+        return " ".join(parts)
 
     return show
 
 
 def _render(root: Term, memo: dict[int, tuple[Term, str]]) -> None:
     """Put root and every node below it that memo lacks into memo, children
-    first, with an explicit stack of (node, ready) entries.  A node is
-    pushed ready above its children and rendered from their entries when it
-    comes back, so church_value runs once per Lam.  Dispatch is on the exact
-    class: class patterns in a match took twice as long here.  A lambda
-    printed with a backslash (not as #n) is parenthesized as a function and
-    as an argument, an application only as an argument, nothing else ever."""
+    first, with an explicit stack of (node, ready) entries; a child that
+    memo holds is not pushed.  A node is pushed ready above its children and
+    rendered from their entries when it comes back, so church_value runs
+    once per Lam.  Dispatch is on the exact class: class patterns in a match
+    took twice as long here.  A lambda printed with a backslash (not as #n)
+    is parenthesized as a function and as an argument, an application only
+    as an argument, nothing else ever."""
     stack: list[tuple[Term, bool]] = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -271,7 +290,11 @@ def _render(root: Term, memo: dict[int, tuple[Term, str]]) -> None:
                     arg_text = f"({arg_text})"
                 memo[key] = (node, f"{fn_text} {arg_text}")
             else:
-                stack += ((node, True), (node.arg, False), (node.fn, False))
+                stack.append((node, True))
+                if id(node.arg) not in memo:
+                    stack.append((node.arg, False))
+                if id(node.fn) not in memo:
+                    stack.append((node.fn, False))
         elif cls is Var:
             memo[key] = (node, node.name)
         elif cls is Lam:

@@ -342,6 +342,25 @@ def test_check_operator_builds_few_nodes(monkeypatch):
     assert built[App] == 897 and built[Lam] == before[Lam]
 
 
+def test_printing_a_run_builds_no_application(monkeypatch):
+    # a traced report prints each state from its list, head first
+    env = prelude("S2")
+    runs = list(check_operator(env["T1"], 12, env["S2"]))
+    built = []
+
+    def counting(node, *fields, original=App.__init__):
+        built.append(node)
+        original(node, *fields)
+
+    monkeypatch.setattr(App, "__init__", counting)
+    steps = [step for report in runs for step in report.to_dict(trace=True)["steps"]]
+    lines = [line for report in runs for line in report.lines(trace=True)]
+    assert len(steps) == len(lines) - len(runs) == 104
+    assert built == []
+    assert all(type(step._u) is list and type(step._v) is list
+               for report in runs for step in report.trace)
+
+
 def test_reading_a_step_calls_no_public_function(monkeypatch):
     # u and v are built from their spines by the term constructors alone, so
     # reading them after a traced pass (bench/layers.py) adds no traced call

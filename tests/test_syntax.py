@@ -413,6 +413,27 @@ def test_printer_matches_oracle_on_every_trace_subterm():
             assert show(t) == oracle_pp(t)
 
 
+# one of each kind a state's head or argument can be: a variable, a constant
+# with and without payload, an application (x_transform may hand one back as
+# a head), a lambda printed with a backslash and one printed as #n
+_SPINE_KINDS = (Var("f"), Const(Family.LOWER, 2),
+                Const(Family.UPPER, 1, (Var("p"), mk_church(1))),
+                App(Var("g"), Var("a")), App(Lam("x", Var("x")), mk_church(0)),
+                Lam("x", App(Var("x"), Var("y"))), Lam("y", Lam("z", Var("y"))), mk_church(2))
+_SPINE_PARTS = _SPINE_KINDS + tuple(t for term in TRACE_TERMS for t in subterms(term))
+_SPINES = st.lists(st.sampled_from(_SPINE_PARTS), min_size=1, max_size=6)
+
+
+@hyp.given(st.lists(_SPINES, min_size=1, max_size=8))
+@hyp.example([[head, *_SPINE_KINDS] for head in _SPINE_KINDS])
+def test_printer_prints_a_spine_as_its_application(spines):
+    # one printer over all the spines, whose parts share subterm objects
+    show = printer()
+    for spine in spines:
+        assert show(*spine) == oracle_pp(app(*spine))
+        assert [show(t) for t in spine] == [oracle_pp(t) for t in spine]
+
+
 def test_pretty_deep_terms_without_recursion():
     deep = pretty(Lam("x", app_power(Var("g"), 5000, Var("x"))))
     assert deep == "\\x. " + "g (" * 4999 + "g x" + ")" * 4999
@@ -436,6 +457,6 @@ def test_cli_output_is_the_oracle_printers(argv, monkeypatch, capsys):
     code = cli.main(argv)
     fast = capsys.readouterr().out
     for module in (syntax, checker):
-        monkeypatch.setattr(module, "printer", lambda: oracle_pp)
+        monkeypatch.setattr(module, "printer", lambda: lambda *spine: oracle_pp(app(*spine)))
     assert cli.main(argv) == code == 0
     assert capsys.readouterr().out == fast
